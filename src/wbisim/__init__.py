@@ -45,7 +45,6 @@ from .bisim import (
     delay_partition,
     partition_for_mode,
     refine_partition,
-    split_block,
     split_block_sorted,
     strong_partition,
     weak_partition,
@@ -99,7 +98,6 @@ __all__ = [
     "delay_partition",
     "partition_for_mode",
     "refine_partition",
-    "split_block",
     "split_block_sorted",
     "strong_partition",
     "weak_partition",

@@ -2,10 +2,21 @@
 
 The engine starts from the one-block partition (or a caller-supplied
 coarser start) and repeatedly picks a splitter: a pair of a label and a
-target class.  Every block is regrouped by the saturated weight of its
+target class.  Blocks are regrouped by the saturated weight of their
 members against the splitter; in strong mode the "saturated" weight is
 just the single-step class weight, in weak mode silent steps may surround
 one observable step, in delay mode they may only precede it.
+
+Splitting is driven by predecessors, after Paige and Tarjan ("Three
+partition refinement algorithms", 1987) in the weighted form of Valmari
+and Franceschinis ("Simple O(m log n) time Markov chain lumping", 2010).
+A saturation table lists, per label, only the states with a nonzero
+weight into the splitter.  Only blocks holding such a state can split;
+each of them is regrouped on the weights of all its members, the ones
+outside the support weighing zero, and every other block is left alone
+because its members all weigh zero.  In strong mode the table itself is
+summed over the predecessors of the splitter, so a splitter costs its
+in-degree plus the sizes of the blocks it touches.
 
 Splitter scheduling: each class is examined once after it is created
 (the initial blocks to begin with, then every child of a split).  A class
@@ -27,44 +38,24 @@ from .solver import Saturator
 from .wlts import Partition
 
 
-def split_block(sr, members, weights):
-    """Group members by values_equal on their weights.
-
-    Linear scan against group representatives; with float tolerances this
-    equality is not transitive, so the sorted variant (which only compares
-    neighbours) is the one the engine uses.  Returns the groups in order
-    of first appearance.
-    """
-    groups = []
-    reps = []
-    for x in members:
-        wx = weights[x]
-        for gi, rep in enumerate(reps):
-            if sr.values_equal(wx, rep):
-                groups[gi].append(x)
-                break
-        else:
-            reps.append(wx)
-            groups.append([x])
-    return groups
-
-
 def split_block_sorted(sr, members, weights):
-    """Sort members by weight and split where neighbouring values differ.
+    """Sort members by weight and split where the value changes.
 
-    In float mode a new group starts where the gap to the previous value
-    exceeds the tolerance.
+    A group holds the values equal to its first (smallest) one, so in
+    float mode every group spans at most the tolerance: comparing against
+    the previous value instead would chain neighbours into groups of any
+    width.
     """
     order = sorted(members, key=lambda x: (sr.sort_key(weights[x]), x))
     groups = []
-    prev = None
+    first = None
     for x in order:
         wx = weights[x]
-        if groups and sr.values_equal(prev, wx):
+        if groups and sr.values_equal(first, wx):
             groups[-1].append(x)
         else:
             groups.append([x])
-        prev = wx
+            first = wx
     return groups
 
 
@@ -93,6 +84,8 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
         raise ValueError("initial partition is over a different state count")
     provider = Saturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
+    sr = w.semiring
+    zero = sr.zero
 
     members = {}
     block_of = [0] * n
@@ -115,13 +108,14 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
             trace.candidates_examined += 1
         table = provider.table(C)
         for label in w.labels:
-            weights = table.vector(label)
+            support = table.support(label)
             split_any = 0
-            for bid in list(members):
+            for bid in dict.fromkeys(block_of[x] for x in support):
                 blk = members[bid]
                 if len(blk) == 1:
                     continue
-                groups = split_block_sorted(w.semiring, blk, weights)
+                weights = {x: support.get(x, zero) for x in blk}
+                groups = split_block_sorted(sr, blk, weights)
                 if len(groups) == 1:
                     continue
                 split_any += 1

@@ -46,36 +46,49 @@ class QuotientError(Exception):
 def emit_quotient(w, partition):
     """Quotient system of a strong partition.
 
-    Block weights are read off a representative and verified against every
-    other member; a disagreement raises QuotientError.  Weak/delay classes
-    do not induce well-defined single-step weights, so the CLI only offers
-    quotients for strong partitions.
+    Each member's successor rows are summed by target block in one pass;
+    the block's weights are read off its first member and every other
+    member must agree with them, or QuotientError is raised.  Weak/delay
+    classes do not induce well-defined single-step weights, so the CLI
+    only offers quotients for strong partitions.
     """
     if partition.n != w.state_count:
         raise ValueError("partition is over a different state count")
     sr = w.semiring
     names = ["{%s}" % ",".join(w.state_names[x] for x in block) for block in partition.blocks]
+    label_order = {label: i for i, label in enumerate(w.labels)}
+
+    def block_row(x):
+        row = {}
+        for label in w.labels:
+            for y, wt in w.successors(x, label).items():
+                key = (label, partition.block_index(y))
+                row[key] = sr.add(row[key], wt) if key in row else wt
+        return row
+
     triples = []
     for bi, block in enumerate(partition.blocks):
         rep = block[0]
-        for label in w.labels:
-            for bj, target in enumerate(partition.blocks):
-                wt = w.class_weight(rep, label, target)
-                for other in block[1:]:
-                    wo = w.class_weight(other, label, target)
-                    if not sr.values_equal(wo, wt):
-                        raise QuotientError(
-                            "members %s and %s of %s disagree on %s into %s"
-                            % (
-                                w.state_names[rep],
-                                w.state_names[other],
-                                names[bi],
-                                label,
-                                names[bj],
-                            )
+        rep_row = block_row(rep)
+        for other in block[1:]:
+            row = block_row(other)
+            keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
+            for label, bj in keys:
+                wt = rep_row.get((label, bj), sr.zero)
+                if not sr.values_equal(row.get((label, bj), sr.zero), wt):
+                    raise QuotientError(
+                        "members %s and %s of %s disagree on %s into %s"
+                        % (
+                            w.state_names[rep],
+                            w.state_names[other],
+                            names[bi],
+                            label,
+                            names[bj],
                         )
-                if not sr.is_zero(wt):
-                    triples.append((bi, label, bj, wt))
+                    )
+        for (label, bj), wt in rep_row.items():
+            if not sr.is_zero(wt):
+                triples.append((bi, label, bj, wt))
     return WLTS(sr, names, w.actions, w.tau, triples)
 
 

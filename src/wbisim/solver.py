@@ -246,26 +246,37 @@ def build_delay_system(w, C, action):
 
 
 class SaturationTable:
-    """Solved weights for one target class: states x (silent + actions)."""
+    """Solved weights for one target class: states x (silent + actions).
 
-    __slots__ = ("mode", "class_states", "tau", "w_tau", "w_act")
+    Each label's weights are stored as its support: a mapping state ->
+    weight that holds at least every state whose weight is not the
+    semiring zero.  States outside it weigh zero.
+    """
 
-    def __init__(self, mode, class_states, tau, w_tau, w_act):
+    __slots__ = ("mode", "class_states", "n", "zero", "supports")
+
+    def __init__(self, mode, class_states, n, zero, supports):
         self.mode = mode
         self.class_states = tuple(sorted(class_states))
-        self.tau = tau
-        self.w_tau = w_tau
-        self.w_act = w_act
+        self.n = n
+        self.zero = zero
+        self.supports = supports
+
+    def support(self, label):
+        """Mapping state -> weight holding every state of nonzero weight."""
+        return self.supports[label]
 
     def weight(self, x, label):
-        if label == self.tau:
-            return self.w_tau[x]
-        return self.w_act[label][x]
+        return self.supports[label].get(x, self.zero)
 
     def vector(self, label):
-        if label == self.tau:
-            return self.w_tau
-        return self.w_act[label]
+        """The weights of all states, in state order."""
+        support, zero = self.supports[label], self.zero
+        return [support.get(x, zero) for x in range(self.n)]
+
+
+def _support(vector, zero):
+    return {x: v for x, v in enumerate(vector) if v != zero}
 
 
 class Saturator:
@@ -276,7 +287,9 @@ class Saturator:
     closure is computed once and reused; only the silent-reach system
     (whose rows are pinned inside the class) is eliminated per class.
     Mode "strong" degenerates to single-step class weights and is what the
-    strong refinement engine runs on.
+    strong refinement engine runs on; they are summed over the stored
+    predecessors of the class, so a table costs the in-degree of the class
+    rather than a pass over every state.
     """
 
     def __init__(self, w, mode="weak"):
@@ -304,18 +317,21 @@ class Saturator:
         w = self.w
         sr = w.semiring
         Cset = _class_set(w, C)
+        n, zero = w.state_count, sr.zero
         if self.mode == "strong":
-            w_tau = [w.class_weight(x, w.tau, Cset) for x in range(w.state_count)]
-            w_act = {
-                a: [w.class_weight(x, a, Cset) for x in range(w.state_count)]
-                for a in w.actions
-            }
-            return SaturationTable("strong", Cset, w.tau, w_tau, w_act)
+            supports = {}
+            for label in w.labels:
+                support = {}
+                for y in Cset:
+                    for x, wt in w.predecessors(y, label).items():
+                        support[x] = sr.add(support[x], wt) if x in support else wt
+                supports[label] = support
+            return SaturationTable("strong", Cset, n, zero, supports)
         tau_sys = build_tau_system(w, Cset)
         w_tau = solve_least(tau_sys)
         self._check_float(tau_sys, w_tau, w.tau)
         closure = self._full_tau_closure()
-        w_act = {}
+        supports = {w.tau: _support(w_tau, zero)}
         for a in w.actions:
             if self.mode == "weak":
                 sys_a = build_action_system(w, Cset, a, w_tau)
@@ -323,8 +339,8 @@ class Saturator:
                 sys_a = build_delay_system(w, Cset, a)
             x_a = closure_apply(sr, closure, sys_a.b)
             self._check_float(sys_a, x_a, a)
-            w_act[a] = x_a
-        return SaturationTable(self.mode, Cset, w.tau, w_tau, w_act)
+            supports[a] = _support(x_a, zero)
+        return SaturationTable(self.mode, Cset, n, zero, supports)
 
 
 def saturate(w, C, mode="weak"):

@@ -89,6 +89,7 @@ class WLTS:
                 w = sr.add(row[y], w)
             row[y] = w
         self._succ = succ
+        self._pred = None
         self.zero_transitions_dropped = dropped
 
     # -- basic queries ---------------------------------------------------
@@ -111,6 +112,21 @@ class WLTS:
     def successors(self, x, label):
         """Mapping target_id -> weight for the stored (nonzero) steps."""
         return self._succ[x].get(label, _EMPTY)
+
+    def predecessors(self, y, label):
+        """Mapping source_id -> weight for the stored steps into y.
+
+        The index is built on the first call, in time proportional to the
+        transition count, and kept for the life of the system.
+        """
+        if self._pred is None:
+            pred = [dict() for _ in self.state_names]
+            for x, succ in enumerate(self._succ):
+                for lab, row in succ.items():
+                    for target, w in row.items():
+                        pred[target].setdefault(lab, {})[x] = w
+            self._pred = pred
+        return self._pred[y].get(label, _EMPTY)
 
     def weight(self, x, label, y):
         return self._succ[x].get(label, _EMPTY).get(y, self.semiring.zero)

@@ -223,3 +223,21 @@ def truncation_weight(k):
         return rng.randint(0, k - 1)
 
     return gen
+
+
+# One weight generator per shipped semiring.  The real-float weights are
+# multiples of 1/8, so sums stay exact and distinct values sit far more
+# than the tolerance apart.
+SEMIRING_WEIGHTS = [
+    (wb.by_name("boolean"), lambda rng: True),
+    (wb.by_name("real"), positive_fraction),
+    (wb.by_name("real-float"), lambda rng: rng.randint(1, 8) / 8),
+    (wb.by_name("tropical"), tropical_weight),
+    (wb.by_name("arctic"), lambda rng: Fraction(rng.randint(-3, 3))),
+    (wb.by_name("truncation", k=6), truncation_weight(6)),
+    (wb.by_name("maxtimes"), lambda rng: Fraction(rng.randint(1, 4), 4)),
+]
+
+
+def semiring_ids():
+    return [sr.name for sr, _ in SEMIRING_WEIGHTS]

@@ -1,5 +1,6 @@
 """Unit tests for block splitting and the refinement engine."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 import wbisim as wb
 from wbisim import (
     Partition,
+    Saturator,
     bisimilar,
+    brute_coarsest_partition,
     by_name,
     check_is_weak_bisimulation,
     delay_partition,
@@ -17,50 +20,29 @@ from wbisim import (
     strong_partition,
     weak_partition,
 )
-from wbisim.bisim import split_block, split_block_sorted
+from wbisim.bisim import split_block_sorted
 
 import helpers
 
 
-def grouping(groups):
-    return {frozenset(g) for g in groups}
-
-
 class TestSplitting:
-    def test_groups_by_value(self):
-        sr = by_name("real")
-        weights = [Fraction(1), Fraction(2), Fraction(1), Fraction(0)]
-        groups = split_block(sr, [0, 1, 2, 3], weights)
-        assert grouping(groups) == {
-            frozenset({0, 2}),
-            frozenset({1}),
-            frozenset({3}),
-        }
-
     def test_sorted_variant_orders_by_weight(self):
         sr = by_name("real")
         weights = [Fraction(3), Fraction(1), Fraction(3), wb.INF, Fraction(1)]
         groups = split_block_sorted(sr, [0, 1, 2, 3, 4], weights)
         assert groups == [[1, 4], [0, 2], [3]]
 
-    def test_both_variants_agree_on_exact_carriers(self):
-        rng = random.Random(41)
-        pool = [Fraction(n, d) for n in range(4) for d in (1, 2, 3)]
-        sr = by_name("real")
-        for _ in range(200):
-            n = rng.randint(1, 12)
-            weights = [rng.choice(pool) for _ in range(n)]
-            members = list(range(n))
-            rng.shuffle(members)
-            a = grouping(split_block(sr, members, weights))
-            b = grouping(split_block_sorted(sr, members, weights))
-            assert a == b
-
     def test_float_groups_split_at_tolerance_gaps(self):
         sr = by_name("real-float", epsilon=1e-9)
         weights = [0.0, 4e-10, 1.0, 1.0 + 2e-10, 2.0]
         groups = split_block_sorted(sr, [0, 1, 2, 3, 4], weights)
         assert groups == [[0, 1], [2, 3], [4]]
+
+    def test_float_groups_span_at_most_the_tolerance(self):
+        # neighbours are within tolerance, the first and the last are not
+        sr = by_name("real-float", epsilon=1e-9)
+        weights = [0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9]
+        assert split_block_sorted(sr, [0, 1, 2], weights) == [[0, 1], [2]]
 
     def test_singleton_and_empty(self):
         sr = by_name("boolean")
@@ -245,3 +227,118 @@ class TestTrace:
             p, trace = refine_partition(w, "weak", want_trace=True)
             assert len(p) <= w.state_count
             assert len(trace.events) <= max(0, w.state_count - 1)
+
+
+class TestFloatTolerance:
+    def test_chained_weights_give_blocks_the_checker_accepts(self):
+        # three states whose weights into the sink are pairwise within
+        # tolerance only as neighbours; one block would fail the checker
+        sr = by_name("real-float", epsilon=1e-9)
+        weights = [0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9]
+        w = helpers.make_wlts(
+            sr,
+            ["s0", "s1", "s2", "sink"],
+            [("s%d" % i, "a", "sink", wt) for i, wt in enumerate(weights)],
+        )
+        for mode in ("strong", "weak", "delay"):
+            p = partition_for_mode(w, mode)
+            assert not p.same_block(w.index("s0"), w.index("s2"))
+            assert check_is_weak_bisimulation(w, p, mode=mode).ok
+
+
+def full_scan_refine(w, mode):
+    """Reference engine: every block is regrouped against dense weight
+    vectors of every splitter, class_weight in strong mode and the
+    saturation table's vectors otherwise.  Returns the partition and the
+    trace events as (step, label, splitter, blocks_split, block_count)."""
+    n = w.state_count
+    sr = w.semiring
+    saturator = Saturator(w, mode)
+    members = {0: list(range(n))} if n else {}
+    heap = [(0, 0)] if n else []
+    next_id = 1
+    events = []
+    while heap:
+        _, cid = heapq.heappop(heap)
+        if cid not in members:
+            continue
+        C = tuple(members[cid])
+        if mode == "strong":
+            vectors = {
+                label: [w.class_weight(x, label, frozenset(C)) for x in range(n)]
+                for label in w.labels
+            }
+        else:
+            table = saturator.table(C)
+            vectors = {label: table.vector(label) for label in w.labels}
+        for label in w.labels:
+            split_any = 0
+            for bid in list(members):
+                groups = split_block_sorted(sr, members[bid], vectors[label])
+                if len(groups) == 1:
+                    continue
+                split_any += 1
+                del members[bid]
+                for g in groups:
+                    members[next_id] = g
+                    heapq.heappush(heap, (min(g), next_id))
+                    next_id += 1
+            if split_any:
+                events.append((len(events) + 1, label, C, split_any, len(members)))
+            if cid not in members:
+                break
+    return Partition(n, members.values()), events
+
+
+def engine_run(w, mode):
+    p, trace = refine_partition(w, mode, want_trace=True)
+    events = [
+        (e.step, e.label, e.splitter, e.blocks_split, e.block_count)
+        for e in trace.events
+    ]
+    return p, events
+
+
+class TestPredecessorDrivenEngine:
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_matches_full_scan_reference(self, sr, gen, mode):
+        rng = random.Random("%s/%s" % (sr.name, mode))
+        for _ in range(25):
+            n = rng.randint(1, 12)
+            density = rng.uniform(0.05, 0.35)
+            w = helpers.random_wlts(rng, sr, n, rng.randint(1, 2), density, gen)
+            assert engine_run(w, mode) == full_scan_refine(w, mode), w
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_matches_brute_force_on_small_systems(self, sr, gen, mode):
+        # acyclic, so the oracle's path enumeration is complete
+        rng = random.Random("brute %s/%s" % (sr.name, mode))
+        for _ in range(8):
+            n = rng.randint(2, 6)
+            density = rng.uniform(0.15, 0.5)
+            w = helpers.random_dag_wlts(rng, sr, n, rng.randint(1, 2), density, gen)
+            p, events = engine_run(w, mode)
+            assert (p, events) == full_scan_refine(w, mode), w
+            assert p == brute_coarsest_partition(w, mode=mode), w
+
+    def test_strong_work_is_bounded_by_the_transition_count(self, monkeypatch):
+        # Only blocks holding a predecessor of the splitter are regrouped,
+        # and no class weight is evaluated state by state.
+        w = helpers.random_sparse_boolean(random.Random(61), 1000, 3, 4)
+        calls = []
+
+        def counting(sr, members, weights):
+            calls.append(len(members))
+            return split_block_sorted(sr, members, weights)
+
+        def forbidden(*args):
+            raise AssertionError("class_weight called by the strong engine")
+
+        monkeypatch.setattr(wb.bisim, "split_block_sorted", counting)
+        monkeypatch.setattr(wb.WLTS, "class_weight", forbidden)
+        p, _ = refine_partition(w, "strong")
+        assert len(calls) <= w.transition_count
+        monkeypatch.undo()
+        assert check_is_weak_bisimulation(w, p, mode="strong").ok

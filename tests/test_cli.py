@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -404,6 +405,21 @@ class TestQuotientHelpers:
         bx = p.block_index(w.index("x"))
         b4 = p.block_index(w.index("x4"))
         assert quotient.weight(bx, "a", b4) == Fraction(1, 5)
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_quotient_edges_are_the_representatives_class_weights(self, sr, gen):
+        rng = random.Random("quotient %s" % sr.name)
+        for _ in range(20):
+            n = rng.randint(1, 10)
+            w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.05, 0.35), gen)
+            p = wb.strong_partition(w)
+            quotient = emit_quotient(w, p)
+            assert quotient.state_count == len(p)
+            for bi, block in enumerate(p.blocks):
+                for label in w.labels:
+                    for bj, target in enumerate(p.blocks):
+                        expected = w.class_weight(block[0], label, target)
+                        assert sr.values_equal(quotient.weight(bi, label, bj), expected)
 
     def test_to_dot_escapes_quotes(self):
         w = helpers.make_wlts(
