@@ -42,12 +42,9 @@ from .bisim import (
     RefinementTrace,
     bisimilar,
     check_is_weak_bisimulation,
-    delay_partition,
     partition_for_mode,
     refine_partition,
     split_block_sorted,
-    strong_partition,
-    weak_partition,
 )
 from .oracle import (
     FinitePath,
@@ -95,12 +92,9 @@ __all__ = [
     "RefinementTrace",
     "bisimilar",
     "check_is_weak_bisimulation",
-    "delay_partition",
     "partition_for_mode",
     "refine_partition",
     "split_block_sorted",
-    "strong_partition",
-    "weak_partition",
     "FinitePath",
     "TraceSelector",
     "TruncationError",

@@ -137,36 +137,13 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
     return Partition(n, members.values()), trace
 
 
-def strong_partition(w, initial=None):
-    """Coarsest partition with equal single-step class weights for every
-    label (the silent one included, treated as ordinary) and class."""
-    return refine_partition(w, "strong", initial)[0]
-
-
-def weak_partition(w, initial=None):
-    """Coarsest partition with equal saturated weights, one observable
-    action surrounded by silent steps."""
-    return refine_partition(w, "weak", initial)[0]
-
-
-def delay_partition(w, initial=None):
-    """Like weak, but silent steps may only precede the observable action."""
-    return refine_partition(w, "delay", initial)[0]
-
-
-_PARTITION_BY_MODE = {
-    "strong": strong_partition,
-    "weak": weak_partition,
-    "delay": delay_partition,
-}
-
-
 def partition_for_mode(w, mode, initial=None):
-    try:
-        fn = _PARTITION_BY_MODE[mode]
-    except KeyError:
-        raise ValueError("mode must be strong, weak or delay") from None
-    return fn(w, initial)
+    """Coarsest partition under ``mode`` refining ``initial``: equal
+    single-step class weights for every label (strong, the silent one
+    treated as ordinary), or equal saturated weights with one observable
+    action surrounded by silent steps (weak) or only preceded by them
+    (delay)."""
+    return refine_partition(w, mode, initial)[0]
 
 
 def bisimilar(w, x, y, mode="weak"):

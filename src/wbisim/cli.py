@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import semiring as _semiring
-from .bisim import check_is_weak_bisimulation, partition_for_mode, refine_partition
+from .bisim import partition_for_mode, refine_partition
 from .oracle import brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
@@ -245,6 +245,8 @@ def _cmd_minimize(args):
     mode = args.equivalence
     if args.format == "dot" and not args.emit_quotient:
         raise SemanticError("dot output for minimize needs --emit-quotient")
+    if args.format == "dot" and mode != "strong":
+        raise SemanticError("dot output needs a strong quotient; %s classes have none" % mode)
     partition, trace = refine_partition(w, mode, want_trace=args.trace)
     payload = {
         "equivalence": mode,

@@ -14,7 +14,8 @@ sum of its path weights.
 
 from __future__ import annotations
 
-from .bisim import strong_partition
+from .bisim import partition_for_mode
+from .solver import _class_set
 from .wlts import Partition, WLTS
 
 
@@ -157,16 +158,6 @@ class TraceSelector:
         if self.kind == "tau-star":
             return "TraceSelector(tau-star)"
         return "TraceSelector(%s, %r)" % (self.kind, self.action)
-
-
-def _class_set(w, C):
-    Cset = frozenset(C)
-    if not Cset:
-        raise ValueError("target class must be nonempty")
-    for x in Cset:
-        if not (isinstance(x, int) and 0 <= x < w.state_count):
-            raise ValueError("state id %r out of range" % (x,))
-    return Cset
 
 
 def _admissible_dfs(w, x, selector, Cset, max_len):
@@ -425,4 +416,4 @@ def milner_weak_oracle(w):
             for z in landed:
                 triples.append((x, a, z, True))
     doubled = WLTS(w.semiring, w.state_names, w.actions, w.tau, triples)
-    return strong_partition(doubled)
+    return partition_for_mode(doubled, "strong")

@@ -3,21 +3,20 @@
 Saturated weights (weight of reaching a target class through silent
 steps, with at most one observable action) are least solutions of linear
 equation systems whose matrix is the silent-step adjacency.  They are
-computed in closed form: the reflexive-transitive closure of M is built
-by star elimination (Gauss-Jordan generalized with ``star`` on the
-pivots), then applied to b.  Kleene iteration from the zero vector is
-provided as an independent route for cross-checking; it stops at an exact
-fixpoint for idempotent/exact semirings and within a tolerance in float
-mode, and reports non-convergence as a status rather than an error.
+computed in closed form: the closure of M is built by one star
+elimination (Gauss-Jordan generalized with ``star`` on the pivots, over
+sparse rows), then applied to b.  Weak and delay saturation differ only
+in b: one action step that lands on the class's silent-reach weights
+(weak) or on the class itself (delay), built by the same helper.  Kleene
+iteration from the zero vector is provided as an independent route for
+cross-checking; it stops at an exact fixpoint for idempotent/exact
+semirings and within a tolerance in float mode, and reports
+non-convergence as a status rather than an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-# Below this size a dense elimination is used; sparse rows with a column
-# index pay off once the silent-step matrix is big and mostly empty.
-DENSE_LIMIT = 64
 
 
 class ConvergenceError(Exception):
@@ -57,37 +56,15 @@ class LinearSystem:
         return "LinearSystem(%s, n=%d, nnz=%d)" % (self.semiring.name, self.n, nnz)
 
 
-def _closure_dense(sr, rows, n):
-    """Star elimination on a dense copy; returns sparse rows of the result.
+def star_closure(sr, rows, n):
+    """Rows of the non-reflexive part of M*: entry [i][j] sums all
+    nonempty paths i -> j.  The full closure is this plus the identity.
 
-    Ascending pivots k, in place:  M[i][j] <- M[i][j] + M[i][k] *
-    star(M[k][k]) * M[k][j], with row k snapshotted per pivot so every
-    update reads the values from the start of the pivot step.
+    Star elimination with ascending pivots k, on dict rows with a column
+    index for the pivot scans:  M[i][j] <- M[i][j] + M[i][k] *
+    star(M[k][k]) * M[k][j], with row k read once per pivot so every
+    update sees the values from the start of the pivot step.
     """
-    add, mul, star, zero = sr.add, sr.mul, sr.star, sr.zero
-    m = [[zero] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            m[i][j] = v
-    for k in range(n):
-        s = star(m[k][k])
-        through = [(j, mul(s, v)) for j, v in enumerate(m[k]) if v != zero]
-        if not through:
-            continue
-        for i in range(n):
-            aik = m[i][k]
-            if aik == zero:
-                continue
-            mi = m[i]
-            for j, t in through:
-                mi[j] = add(mi[j], mul(aik, t))
-    return [
-        {j: v for j, v in enumerate(m[i]) if v != zero} for i in range(n)
-    ]
-
-
-def _closure_sparse(sr, rows, n):
-    """Same elimination on dict rows with a column index for pivot scans."""
     add, mul, star, zero = sr.add, sr.mul, sr.star, sr.zero
     m = [dict(r) for r in rows]
     cols = [set() for _ in range(n)]
@@ -115,14 +92,6 @@ def _closure_sparse(sr, rows, n):
                 else:
                     ri[j] = add(cur, v)
     return m
-
-
-def star_closure(sr, rows, n):
-    """Rows of the non-reflexive part of M*: entry [i][j] sums all
-    nonempty paths i -> j.  The full closure is this plus the identity."""
-    if n < DENSE_LIMIT:
-        return _closure_dense(sr, rows, n)
-    return _closure_sparse(sr, rows, n)
 
 
 def closure_apply(sr, closure_rows, b):
@@ -192,6 +161,32 @@ def _class_set(w, C):
     return Cset
 
 
+def _silent_rows(w):
+    return [dict(w.successors(x, w.tau)) for x in range(w.state_count)]
+
+
+def _class_indicator(sr, Cset, n):
+    return [sr.one if x in Cset else sr.zero for x in range(n)]
+
+
+def _action_rhs(w, action, lands_on):
+    """b[x] = sum over y of weight(x, action, y) * lands_on[y], skipping
+    the zero entries of ``lands_on``."""
+    if action not in w.actions:
+        raise ValueError("unknown action %r" % (action,))
+    sr = w.semiring
+    add, mul, zero = sr.add, sr.mul, sr.zero
+    b = []
+    for x in range(w.state_count):
+        acc = zero
+        for y, wt in w.successors(x, action).items():
+            v = lands_on[y]
+            if v != zero:
+                acc = add(acc, mul(wt, v))
+        b.append(acc)
+    return b
+
+
 def build_tau_system(w, C):
     """Silent-reach weights into C: x in C is pinned to one; elsewhere
     the row is the silent-step distribution."""
@@ -210,36 +205,18 @@ def build_tau_system(w, C):
 
 
 def build_action_system(w, C, action, w_tau):
-    """One observable step anywhere along silent runs: the matrix is the
-    full silent adjacency, the constant folds the action step against the
-    already-solved silent-reach vector ``w_tau`` for the same class."""
+    """One observable step anywhere along silent runs: the action step
+    lands on the already-solved silent-reach vector ``w_tau`` of C."""
     _class_set(w, C)
-    if action not in w.actions:
-        raise ValueError("unknown action %r" % (action,))
-    sr = w.semiring
-    rows = []
-    b = []
-    for x in range(w.state_count):
-        rows.append(dict(w.successors(x, w.tau)))
-        b.append(
-            sr.sum(sr.mul(wt, w_tau[y]) for y, wt in w.successors(x, action).items())
-        )
-    return LinearSystem(sr, rows, b)
+    return LinearSystem(w.semiring, _silent_rows(w), _action_rhs(w, action, w_tau))
 
 
 def build_delay_system(w, C, action):
     """Delay variant: silent steps may only precede the action, which must
     land in C directly."""
     Cset = _class_set(w, C)
-    if action not in w.actions:
-        raise ValueError("unknown action %r" % (action,))
-    sr = w.semiring
-    rows = []
-    b = []
-    for x in range(w.state_count):
-        rows.append(dict(w.successors(x, w.tau)))
-        b.append(w.class_weight(x, action, Cset))
-    return LinearSystem(sr, rows, b)
+    lands_on = _class_indicator(w.semiring, Cset, w.state_count)
+    return LinearSystem(w.semiring, _silent_rows(w), _action_rhs(w, action, lands_on))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -285,7 +262,8 @@ class Saturator:
     The action systems of both the weak and the delay family share the
     full silent adjacency as their matrix whatever the class is, so its
     closure is computed once and reused; only the silent-reach system
-    (whose rows are pinned inside the class) is eliminated per class.
+    (whose rows are pinned inside the class) is eliminated per class, and
+    each action costs one right-hand side and one closure application.
     Mode "strong" degenerates to single-step class weights and is what the
     strong refinement engine runs on; they are summed over the stored
     predecessors of the class, so a table costs the in-degree of the class
@@ -302,13 +280,12 @@ class Saturator:
     def _full_tau_closure(self):
         if self._tau_closure is None:
             w = self.w
-            rows = [dict(w.successors(x, w.tau)) for x in range(w.state_count)]
-            self._tau_closure = star_closure(w.semiring, rows, w.state_count)
+            self._tau_closure = star_closure(w.semiring, _silent_rows(w), w.state_count)
         return self._tau_closure
 
-    def _check_float(self, system, x, label):
-        sr = self.w.semiring
-        if sr.carrier_mode == "float" and not system.is_fixpoint(x):
+    @staticmethod
+    def _check_residual(system, x, label):
+        if not system.is_fixpoint(x):
             raise ConvergenceError(
                 "float solution for label %r failed its residual check" % (label,)
             )
@@ -327,25 +304,30 @@ class Saturator:
                         support[x] = sr.add(support[x], wt) if x in support else wt
                 supports[label] = support
             return SaturationTable("strong", Cset, n, zero, supports)
+        float_mode = sr.carrier_mode == "float"
         tau_sys = build_tau_system(w, Cset)
         w_tau = solve_least(tau_sys)
-        self._check_float(tau_sys, w_tau, w.tau)
+        if float_mode:
+            self._check_residual(tau_sys, w_tau, w.tau)
         closure = self._full_tau_closure()
+        silent = _silent_rows(w) if float_mode else None
+        if self.mode == "weak":
+            lands_on = w_tau
+        else:
+            lands_on = _class_indicator(sr, Cset, n)
         supports = {w.tau: _support(w_tau, zero)}
         for a in w.actions:
-            if self.mode == "weak":
-                sys_a = build_action_system(w, Cset, a, w_tau)
-            else:
-                sys_a = build_delay_system(w, Cset, a)
-            x_a = closure_apply(sr, closure, sys_a.b)
-            self._check_float(sys_a, x_a, a)
+            b = _action_rhs(w, a, lands_on)
+            x_a = closure_apply(sr, closure, b)
+            if float_mode:
+                self._check_residual(LinearSystem(sr, silent, b), x_a, a)
             supports[a] = _support(x_a, zero)
         return SaturationTable(self.mode, Cset, n, zero, supports)
 
 
 def saturate(w, C, mode="weak"):
     """Saturation table for one class: the silent system solved once, then
-    one per-action system (reusing the silent solution in weak mode)."""
+    one right-hand side per action against the shared silent closure."""
     if mode not in ("weak", "delay"):
         raise ValueError("saturation mode must be weak or delay")
     return Saturator(w, mode).table(C)

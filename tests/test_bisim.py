@@ -14,11 +14,8 @@ from wbisim import (
     brute_coarsest_partition,
     by_name,
     check_is_weak_bisimulation,
-    delay_partition,
     partition_for_mode,
     refine_partition,
-    strong_partition,
-    weak_partition,
 )
 from wbisim.bisim import split_block_sorted
 
@@ -55,16 +52,16 @@ class TestChains:
 
     def test_weak_merges_the_roots(self):
         w = helpers.chains_system()
-        p = weak_partition(w)
+        p = partition_for_mode(w, "weak")
         assert p.to_names(w) == [["p0", "q0"], ["p1", "p2", "q1"], ["p3", "q2"]]
 
     def test_delay_agrees_here(self):
         w = helpers.chains_system()
-        assert delay_partition(w) == weak_partition(w)
+        assert partition_for_mode(w, "delay") == partition_for_mode(w, "weak")
 
     def test_strong_separates_the_roots(self):
         w = helpers.chains_system()
-        p = strong_partition(w)
+        p = partition_for_mode(w, "strong")
         assert not p.same_block(w.index("p0"), w.index("q0"))
         # the two terminal states stay together under every mode
         assert p.same_block(w.index("p3"), w.index("q2"))
@@ -78,8 +75,8 @@ class TestChains:
 class TestWeakVersusDelay:
     def test_witness_separates_the_modes(self):
         w = helpers.weak_delay_witness()
-        weak = weak_partition(w)
-        delay = delay_partition(w)
+        weak = partition_for_mode(w, "weak")
+        delay = partition_for_mode(w, "delay")
         assert weak.to_names(w) == [["s0", "s2"], ["s1"]]
         assert delay == Partition.discrete(3)
 
@@ -100,7 +97,7 @@ class TestWeakVersusDelay:
                 if mask >> i & 1
             ]
             w = wb.WLTS(sr, ["u", "v"], ("a",), "tau", triples)
-            assert weak_partition(w) == delay_partition(w)
+            assert partition_for_mode(w, "weak") == partition_for_mode(w, "delay")
 
 
 class TestEngineInvariants:
@@ -117,9 +114,9 @@ class TestEngineInvariants:
                 w.tau,
                 [t for t in w.transitions() if t[1] != w.tau],
             )
-            strong = strong_partition(w)
-            assert weak_partition(w) == strong
-            assert delay_partition(w) == strong
+            strong = partition_for_mode(w, "strong")
+            assert partition_for_mode(w, "weak") == strong
+            assert partition_for_mode(w, "delay") == strong
 
     def test_result_is_a_bisimulation_and_coarsest_found(self):
         rng = random.Random(52)
@@ -142,15 +139,16 @@ class TestEngineInvariants:
         v = report.violations[0]
         assert v.label in w.labels
         assert set(v.weights) <= set(w.state_names)
-        report_delay = check_is_weak_bisimulation(w, weak_partition(w), mode="delay")
+        weak = partition_for_mode(w, "weak")
+        report_delay = check_is_weak_bisimulation(w, weak, mode="delay")
         assert not report_delay.ok
 
     def test_restart_from_final_partition_is_stable(self):
         rng = random.Random(53)
         for _ in range(25):
             w = helpers.random_boolean_lts(rng, rng.randint(2, 7), 2, 0.3)
-            final = weak_partition(w)
-            assert weak_partition(w, initial=final) == final
+            final = partition_for_mode(w, "weak")
+            assert partition_for_mode(w, "weak", initial=final) == final
 
     def test_strong_with_signature_presplit_matches_default(self):
         # grouping states by their per-label total outgoing weight is
@@ -166,12 +164,13 @@ class TestEngineInvariants:
                 key = tuple(w.class_weight(x, lab, everything) for lab in w.labels)
                 sig.setdefault(key, []).append(x)
             presplit = Partition(n, sig.values())
-            assert strong_partition(w, initial=presplit) == strong_partition(w)
+            strong = partition_for_mode(w, "strong")
+            assert partition_for_mode(w, "strong", initial=presplit) == strong
 
     def test_initial_partition_size_mismatch(self):
         w = helpers.chains_system()
         with pytest.raises(ValueError):
-            weak_partition(w, initial=Partition.single_block(2))
+            partition_for_mode(w, "weak", initial=Partition.single_block(2))
 
     def test_unknown_mode(self):
         w = helpers.chains_system()
@@ -342,3 +341,15 @@ class TestPredecessorDrivenEngine:
         assert len(calls) <= w.transition_count
         monkeypatch.undo()
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
+
+
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_strong_refines_delay_refines_weak(sr, gen):
+    rng = random.Random("mode order %s" % sr.name)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.1, 0.45), gen)
+        strong = partition_for_mode(w, "strong")
+        delay = partition_for_mode(w, "delay")
+        weak = partition_for_mode(w, "weak")
+        assert strong.refines(delay) and delay.refines(weak), w

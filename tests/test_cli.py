@@ -258,6 +258,24 @@ class TestMinimize:
         assert code == 2
         assert "emit-quotient" in err
 
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_dot_quotient_needs_strong_equivalence(self, tmp_path, capsys, mode):
+        code, out, err = run(
+            capsys,
+            [
+                "minimize",
+                chains_doc(tmp_path),
+                "--equivalence",
+                mode,
+                "--emit-quotient",
+                "--format",
+                "dot",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "strong" in err
+
     def test_structured_output_is_deterministic(self, tmp_path, capsys):
         argv = ["minimize", figure_doc(tmp_path), "--equivalence", "weak"]
         _, first, _ = run(capsys, argv)
@@ -399,7 +417,7 @@ class TestQuotientHelpers:
 
     def test_emit_quotient_preserves_weights(self):
         w = helpers.figure_system()
-        p = wb.strong_partition(w)
+        p = wb.partition_for_mode(w, "strong")
         quotient = emit_quotient(w, p)
         # single-state blocks keep their outgoing weights
         bx = p.block_index(w.index("x"))
@@ -412,7 +430,7 @@ class TestQuotientHelpers:
         for _ in range(20):
             n = rng.randint(1, 10)
             w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.05, 0.35), gen)
-            p = wb.strong_partition(w)
+            p = wb.partition_for_mode(w, "strong")
             quotient = emit_quotient(w, p)
             assert quotient.state_count == len(p)
             for bi, block in enumerate(p.blocks):
