@@ -384,7 +384,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, formats=("structured", "plain")):
+        # Only validate and minimize have a graph to draw, so only they
+        # offer dot; elsewhere argparse rejects it with exit code 2.
         if with_input:
             p.add_argument("input", help="system document (JSON), or - for stdin")
         p.add_argument("--semiring", help="override/select the semiring by name")
@@ -396,13 +398,13 @@ def build_parser():
         )
         p.add_argument(
             "--format",
-            choices=("structured", "plain", "dot"),
+            choices=formats,
             default="structured",
             help="output format (default structured JSON)",
         )
 
     p = sub.add_parser("validate", help="load a document and report on it")
-    common(p)
+    common(p, formats=("structured", "plain", "dot"))
     p.add_argument(
         "--constraint",
         choices=("none", "fully-probabilistic", "reactive"),
@@ -412,7 +414,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("minimize", help="compute the equivalence partition")
-    common(p)
+    common(p, formats=("structured", "plain", "dot"))
     p.add_argument(
         "--equivalence", choices=("strong", "weak", "delay"), default="strong"
     )

@@ -2,14 +2,24 @@
 
 Saturated weights (weight of reaching a target class through silent
 steps, with at most one observable action) are least solutions of linear
-equation systems whose matrix is the silent-step adjacency.  They are
-computed in closed form: the closure of M is built by one star
-elimination (Gauss-Jordan generalized with ``star`` on the pivots, over
-sparse rows), then applied to b.  Weak and delay saturation differ only
-in b: one action step that lands on the class's silent-reach weights
-(weak) or on the class itself (delay), built by the same helper.  Kleene
-iteration from the zero vector is provided as an independent route for
-cross-checking; it stops at an exact fixpoint for idempotent/exact
+equation systems whose matrix is the silent-step adjacency.  Two routes
+compute them in closed form.
+
+The reference route builds each system over all n states
+(``build_tau_system``, ``build_action_system``, ``build_delay_system``)
+and solves it with ``solve_least``: one star elimination (Gauss-Jordan
+generalized with ``star`` on the pivots, over sparse rows) gives the
+closure of M, which is then applied to b.
+
+The engine route, ``Saturator``, solves the same systems only where they
+can be nonzero: on the states that reach the support of b by silent
+steps, one silent strongly connected component at a time, sinks first
+(Tarjan, "A unified approach to path problems", 1981).  Weak and delay
+saturation differ only in b: one action step that lands on the class's
+silent-reach weights (weak) or on the class itself (delay).
+
+Kleene iteration from the zero vector is provided as an independent route
+for cross-checking; it stops at an exact fixpoint for idempotent/exact
 semirings and within a tolerance in float mode, and reports
 non-convergence as a status rather than an error.
 """
@@ -161,30 +171,28 @@ def _class_set(w, C):
     return Cset
 
 
-def _silent_rows(w):
-    return [dict(w.successors(x, w.tau)) for x in range(w.state_count)]
-
-
-def _class_indicator(sr, Cset, n):
-    return [sr.one if x in Cset else sr.zero for x in range(n)]
-
-
 def _action_rhs(w, action, lands_on):
-    """b[x] = sum over y of weight(x, action, y) * lands_on[y], skipping
-    the zero entries of ``lands_on``."""
+    """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
+    summed over the action predecessors of the states in ``lands_on`` (a
+    mapping state -> weight; absent states weigh zero)."""
     if action not in w.actions:
         raise ValueError("unknown action %r" % (action,))
     sr = w.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    b = []
-    for x in range(w.state_count):
-        acc = zero
-        for y, wt in w.successors(x, action).items():
-            v = lands_on[y]
-            if v != zero:
-                acc = add(acc, mul(wt, v))
-        b.append(acc)
+    add, mul = sr.add, sr.mul
+    b = {}
+    for y, v in lands_on.items():
+        for x, wt in w.predecessors(y, action).items():
+            t = mul(wt, v)
+            b[x] = add(b[x], t) if x in b else t
     return b
+
+
+def _action_system(w, action, lands_on):
+    """The silent adjacency over all states, with the action right-hand side."""
+    b = _action_rhs(w, action, lands_on)
+    n, zero = w.state_count, w.semiring.zero
+    rows = [dict(w.successors(x, w.tau)) for x in range(n)]
+    return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
 
 
 def build_tau_system(w, C):
@@ -208,15 +216,15 @@ def build_action_system(w, C, action, w_tau):
     """One observable step anywhere along silent runs: the action step
     lands on the already-solved silent-reach vector ``w_tau`` of C."""
     _class_set(w, C)
-    return LinearSystem(w.semiring, _silent_rows(w), _action_rhs(w, action, w_tau))
+    zero = w.semiring.zero
+    return _action_system(w, action, {y: v for y, v in enumerate(w_tau) if v != zero})
 
 
 def build_delay_system(w, C, action):
     """Delay variant: silent steps may only precede the action, which must
     land in C directly."""
     Cset = _class_set(w, C)
-    lands_on = _class_indicator(w.semiring, Cset, w.state_count)
-    return LinearSystem(w.semiring, _silent_rows(w), _action_rhs(w, action, lands_on))
+    return _action_system(w, action, dict.fromkeys(Cset, w.semiring.one))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -252,18 +260,82 @@ class SaturationTable:
         return [support.get(x, zero) for x in range(self.n)]
 
 
-def _support(vector, zero):
-    return {x: v for x, v in enumerate(vector) if v != zero}
+def _silent_components(succ):
+    """Strongly connected components of the graph x -> succ[x], sinks first.
+
+    Returns ``(comp, members)``: ``comp[x]`` is the index of x's component
+    and ``members`` maps the index of each component of two or more states
+    to its states in ascending order.  Every edge
+    leaving a component goes to one of smaller index, because Tarjan's
+    algorithm emits a component only after all those it reaches.  The
+    depth-first search keeps its own stack, so chains of any length work.
+    """
+    n = len(succ)
+    index = [0] * n  # 0: unvisited; else the visit number, from 1
+    low = [0] * n
+    comp = [-1] * n
+    members = {}  # singletons left out: on sparse systems they are most states
+    count = 0
+    stack = []
+    counter = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for u in edges:
+                if not index[u]:
+                    counter += 1
+                    index[u] = low[u] = counter
+                    stack.append(u)
+                    work.append((u, iter(succ[u])))
+                    break
+                if comp[u] < 0 and index[u] < low[v]:  # u is still on the stack
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    group = []
+                    while True:
+                        u = stack.pop()
+                        comp[u] = count
+                        group.append(u)
+                        if u == v:
+                            break
+                    if len(group) > 1:
+                        members[count] = sorted(group)
+                    count += 1
+    return comp, members
+
+
+_NO_PINS = frozenset()
+_EMPTY_ROW = {}
 
 
 class Saturator:
     """Produces saturation tables for one system, one target class at a time.
 
-    The action systems of both the weak and the delay family share the
-    full silent adjacency as their matrix whatever the class is, so its
-    closure is computed once and reused; only the silent-reach system
-    (whose rows are pinned inside the class) is eliminated per class, and
-    each action costs one right-hand side and one closure application.
+    Weak and delay tables are solved where they can be nonzero.  Every
+    system is ``x = M*x + b`` with M the silent adjacency (rows of the
+    class emptied for the silent-reach weights), so only states that reach
+    the support of b by silent steps can carry weight.  Those states are
+    solved one silent strongly connected component at a time, sinks first
+    (Tarjan, "A unified approach to path problems", 1981): a component of
+    one state is back-substitution through the star of its self-loop, a
+    larger one applies its closure to b plus the already solved weights
+    below it.  The components are found once per system and the closure
+    of each is built on first use and kept; a component that loses rows to
+    the class is eliminated afresh.  The action right-hand sides are
+    summed over the stored predecessors of the silent-reach support (weak)
+    or of the class (delay).  In ``real-float`` mode every solution is
+    also checked against the full n-state system.
+
     Mode "strong" degenerates to single-step class weights and is what the
     strong refinement engine runs on; they are summed over the stored
     predecessors of the class, so a table costs the in-degree of the class
@@ -275,17 +347,78 @@ class Saturator:
             raise ValueError("mode must be strong, weak or delay")
         self.w = w
         self.mode = mode
-        self._tau_closure = None
+        if mode != "strong":
+            self._silent = [w.successors(x, w.tau) for x in range(w.state_count)]
+            self._comp, self._members = _silent_components(self._silent)
+            self._closures = {}
 
-    def _full_tau_closure(self):
-        if self._tau_closure is None:
-            w = self.w
-            self._tau_closure = star_closure(w.semiring, _silent_rows(w), w.state_count)
-        return self._tau_closure
+    def _eliminate(self, order):
+        """(order, position, closure rows) of the silent steps among the
+        states of ``order``."""
+        pos = {x: i for i, x in enumerate(order)}
+        rows = [{pos[y]: m for y, m in self._silent[x].items() if y in pos} for x in order]
+        return order, pos, star_closure(self.w.semiring, rows, len(order))
 
-    @staticmethod
-    def _check_residual(system, x, label):
-        if not system.is_fixpoint(x):
+    def _solve(self, b, pinned=_NO_PINS):
+        """Support of the least x with x = M*x + b, where M is the silent
+        adjacency with the rows of ``pinned`` emptied and b maps states to
+        weights (absent states weigh zero).  Pinned states must carry
+        nonzero weight in b; they keep it."""
+        w = self.w
+        sr = w.semiring
+        add, mul, zero = sr.add, sr.mul, sr.zero
+        tau, silent, comp = w.tau, self._silent, self._comp
+        region = [x for x, v in b.items() if v != zero]
+        seen = set(region)
+        for y in region:
+            for x in w.predecessors(y, tau):
+                if x not in seen:  # pinned states are seen from the start
+                    seen.add(x)
+                    region.append(x)
+        sol = {}
+        groups = {}
+        for x in region:
+            if x in pinned:
+                sol[x] = b[x]
+            else:
+                groups.setdefault(comp[x], []).append(x)
+        for c in sorted(groups):
+            free = groups[c]
+            if len(free) == 1:
+                x = free[0]
+                acc = b.get(x, zero)
+                loop = None
+                for y, m in silent[x].items():
+                    if y == x:
+                        loop = m
+                    elif y in sol:
+                        acc = add(acc, mul(m, sol[y]))
+                if acc != zero:
+                    sol[x] = acc if loop is None else mul(sr.star(loop), acc)
+                continue
+            if len(free) == len(self._members[c]):
+                if c not in self._closures:
+                    self._closures[c] = self._eliminate(self._members[c])
+                order, pos, closure = self._closures[c]
+            else:
+                # Pinned states cut this component: eliminate what is left.
+                order, pos, closure = self._eliminate(sorted(free))
+            rhs = []
+            for x in order:
+                acc = b.get(x, zero)
+                for y, m in silent[x].items():
+                    if y not in pos and y in sol:
+                        acc = add(acc, mul(m, sol[y]))
+                rhs.append(acc)
+            for x, v in zip(order, closure_apply(sr, closure, rhs)):
+                if v != zero:
+                    sol[x] = v
+        return sol
+
+    def _check_residual(self, rows, b, support, label):
+        n, zero = self.w.state_count, self.w.semiring.zero
+        system = LinearSystem(self.w.semiring, rows, [b.get(x, zero) for x in range(n)])
+        if not system.is_fixpoint([support.get(x, zero) for x in range(n)]):
             raise ConvergenceError(
                 "float solution for label %r failed its residual check" % (label,)
             )
@@ -305,29 +438,25 @@ class Saturator:
                 supports[label] = support
             return SaturationTable("strong", Cset, n, zero, supports)
         float_mode = sr.carrier_mode == "float"
-        tau_sys = build_tau_system(w, Cset)
-        w_tau = solve_least(tau_sys)
+        in_class = dict.fromkeys(Cset, sr.one)
+        w_tau = self._solve(in_class, Cset)
         if float_mode:
-            self._check_residual(tau_sys, w_tau, w.tau)
-        closure = self._full_tau_closure()
-        silent = _silent_rows(w) if float_mode else None
-        if self.mode == "weak":
-            lands_on = w_tau
-        else:
-            lands_on = _class_indicator(sr, Cset, n)
-        supports = {w.tau: _support(w_tau, zero)}
+            pinned_rows = [_EMPTY_ROW if x in Cset else row for x, row in enumerate(self._silent)]
+            self._check_residual(pinned_rows, in_class, w_tau, w.tau)
+        lands_on = w_tau if self.mode == "weak" else in_class
+        supports = {w.tau: w_tau}
         for a in w.actions:
             b = _action_rhs(w, a, lands_on)
-            x_a = closure_apply(sr, closure, b)
+            x_a = self._solve(b)
             if float_mode:
-                self._check_residual(LinearSystem(sr, silent, b), x_a, a)
-            supports[a] = _support(x_a, zero)
+                self._check_residual(self._silent, b, x_a, a)
+            supports[a] = x_a
         return SaturationTable(self.mode, Cset, n, zero, supports)
 
 
 def saturate(w, C, mode="weak"):
-    """Saturation table for one class: the silent system solved once, then
-    one right-hand side per action against the shared silent closure."""
+    """Saturation table for one class: the silent-reach weights, then one
+    right-hand side and one targeted solve per action."""
     if mode not in ("weak", "delay"):
         raise ValueError("saturation mode must be weak or delay")
     return Saturator(w, mode).table(C)

@@ -120,13 +120,21 @@ class WLTS:
         transition count, and kept for the life of the system.
         """
         if self._pred is None:
-            pred = [dict() for _ in self.state_names]
+            # One column per label, with a dict of its own only for states
+            # that have predecessors under it: a dict per state would cost
+            # more than the edges on sparse systems.
+            n = len(self.state_names)
+            pred = {lab: [_EMPTY] * n for lab in self.labels}
             for x, succ in enumerate(self._succ):
                 for lab, row in succ.items():
+                    col = pred[lab]
                     for target, w in row.items():
-                        pred[target].setdefault(lab, {})[x] = w
+                        if col[target] is _EMPTY:
+                            col[target] = {}
+                        col[target][x] = w
             self._pred = pred
-        return self._pred[y].get(label, _EMPTY)
+        col = self._pred.get(label)
+        return _EMPTY if col is None else col[y]
 
     def weight(self, x, label, y):
         return self._succ[x].get(label, _EMPTY).get(y, self.semiring.zero)

@@ -1,10 +1,12 @@
 """Unit tests for block splitting and the refinement engine."""
 
 import heapq
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wbisim as wb
 from wbisim import (
@@ -243,6 +245,104 @@ class TestFloatTolerance:
             p = partition_for_mode(w, mode)
             assert not p.same_block(w.index("s0"), w.index("s2"))
             assert check_is_weak_bisimulation(w, p, mode=mode).ok
+
+
+def _as_float(v):
+    return math.inf if v is wb.INF else float(v)
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+def test_float_partition_matches_exact_when_weights_sit_apart(mode, monkeypatch):
+    """real-float against exact real on the same rational weights: when
+    the distinct exact weights into every class the run saturates against
+    sit more than epsilon apart, the partitions must be equal."""
+    exact, approx = by_name("real"), by_name("real-float")
+    rng = random.Random("float against exact %s" % mode)
+    compared = 0
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        w = helpers.random_wlts(
+            rng, exact, n, 2, rng.uniform(0.1, 0.4), lambda r: Fraction(r.randint(1, 8), 8)
+        )
+        w_float = wb.WLTS(
+            approx, w.state_names, w.actions, w.tau,
+            [(x, label, y, float(v)) for x, label, y, v in w.transitions()],
+        )
+        classes = []
+        table = Saturator.table
+        monkeypatch.setattr(Saturator, "table", lambda self, C: classes.append(C) or table(self, C))
+        expected = partition_for_mode(w, mode)
+        monkeypatch.undo()
+        saturator = Saturator(w, mode)
+        gaps = []
+        for C in classes:
+            for label in w.labels:
+                values = sorted(set(map(_as_float, saturator.table(C).vector(label))))
+                gaps += [b - a for a, b in zip(values, values[1:])]
+        if any(gap <= 10 * approx.epsilon for gap in gaps):
+            continue
+        compared += 1
+        assert partition_for_mode(w_float, mode) == expected, w
+    assert compared >= 50
+
+
+def _relabelled(w, perm):
+    """w with state x moved to id perm[x]."""
+    names = [None] * w.state_count
+    for x, name in enumerate(w.state_names):
+        names[perm[x]] = name
+    return wb.WLTS(
+        w.semiring, names, w.actions, w.tau,
+        [(perm[x], label, perm[y], v) for x, label, y, v in w.transitions()],
+    )
+
+
+def _disjoint_union(w):
+    """w next to a renamed copy of itself: state x is copied to x + n."""
+    n = w.state_count
+    edges = list(w.transitions())
+    return wb.WLTS(
+        w.semiring, w.state_names + tuple("copy-" + s for s in w.state_names),
+        w.actions, w.tau, edges + [(x + n, label, y + n, v) for x, label, y, v in edges],
+    )
+
+
+small_systems = st.builds(
+    lambda lane, seed, n, density: helpers.random_wlts(
+        random.Random(seed), helpers.SEMIRING_WEIGHTS[lane][0], n, 2, density,
+        helpers.SEMIRING_WEIGHTS[lane][1],
+    ),
+    st.integers(0, len(helpers.SEMIRING_WEIGHTS) - 1),
+    st.integers(0, 2**32),
+    st.integers(1, 7),
+    st.sampled_from([0.1, 0.25, 0.4]),
+)
+
+
+class TestSymmetry:
+    """The result depends on the system, not on how its states are
+    numbered: the silent components and their solve order do."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(w=small_systems, data=st.data())
+    def test_permuting_states_permutes_the_partition(self, w, data):
+        perm = data.draw(st.permutations(range(w.state_count)))
+        moved = _relabelled(w, perm)
+        for mode in ("strong", "weak", "delay"):
+            p = partition_for_mode(w, mode)
+            expected = Partition(w.state_count, [[perm[x] for x in b] for b in p.blocks])
+            assert partition_for_mode(moved, mode) == expected, (mode, w, perm)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(w=small_systems)
+    def test_disjoint_union_pairs_each_state_with_its_copy(self, w):
+        n = w.state_count
+        union = _disjoint_union(w)
+        for mode in ("strong", "weak", "delay"):
+            p = partition_for_mode(union, mode)
+            assert all(p.same_block(x, x + n) for x in range(n)), (mode, w)
+            halves = Partition(n, [[x for x in b if x < n] for b in p.blocks])
+            assert halves == partition_for_mode(w, mode), (mode, w)
 
 
 def full_scan_refine(w, mode):

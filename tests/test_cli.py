@@ -408,6 +408,25 @@ class TestAxioms:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "DOC", "--left", "p0", "--right", "q0"],
+        ["saturate", "DOC", "--class", "p3"],
+        ["axioms", "--semiring", "boolean"],
+    ],
+    ids=["check", "saturate", "axioms"],
+)
+def test_dot_is_rejected_where_there_is_no_graph(tmp_path, capsys, argv):
+    argv = [chains_doc(tmp_path) if a == "DOC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "dot"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 class TestQuotientHelpers:
     def test_emit_quotient_requires_agreeing_blocks(self):
         w = helpers.chains_system()

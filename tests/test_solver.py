@@ -323,13 +323,32 @@ class TestSaturation:
         assert table.weight(x4, "b") == Fraction(1, 6)
         assert table.weight(w.index("x"), "a") == Fraction(0)
 
-    def test_saturator_caches_silent_closure(self):
-        w = helpers.figure_system()
+    def test_saturator_caches_component_closures(self, monkeypatch):
+        # u and v form one silent cycle; the class {c} leaves it pin-free,
+        # so its closure is built by the first table and reused after.
+        sr = by_name("real")
+        half = Fraction(1, 2)
+        w = helpers.make_wlts(
+            sr,
+            ["u", "v", "c", "d"],
+            [
+                ("u", "tau", "v", half),
+                ("v", "tau", "u", half),
+                ("v", "tau", "c", half),
+                ("u", "a", "d", half),
+            ],
+        )
         sat = Saturator(w, mode="weak")
-        sat.table([0])
-        first = sat._tau_closure
-        sat.table([1, 2])
-        assert sat._tau_closure is first
+        first = sat.table([w.index("c")])
+        calls = []
+        original = wb.solver.star_closure
+        monkeypatch.setattr(
+            wb.solver, "star_closure", lambda *a: calls.append(a) or original(*a)
+        )
+        second = sat.table([w.index("c")])
+        assert calls == []
+        for label in w.labels:
+            assert first.vector(label) == second.vector(label)
 
     def test_float_residual_failure_raises(self, monkeypatch):
         doc_states = ["u", "v"]
@@ -374,3 +393,114 @@ class TestSharedRightHandSide:
                     b = [rhs(x, a) for x in range(n)]
                     x_a = solve_least(LinearSystem(sr, silent, b))
                     assert all(map(same, table.vector(a), x_a)), (mode, a, w)
+
+
+def _silent_components_of(w):
+    return wb.solver._silent_components(
+        [w.successors(x, w.tau) for x in range(w.state_count)]
+    )
+
+
+class TestTargetedSaturation:
+    """The engine's targeted solves against the reference route: each
+    system built over all states and solved by one full elimination."""
+
+    @staticmethod
+    def _systems(rng, sr, gen):
+        for _ in range(30):
+            n = rng.randint(1, 9)
+            yield helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.1, 0.4), gen)
+        for _ in range(6):
+            # Sparse, with silent rings of five and self-loops, so that
+            # classes cut larger components.
+            n = 5 * rng.randint(3, 5)
+            edges = set()
+            for x in range(n):
+                edges.add((x, "tau", x + 1 if (x + 1) % 5 else x - 4))
+                if x % 6 == 0:
+                    edges.add((x, "tau", x))
+                for _ in range(2):
+                    edges.add((x, rng.choice(["tau", "a", "b"]), rng.randrange(n)))
+            yield wb.WLTS(
+                sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
+                [(x, label, y, gen(rng)) for x, label, y in sorted(edges)],
+            )
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_tables_match_full_elimination(self, sr, gen):
+        if sr.carrier_mode == "float":
+            same = sr.values_equal
+        else:
+            def same(a, b):
+                return a == b
+        rng = random.Random("targeted saturation %s" % sr.name)
+        seen = {"self-loop": 0, "cut component": 0, "infinite": 0}
+        for w in self._systems(rng, sr, gen):
+            n = w.state_count
+            _, members = _silent_components_of(w)
+            seen["self-loop"] += any(x in w.successors(x, w.tau) for x in range(n))
+            classes = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+            for C in classes:
+                seen["cut component"] += any(
+                    0 < len(C.intersection(m)) < len(m) for m in members.values()
+                )
+                w_tau = solve_least(build_tau_system(w, C))
+                reference = {
+                    "weak": lambda a: solve_least(build_action_system(w, C, a, w_tau)),
+                    "delay": lambda a: solve_least(build_delay_system(w, C, a)),
+                }
+                for mode, solve in reference.items():
+                    table = Saturator(w, mode).table(C)
+                    assert all(map(same, table.vector(w.tau), w_tau)), (mode, C, w)
+                    for a in w.actions:
+                        expected = solve(a)
+                        seen["infinite"] += any(v in (wb.INF, math.inf) for v in expected)
+                        assert all(map(same, table.vector(a), expected)), (mode, a, C, w)
+        assert seen["self-loop"] and seen["cut component"]
+        if sr.name in ("real", "real-float", "arctic"):
+            # cycles of mass >= 1 (real) and positive cycles (arctic)
+            assert seen["infinite"]
+
+    def test_acyclic_singleton_class_needs_no_elimination(self, monkeypatch):
+        rng = random.Random(404)
+        n = 2000
+        edges = set()
+        for x in range(n - 1):
+            for _ in range(3):
+                edges.add((x, rng.choice(["tau", "a", "b"]), rng.randrange(x + 1, n)))
+        sr = by_name("boolean")
+        w = wb.WLTS(sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
+                    [(x, label, y, True) for x, label, y in sorted(edges)])
+
+        C = [n // 2]
+        w_tau = solve_least(build_tau_system(w, C))
+        expected = {
+            "weak": solve_least(build_action_system(w, C, "a", w_tau)),
+            "delay": solve_least(build_delay_system(w, C, "a")),
+        }
+
+        def forbidden(*args):
+            raise AssertionError("no elimination on an acyclic silent graph")
+
+        monkeypatch.setattr(wb.solver, "star_closure", forbidden)
+        monkeypatch.setattr(wb.solver, "closure_apply", forbidden)
+        for mode in ("weak", "delay"):
+            table = Saturator(w, mode).table(C)
+            assert table.vector(w.tau) == w_tau
+            assert table.vector("a") == expected[mode]
+
+    @pytest.mark.parametrize("shape", ["chain", "cycle"])
+    def test_long_silent_paths_need_no_recursion(self, shape):
+        n = 5000
+        sr = by_name("boolean")
+        edges = [(x, "tau", x + 1, True) for x in range(n - 1)]
+        if shape == "cycle":
+            edges.append((n - 1, "tau", 0, True))
+        # One more state outside the silent graph's big component, with an
+        # action into it, so there is something to split.
+        edges.append((n, "a", 0, True))
+        w = wb.WLTS(sr, ["s%d" % x for x in range(n + 1)], ["a"], "tau", edges)
+        _, members = _silent_components_of(w)
+        assert list(members.values()) == ([list(range(n))] if shape == "cycle" else [])
+        p = wb.partition_for_mode(w, "weak")
+        assert p.blocks == (tuple(range(n)), (n,))
