@@ -195,9 +195,6 @@ def _saturation_grid(w, table):
 
 def _cmd_validate(args):
     w = _load_system(args)
-    if args.format == "dot":
-        sys.stdout.write(to_dot(w))
-        return EXIT_OK
     payload = {
         "semiring": w.semiring.describe(),
         "tau": w.tau,
@@ -236,7 +233,10 @@ def _cmd_validate(args):
         )
     payload["constraint"] = args.constraint
     payload["constraint_ok"] = not failed
-    _emit(args, payload, lines)
+    if args.format == "dot":
+        sys.stdout.write(to_dot(w))
+    else:
+        _emit(args, payload, lines)
     return EXIT_INVALID if failed else EXIT_OK
 
 
@@ -335,23 +335,16 @@ def _cmd_check(args):
 
 def _cmd_saturate(args):
     w = _load_system(args)
-    names = [s for s in (args.cls or "").split(",") if s]
+    names = sorted({s for s in (args.cls or "").split(",") if s})
     if not names:
         raise SemanticError("--class needs a comma-separated list of states")
     C = [w.index(s) for s in names]
-    table = Saturator(w, args.mode).table(C)
-    payload = {
-        "mode": args.mode,
-        "class": sorted(names),
-        "table": _saturation_grid(w, table),
-    }
-    lines = ["%s saturation into {%s}" % (args.mode, ",".join(sorted(names)))]
-    for x in range(w.state_count):
-        cells = ", ".join(
-            "%s=%s" % (label, w.semiring.format(table.weight(x, label)))
-            for label in w.labels
-        )
-        lines.append("  %s: %s" % (w.state_names[x], cells))
+    grid = _saturation_grid(w, Saturator(w, args.mode).table(C))
+    payload = {"mode": args.mode, "class": names, "table": grid}
+    lines = ["%s saturation into {%s}" % (args.mode, ",".join(names))]
+    for state, cells in grid.items():
+        row = ", ".join("%s=%s" % cell for cell in cells.items())
+        lines.append("  %s: %s" % (state, row))
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -2,24 +2,21 @@
 
 Saturated weights (weight of reaching a target class through silent
 steps, with at most one observable action) are least solutions of linear
-equation systems whose matrix is the silent-step adjacency.  Two routes
-compute them in closed form.
+equation systems whose matrix is the silent-step adjacency.
 
 The reference route builds each system over all n states
 (``build_tau_system``, ``build_action_system``, ``build_delay_system``)
-and solves it with ``solve_least``: one star elimination (Gauss-Jordan
-generalized with ``star`` on the pivots, over sparse rows) gives the
-closure of M, which is then applied to b.
+and solves it with ``solve_least``: a star elimination over sparse rows
+gives the closure of M, which is then applied to b.  The engine route,
+``Saturator``, solves only where the solution can be nonzero, one silent
+strongly connected component at a time, sinks first, by an elimination
+for the one b at hand, and never builds a closure (Tarjan, "A unified
+approach to path problems", 1981).  Weak and delay saturation differ only
+in b: one action step that lands on the class's silent-reach weights
+(weak) or on the class itself (delay).
 
-The engine route, ``Saturator``, solves the same systems only where they
-can be nonzero: on the states that reach the support of b by silent
-steps, one silent strongly connected component at a time, sinks first
-(Tarjan, "A unified approach to path problems", 1981).  Weak and delay
-saturation differ only in b: one action step that lands on the class's
-silent-reach weights (weak) or on the class itself (delay).
-
-Kleene iteration from the zero vector is provided as an independent route
-for cross-checking; it stops at an exact fixpoint for idempotent/exact
+Kleene iteration from the zero vector is an independent route for
+cross-checking; it stops at an exact fixpoint for idempotent/exact
 semirings and within a tolerance in float mode, and reports
 non-convergence as a status rather than an error.
 """
@@ -27,6 +24,7 @@ non-convergence as a status rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 class ConvergenceError(Exception):
@@ -263,18 +261,16 @@ class SaturationTable:
 def _silent_components(succ):
     """Strongly connected components of the graph x -> succ[x], sinks first.
 
-    Returns ``(comp, members)``: ``comp[x]`` is the index of x's component
-    and ``members`` maps the index of each component of two or more states
-    to its states in ascending order.  Every edge
-    leaving a component goes to one of smaller index, because Tarjan's
-    algorithm emits a component only after all those it reaches.  The
-    depth-first search keeps its own stack, so chains of any length work.
+    Returns ``comp``, where ``comp[x]`` is the index of x's component.
+    Every edge leaving a component goes to one of smaller index, because
+    Tarjan's algorithm emits a component only after all those it reaches.
+    The depth-first search keeps its own stack, so chains of any length
+    work.
     """
     n = len(succ)
     index = [0] * n  # 0: unvisited; else the visit number, from 1
     low = [0] * n
     comp = [-1] * n
-    members = {}  # singletons left out: on sparse systems they are most states
     count = 0
     stack = []
     counter = 0
@@ -301,17 +297,13 @@ def _silent_components(succ):
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    group = []
                     while True:
                         u = stack.pop()
                         comp[u] = count
-                        group.append(u)
                         if u == v:
                             break
-                    if len(group) > 1:
-                        members[count] = sorted(group)
                     count += 1
-    return comp, members
+    return comp
 
 
 _NO_PINS = frozenset()
@@ -325,16 +317,14 @@ class Saturator:
     system is ``x = M*x + b`` with M the silent adjacency (rows of the
     class emptied for the silent-reach weights), so only states that reach
     the support of b by silent steps can carry weight.  Those states are
-    solved one silent strongly connected component at a time, sinks first
-    (Tarjan, "A unified approach to path problems", 1981): a component of
-    one state is back-substitution through the star of its self-loop, a
-    larger one applies its closure to b plus the already solved weights
-    below it.  The components are found once per system and the closure
-    of each is built on first use and kept; a component that loses rows to
-    the class is eliminated afresh.  The action right-hand sides are
-    summed over the stored predecessors of the silent-reach support (weak)
-    or of the class (delay).  In ``real-float`` mode every solution is
-    also checked against the full n-state system.
+    solved one silent strongly connected component at a time, sinks first,
+    after the states below it and the class: a component of one state is
+    back-substitution through the star of its self-loop, a larger one is a
+    Gaussian elimination for this b.  The components are found once per
+    system; nothing else is kept between solves.  The action right-hand
+    sides are summed over the stored predecessors of the silent-reach
+    support (weak) or of the class (delay).  In ``real-float`` mode every
+    solution is also checked against the full n-state system.
 
     Mode "strong" degenerates to single-step class weights and is what the
     strong refinement engine runs on; they are summed over the stored
@@ -349,15 +339,7 @@ class Saturator:
         self.mode = mode
         if mode != "strong":
             self._silent = [w.successors(x, w.tau) for x in range(w.state_count)]
-            self._comp, self._members = _silent_components(self._silent)
-            self._closures = {}
-
-    def _eliminate(self, order):
-        """(order, position, closure rows) of the silent steps among the
-        states of ``order``."""
-        pos = {x: i for i, x in enumerate(order)}
-        rows = [{pos[y]: m for y, m in self._silent[x].items() if y in pos} for x in order]
-        return order, pos, star_closure(self.w.semiring, rows, len(order))
+            self._comp = _silent_components(self._silent)
 
     def _solve(self, b, pinned=_NO_PINS):
         """Support of the least x with x = M*x + b, where M is the silent
@@ -396,23 +378,41 @@ class Saturator:
                 if acc != zero:
                     sol[x] = acc if loop is None else mul(sr.star(loop), acc)
                 continue
-            if len(free) == len(self._members[c]):
-                if c not in self._closures:
-                    self._closures[c] = self._eliminate(self._members[c])
-                order, pos, closure = self._closures[c]
-            else:
-                # Pinned states cut this component: eliminate what is left.
-                order, pos, closure = self._eliminate(sorted(free))
-            rhs = []
-            for x in order:
-                acc = b.get(x, zero)
+            # Gaussian elimination of the component's unsolved states in
+            # ascending order, with b and the solved states in one more
+            # column, ``end``: each row substitutes the reduced rows of
+            # earlier states, smallest first, then is scaled by the star of
+            # its self-loop.  Back-substitution runs in reverse order.
+            end = w.state_count
+            reduced = {}
+            for x in sorted(free):
+                row = {end: b.get(x, zero)}
                 for y, m in silent[x].items():
-                    if y not in pos and y in sol:
-                        acc = add(acc, mul(m, sol[y]))
-                rhs.append(acc)
-            for x, v in zip(order, closure_apply(sr, closure, rhs)):
-                if v != zero:
-                    sol[x] = v
+                    if y in sol:
+                        row[end] = add(row[end], mul(m, sol[y]))
+                    elif comp[y] == c:
+                        row[y] = m
+                earlier = sorted(y for y in row if y < x)  # a sorted list is a heap
+                while earlier:
+                    y = heappop(earlier)
+                    m = row.pop(y)
+                    for z, v in reduced[y].items():
+                        t = mul(m, v)
+                        if z not in row and z < x:
+                            heappush(earlier, z)
+                        row[z] = add(row[z], t) if z in row else t
+                loop = row.pop(x, None)
+                if loop is not None:
+                    s = sr.star(loop)
+                    row = {z: mul(s, v) for z, v in row.items()}
+                reduced[x] = row
+            for x, row in reversed(reduced.items()):
+                acc = row[end]
+                for z, v in row.items():
+                    if z in sol:
+                        acc = add(acc, mul(v, sol[z]))
+                if acc != zero:
+                    sol[x] = acc
         return sol
 
     def _check_residual(self, rows, b, support, label):

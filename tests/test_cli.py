@@ -95,6 +95,23 @@ class TestValidate:
         assert code == 2
         assert "real semirings" in err
 
+    def test_dot_keeps_the_constraint_exit_code(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            ["validate", figure_doc(tmp_path), "--constraint", "reactive", "--format", "dot"],
+        )
+        assert code == 2
+        assert out.startswith("digraph wlts {")
+
+    def test_dot_constraint_on_boolean_is_semantic_error(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys,
+            ["validate", chains_doc(tmp_path), "--constraint", "reactive", "--format", "dot"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "real semirings" in err
+
     def test_semiring_override(self, tmp_path, capsys):
         code, payload, _ = run_json(
             capsys,
@@ -366,6 +383,20 @@ class TestSaturate:
         )
         assert code == 0
         assert "weak saturation into {x5}" in out
+
+    def test_repeated_member_is_listed_once(self, tmp_path, capsys):
+        path = figure_doc(tmp_path)
+        code, payload, _ = run_json(capsys, ["saturate", path, "--class", "x5,x2,x5"])
+        assert code == 0
+        assert payload["class"] == ["x2", "x5"]
+        assert payload == run_json(capsys, ["saturate", path, "--class", "x2,x5"])[1]
+        code, out, _ = run(capsys, ["saturate", path, "--class", "x5,x2,x5", "--format", "plain"])
+        assert code == 0
+        w, table = helpers.figure_system(), payload["table"]
+        assert out.splitlines() == ["weak saturation into {x2,x5}"] + [
+            "  %s: %s" % (x, ", ".join("%s=%s" % (a, table[x][a]) for a in w.labels))
+            for x in w.state_names
+        ]
 
     def test_empty_class_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["saturate", figure_doc(tmp_path), "--class", ","])

@@ -323,33 +323,6 @@ class TestSaturation:
         assert table.weight(x4, "b") == Fraction(1, 6)
         assert table.weight(w.index("x"), "a") == Fraction(0)
 
-    def test_saturator_caches_component_closures(self, monkeypatch):
-        # u and v form one silent cycle; the class {c} leaves it pin-free,
-        # so its closure is built by the first table and reused after.
-        sr = by_name("real")
-        half = Fraction(1, 2)
-        w = helpers.make_wlts(
-            sr,
-            ["u", "v", "c", "d"],
-            [
-                ("u", "tau", "v", half),
-                ("v", "tau", "u", half),
-                ("v", "tau", "c", half),
-                ("u", "a", "d", half),
-            ],
-        )
-        sat = Saturator(w, mode="weak")
-        first = sat.table([w.index("c")])
-        calls = []
-        original = wb.solver.star_closure
-        monkeypatch.setattr(
-            wb.solver, "star_closure", lambda *a: calls.append(a) or original(*a)
-        )
-        second = sat.table([w.index("c")])
-        assert calls == []
-        for label in w.labels:
-            assert first.vector(label) == second.vector(label)
-
     def test_float_residual_failure_raises(self, monkeypatch):
         doc_states = ["u", "v"]
         sr = by_name("real-float")
@@ -396,9 +369,23 @@ class TestSharedRightHandSide:
 
 
 def _silent_components_of(w):
-    return wb.solver._silent_components(
+    """The states of each silent component of two or more states."""
+    comp = wb.solver._silent_components(
         [w.successors(x, w.tau) for x in range(w.state_count)]
     )
+    members = {}
+    for x, c in enumerate(comp):
+        members.setdefault(c, []).append(x)
+    return [m for m in members.values() if len(m) > 1]
+
+
+def _silent_ring(sr, n, weight):
+    """States 0..n-1 in one silent ring plus an outside state n: actions
+    0 -a-> n and n -a-> n//2 leave and enter the ring, and n//4 -a-> 3n//4
+    stays in it."""
+    edges = [(x, "tau", (x + 1) % n, weight) for x in range(n)]
+    edges += [(0, "a", n, weight), (n, "a", n // 2, weight), (n // 4, "a", 3 * n // 4, weight)]
+    return wb.WLTS(sr, ["s%d" % x for x in range(n + 1)], ["a"], "tau", edges)
 
 
 class TestTargetedSaturation:
@@ -425,6 +412,22 @@ class TestTargetedSaturation:
                 sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
                 [(x, label, y, gen(rng)) for x, label, y in sorted(edges)],
             )
+        for _ in range(6):
+            # One silent ring of 8-15 states in random order, with chords, so
+            # that the elimination substitutes into rows that already hold an
+            # entry; a few states outside lead into it and out of it.
+            k = rng.randint(8, 15)
+            n = k + 4
+            ring = rng.sample(range(n), k)
+            edges = {(x, "tau", y) for x, y in zip(ring, ring[1:] + ring[:1])}
+            for _ in range(k // 2):
+                edges.add((rng.choice(ring), "tau", rng.choice(ring)))
+            for x in range(n):
+                edges.add((x, rng.choice(["tau", "a", "b"]), rng.randrange(n)))
+            yield wb.WLTS(
+                sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
+                [(x, label, y, gen(rng)) for x, label, y in sorted(edges)],
+            )
 
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
     def test_tables_match_full_elimination(self, sr, gen):
@@ -434,15 +437,16 @@ class TestTargetedSaturation:
             def same(a, b):
                 return a == b
         rng = random.Random("targeted saturation %s" % sr.name)
-        seen = {"self-loop": 0, "cut component": 0, "infinite": 0}
+        seen = {"self-loop": 0, "component of 8+": 0, "cut component": 0, "infinite": 0}
         for w in self._systems(rng, sr, gen):
             n = w.state_count
-            _, members = _silent_components_of(w)
+            members = _silent_components_of(w)
             seen["self-loop"] += any(x in w.successors(x, w.tau) for x in range(n))
+            seen["component of 8+"] += any(len(m) >= 8 for m in members)
             classes = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
             for C in classes:
                 seen["cut component"] += any(
-                    0 < len(C.intersection(m)) < len(m) for m in members.values()
+                    0 < len(C.intersection(m)) < len(m) for m in members
                 )
                 w_tau = solve_least(build_tau_system(w, C))
                 reference = {
@@ -456,7 +460,7 @@ class TestTargetedSaturation:
                         expected = solve(a)
                         seen["infinite"] += any(v in (wb.INF, math.inf) for v in expected)
                         assert all(map(same, table.vector(a), expected)), (mode, a, C, w)
-        assert seen["self-loop"] and seen["cut component"]
+        assert seen["self-loop"] and seen["component of 8+"] and seen["cut component"]
         if sr.name in ("real", "real-float", "arctic"):
             # cycles of mass >= 1 (real) and positive cycles (arctic)
             assert seen["infinite"]
@@ -489,6 +493,49 @@ class TestTargetedSaturation:
             assert table.vector(w.tau) == w_tau
             assert table.vector("a") == expected[mode]
 
+    RING_WEIGHTS = {"boolean": True, "real": Fraction(1, 2)}
+
+    @pytest.mark.parametrize("name", sorted(RING_WEIGHTS))
+    def test_silent_ring_matches_full_elimination(self, name):
+        sr = by_name(name)
+        n = 200
+        w = _silent_ring(sr, n, self.RING_WEIGHTS[name])
+        for C in ([n], [n // 2]):  # outside the ring; cutting it
+            w_tau = solve_least(build_tau_system(w, C))
+            expected = {
+                "weak": solve_least(build_action_system(w, C, "a", w_tau)),
+                "delay": solve_least(build_delay_system(w, C, "a")),
+            }
+            for mode in ("weak", "delay"):
+                table = Saturator(w, mode).table(C)
+                assert table.vector(w.tau) == w_tau
+                assert table.vector("a") == expected[mode]
+
+    @pytest.mark.parametrize("name", sorted(RING_WEIGHTS))
+    def test_silent_ring_work_is_linear(self, name, monkeypatch):
+        # A silent ring is one component; solving it for one right-hand side
+        # needs no closure, and a bounded number of products per state,
+        # whether the class lies outside the ring or cuts it.
+        sr = by_name(name)
+        n = 2000
+        w = _silent_ring(sr, n, self.RING_WEIGHTS[name])
+
+        def forbidden(*args):
+            raise AssertionError("no closure for one right-hand side")
+
+        monkeypatch.setattr(wb.solver, "star_closure", forbidden)
+        monkeypatch.setattr(wb.solver, "closure_apply", forbidden)
+        products = []
+        mul = sr.mul
+        monkeypatch.setattr(sr, "mul", lambda a, b: products.append(None) or mul(a, b))
+        for C in ([n], [n // 2]):
+            for mode in ("weak", "delay"):
+                products.clear()
+                table = Saturator(w, mode).table(C)
+                assert len(products) <= 10 * n, (mode, C)
+                # the ring was solved: for "a" from outside, for silent reach when cut
+                assert len(table.support("a" if C == [n] else w.tau)) == n
+
     @pytest.mark.parametrize("shape", ["chain", "cycle"])
     def test_long_silent_paths_need_no_recursion(self, shape):
         n = 5000
@@ -500,7 +547,6 @@ class TestTargetedSaturation:
         # action into it, so there is something to split.
         edges.append((n, "a", 0, True))
         w = wb.WLTS(sr, ["s%d" % x for x in range(n + 1)], ["a"], "tau", edges)
-        _, members = _silent_components_of(w)
-        assert list(members.values()) == ([list(range(n))] if shape == "cycle" else [])
+        assert _silent_components_of(w) == ([list(range(n))] if shape == "cycle" else [])
         p = wb.partition_for_mode(w, "weak")
         assert p.blocks == (tuple(range(n)), (n,))
