@@ -2,7 +2,8 @@
 
 Strong, weak and delay weighted bisimilarity by partition refinement;
 saturated weights are least solutions of linear equation systems over the
-active semiring, solved in closed form through star elimination.
+active semiring, solved by best-first search where the star is always the
+unit and in closed form through star elimination elsewhere.
 """
 
 from .semiring import (
@@ -27,14 +28,12 @@ from .wlts import (
 )
 from .solver import (
     ConvergenceError,
-    KleeneResult,
     LinearSystem,
     SaturationTable,
     Saturator,
     build_action_system,
     build_delay_system,
     build_tau_system,
-    kleene_iterate,
     saturate,
     solve_least,
 )
@@ -79,14 +78,12 @@ __all__ = [
     "load",
     "serialize",
     "ConvergenceError",
-    "KleeneResult",
     "LinearSystem",
     "SaturationTable",
     "Saturator",
     "build_action_system",
     "build_delay_system",
     "build_tau_system",
-    "kleene_iterate",
     "saturate",
     "solve_least",
     "RefinementTrace",

@@ -72,11 +72,17 @@ class Semiring:
     ``star`` and ``natural_leq``.  ``natural_leq(a, b)`` decides the
     natural preorder: whether some c exists with ``a + c == b``; ``zero``
     is its bottom in every shipped instance.
+
+    An instance whose ``star`` is always ``one`` and whose ``add`` keeps
+    the better of its operands under a total order defines
+    ``best_first_key(v)``, smaller meaning better; saturation then solves
+    by best-first search.  ``check_axioms`` verifies both properties.
     """
 
     name = "abstract"
     carrier_mode = None  # "boolean" | "exact-rational" | "float" | "bounded-integer"
     idempotent = False
+    best_first_key = None
     zero = None
     one = None
 
@@ -168,6 +174,9 @@ class BooleanSemiring(Semiring):
 
     def natural_leq(self, a, b):
         return (not a) or b
+
+    def best_first_key(self, v):
+        return not v
 
     def coerce(self, v):
         if isinstance(v, bool):
@@ -366,6 +375,9 @@ class TropicalSemiring(Semiring):
             return False
         return b <= a
 
+    def best_first_key(self, v):
+        return math.inf if v is INF else v
+
     def coerce(self, v):
         if v is INF:
             return v
@@ -507,6 +519,9 @@ class TruncationSemiring(Semiring):
     def natural_leq(self, a, b):
         return b <= a
 
+    def best_first_key(self, v):
+        return v
+
     def coerce(self, v):
         if isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= self.k:
             return v
@@ -552,6 +567,9 @@ class MaxTimesSemiring(Semiring):
 
     def natural_leq(self, a, b):
         return a <= b
+
+    def best_first_key(self, v):
+        return -v
 
     def coerce(self, v):
         if isinstance(v, bool):
@@ -653,8 +671,9 @@ def check_axioms(sr, samples=None):
     Checks associativity/commutativity/identity of +, associativity and
     identity of *, both distributivities, annihilation by zero, the star
     fixed-point law, that zero is a bottom for the natural preorder, its
-    reflexivity and transitivity, and (for instances that claim it)
-    idempotence of +.  Returns an :class:`AxiomReport` with one entry per
+    reflexivity and transitivity, (for instances that claim it)
+    idempotence of +, and (for instances with a ``best_first_key``) that
+    star is one and that + keeps the operand with the better key.  Returns an :class:`AxiomReport` with one entry per
     law carrying the first counterexample found, if any.
     """
     if samples is None:
@@ -770,5 +789,19 @@ def check_axioms(sr, samples=None):
         law(
             "add-idempotent",
             (("a=%s" % f(a), sr.add(a, a), a) for a in singles),
+        )
+    key = sr.best_first_key
+    if key is not None:
+        law(
+            "star-is-one",
+            (("a=%s" % f(a), sr.star(a), sr.one) for a in singles),
+        )
+        law(
+            "add-keeps-better-key",
+            (
+                ("a=%s b=%s" % (f(a), f(b)),
+                 sr.add(a, b), a if key(a) <= key(b) else b)
+                for a, b in pairs
+            ),
         )
     return report

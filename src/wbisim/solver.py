@@ -8,23 +8,23 @@ The reference route builds each system over all n states
 (``build_tau_system``, ``build_action_system``, ``build_delay_system``)
 and solves it with ``solve_least``: a star elimination over sparse rows
 gives the closure of M, which is then applied to b.  The engine route,
-``Saturator``, solves only where the solution can be nonzero, one silent
+``Saturator``, solves only where the solution can be nonzero and never
+builds a closure.  On a semiring whose star is always ``one`` and whose
+sum keeps the better of its operands (it sets ``best_first_key``), the
+least solution is a best-path weight, found by one best-first search
+backwards along silent steps (Knuth, "A generalization of Dijkstra's
+algorithm", 1977; Mohri, "Semiring frameworks and algorithms for
+shortest-distance problems", 2002).  On the others it solves one silent
 strongly connected component at a time, sinks first, by an elimination
-for the one b at hand, and never builds a closure (Tarjan, "A unified
-approach to path problems", 1981).  Weak and delay saturation differ only
-in b: one action step that lands on the class's silent-reach weights
-(weak) or on the class itself (delay).
-
-Kleene iteration from the zero vector is an independent route for
-cross-checking; it stops at an exact fixpoint for idempotent/exact
-semirings and within a tolerance in float mode, and reports
-non-convergence as a status rather than an error.
+for the one b at hand (Tarjan, "A unified approach to path problems",
+1981).  Weak and delay saturation differ only in b: one action step that
+lands on the class's silent-reach weights (weak) or on the class itself
+(delay).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 
 class ConvergenceError(Exception):
@@ -120,40 +120,6 @@ def solve_least(system):
     """Least vector with x = M*x + b, computed as M* b by star elimination."""
     closure = star_closure(system.semiring, system.rows, system.n)
     return closure_apply(system.semiring, closure, system.b)
-
-
-@dataclass
-class KleeneResult:
-    values: list
-    converged: bool
-    iterations: int
-
-
-def kleene_iterate(system, max_iters=None, tol=None):
-    """Ascending iteration x0 = zero-vector, x_{k+1} = F(x_k).
-
-    Stops when successive iterates agree: exactly (via values_equal) for
-    exact carriers, within ``tol`` for floats (default: the semiring's
-    epsilon, which values_equal already applies).  Hitting ``max_iters``
-    (default 10*n*n) without stabilizing is reported via ``converged``,
-    not raised.
-    """
-    sr = system.semiring
-    n = system.n
-    if max_iters is None:
-        max_iters = max(1, 10 * n * n)
-    x = [sr.zero] * n
-    if tol is not None and sr.carrier_mode == "float":
-        def same(a, b):
-            return a == b or abs(a - b) <= tol
-    else:
-        same = sr.values_equal
-    for it in range(1, max_iters + 1):
-        nxt = system.apply(x)
-        if all(same(a, b) for a, b in zip(x, nxt)):
-            return KleeneResult(nxt, True, it)
-        x = nxt
-    return KleeneResult(x, False, max_iters)
 
 
 # -- the three equation families --------------------------------------------
@@ -316,18 +282,27 @@ class Saturator:
     Weak and delay tables are solved where they can be nonzero.  Every
     system is ``x = M*x + b`` with M the silent adjacency (rows of the
     class emptied for the silent-reach weights), so only states that reach
-    the support of b by silent steps can carry weight.  Those states are
+    the support of b by silent steps can carry weight.
+
+    On a semiring with a ``best_first_key`` (star always ``one``, sums keep
+    the better operand) one search backwards along silent steps from the
+    support of b solves the system: the class states stay at their weight,
+    states of weight ``one`` settle at once in FIFO order, the others
+    settle best first from a heap, and each settled state relaxes its
+    silent in-edges once.  Over the booleans that is a breadth-first search.
+
+    On the other semirings the states that reach the support of b are
     solved one silent strongly connected component at a time, sinks first,
     after the states below it and the class: a component of one state is
     back-substitution through the star of its self-loop, a larger one is a
     Gaussian elimination for this b.  The components are found once per
-    system; nothing else is kept between solves.  The action right-hand
-    sides are summed over the stored predecessors of the silent-reach
-    support (weak) or of the class (delay).  In ``real-float`` mode every
-    solution is also checked against the full n-state system.
+    system; nothing else is kept between solves.  In ``real-float`` mode
+    every solution is also checked on the rows that can be nonzero.
 
-    Mode "strong" degenerates to single-step class weights and is what the
-    strong refinement engine runs on; they are summed over the stored
+    The action right-hand sides are summed over the stored predecessors of
+    the silent-reach support (weak) or of the class (delay).  Mode "strong"
+    degenerates to single-step class weights and is what the strong
+    refinement engine runs on; they are summed over the stored
     predecessors of the class, so a table costs the in-degree of the class
     rather than a pass over every state.
     """
@@ -337,7 +312,8 @@ class Saturator:
             raise ValueError("mode must be strong, weak or delay")
         self.w = w
         self.mode = mode
-        if mode != "strong":
+        self._key = w.semiring.best_first_key
+        if mode != "strong" and self._key is None:
             self._silent = [w.successors(x, w.tau) for x in range(w.state_count)]
             self._comp = _silent_components(self._silent)
 
@@ -345,18 +321,89 @@ class Saturator:
         """Support of the least x with x = M*x + b, where M is the silent
         adjacency with the rows of ``pinned`` emptied and b maps states to
         weights (absent states weigh zero).  Pinned states must carry
-        nonzero weight in b; they keep it."""
+        weight ``one`` in b; they keep it."""
+        if self._key is not None:
+            return self._search(b)
+        return self._eliminate(b, pinned)
+
+    def _silent_reach(self, seeds):
+        """The states that reach one of ``seeds`` by silent steps, seeds
+        first, each once."""
         w = self.w
-        sr = w.semiring
-        add, mul, zero = sr.add, sr.mul, sr.zero
-        tau, silent, comp = w.tau, self._silent, self._comp
-        region = [x for x, v in b.items() if v != zero]
+        tau = w.tau
+        region = list(dict.fromkeys(seeds))
         seen = set(region)
         for y in region:
             for x in w.predecessors(y, tau):
-                if x not in seen:  # pinned states are seen from the start
+                if x not in seen:
                     seen.add(x)
                     region.append(x)
+        return region
+
+    def _search(self, b):
+        """``_solve`` by best-first search.  With star always ``one``, a
+        weight times anything is no better than the weight itself, so the
+        best tentative weight is final, and a state that reaches it while
+        the states of that weight are relaxed settles at once.  The states
+        of weight ``one``, the pinned ones among them, settle first, in
+        FIFO order; over the booleans that is the whole search, breadth
+        first.  Other tentative weights wait in buckets, one per key, with
+        the keys in a heap."""
+        w = self.w
+        sr = w.semiring
+        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
+        tau, predecessors = w.tau, w.predecessors
+        sol = {}  # settled weights
+        best = {}  # tentative weights
+        waiting = {}  # key -> states whose tentative weight has that key
+        for x, v in b.items():
+            if v == one:
+                sol[x] = v
+            elif v != zero:
+                best[x] = v
+                waiting.setdefault(key(v), []).append(x)
+        heap = list(waiting)
+        heapify(heap)
+        level, batch = one, list(sol)
+        while True:
+            for y in batch:  # grows while it is relaxed
+                for x, m in predecessors(y, tau).items():
+                    if x in sol:
+                        continue
+                    t = mul(m, level)
+                    if t == level:
+                        sol[x] = t
+                        batch.append(x)
+                        continue
+                    cur = best.get(x)
+                    if cur is not None:
+                        t = add(cur, t)
+                        if t == cur:
+                            continue
+                    elif t == zero:
+                        continue
+                    best[x] = t
+                    k = key(t)
+                    if k in waiting:
+                        waiting[k].append(x)
+                    else:
+                        waiting[k] = [x]
+                        heappush(heap, k)
+            if not heap:
+                return sol
+            batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
+            if batch:  # equal keys mean equal weights
+                level = best[batch[0]]
+                for x in batch:
+                    sol[x] = level
+
+    def _eliminate(self, b, pinned):
+        """``_solve`` by elimination, one silent component at a time."""
+        w = self.w
+        sr = w.semiring
+        add, mul, zero = sr.add, sr.mul, sr.zero
+        silent, comp = self._silent, self._comp
+        region = self._silent_reach(x for x, v in b.items() if v != zero)
         sol = {}
         groups = {}
         for x in region:
@@ -415,10 +462,22 @@ class Saturator:
                     sol[x] = acc
         return sol
 
-    def _check_residual(self, rows, b, support, label):
-        n, zero = self.w.state_count, self.w.semiring.zero
-        system = LinearSystem(self.w.semiring, rows, [b.get(x, zero) for x in range(n)])
-        if not system.is_fixpoint([support.get(x, zero) for x in range(n)]):
+    def _check_residual(self, b, pinned, support, label):
+        """Raise ConvergenceError unless ``support`` solves the system of
+        ``_solve``.  Only the rows of the states that reach the support of b
+        or of the solution by silent steps are built: every other state has
+        no silent step into them, so both sides of its row are zero."""
+        sr = self.w.semiring
+        zero = sr.zero
+        region = self._silent_reach(list(b) + list(support))
+        index = {x: i for i, x in enumerate(region)}
+        rows = [
+            _EMPTY_ROW if x in pinned
+            else {index[y]: m for y, m in self._silent[x].items() if y in index}
+            for x in region
+        ]
+        system = LinearSystem(sr, rows, [b.get(x, zero) for x in region])
+        if not system.is_fixpoint([support.get(x, zero) for x in region]):
             raise ConvergenceError(
                 "float solution for label %r failed its residual check" % (label,)
             )
@@ -441,15 +500,14 @@ class Saturator:
         in_class = dict.fromkeys(Cset, sr.one)
         w_tau = self._solve(in_class, Cset)
         if float_mode:
-            pinned_rows = [_EMPTY_ROW if x in Cset else row for x, row in enumerate(self._silent)]
-            self._check_residual(pinned_rows, in_class, w_tau, w.tau)
+            self._check_residual(in_class, Cset, w_tau, w.tau)
         lands_on = w_tau if self.mode == "weak" else in_class
         supports = {w.tau: w_tau}
         for a in w.actions:
             b = _action_rhs(w, a, lands_on)
             x_a = self._solve(b)
             if float_mode:
-                self._check_residual(self._silent, b, x_a, a)
+                self._check_residual(b, _NO_PINS, x_a, a)
             supports[a] = x_a
         return SaturationTable(self.mode, Cset, n, zero, supports)
 

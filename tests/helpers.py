@@ -1,6 +1,7 @@
 """Shared builders for the test suite: small named systems and random
 system generators (all deterministic given an explicit rng)."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import wbisim as wb
@@ -90,6 +91,35 @@ def golden_cyclic_system():
         ("x", "tau", "c", Fraction(1, 2)),
     ]
     return make_wlts(sr, ["x", "c"], edges, actions=[])
+
+
+def float_residual_system():
+    """u reaches v silently and by ``a``; z only loops on itself."""
+    return make_wlts(
+        wb.by_name("real-float"),
+        ["u", "v", "z"],
+        [("u", "tau", "v", 0.5), ("u", "a", "v", 0.25), ("z", "tau", "z", 0.5)],
+    )
+
+
+def corrupt_eliminations(monkeypatch, corrupt):
+    """Make every elimination return a corrupted solution: one weight
+    doubled ("scaled"), one state dropped ("dropped"), or a spurious weight
+    on the state ``z`` that reaches nothing ("spurious")."""
+    eliminate = wb.Saturator._eliminate
+
+    def corrupted(self, b, pinned):
+        sol = dict(eliminate(self, b, pinned))
+        x = min(sol)
+        if corrupt == "scaled":
+            sol[x] *= 2
+        elif corrupt == "dropped":
+            del sol[x]
+        else:
+            sol[self.w.index("z")] = 1.0
+        return sol
+
+    monkeypatch.setattr(wb.Saturator, "_eliminate", corrupted)
 
 
 # -- random generators -------------------------------------------------------
@@ -241,3 +271,41 @@ SEMIRING_WEIGHTS = [
 
 def semiring_ids():
     return [sr.name for sr, _ in SEMIRING_WEIGHTS]
+
+
+# -- Kleene iteration ---------------------------------------------------------
+
+
+@dataclass
+class KleeneResult:
+    values: list
+    converged: bool
+    iterations: int
+
+
+def kleene_iterate(system, max_iters=None, tol=None):
+    """Ascending iteration x0 = zero-vector, x_{k+1} = F(x_k): a route to
+    least solutions independent of star elimination, for cross-checks.
+
+    Stops when successive iterates agree: exactly (via values_equal) for
+    exact carriers, within ``tol`` for floats (default: the semiring's
+    epsilon, which values_equal already applies).  Hitting ``max_iters``
+    (default 10*n*n) without stabilizing is reported via ``converged``,
+    not raised.
+    """
+    sr = system.semiring
+    n = system.n
+    if max_iters is None:
+        max_iters = max(1, 10 * n * n)
+    x = [sr.zero] * n
+    if tol is not None and sr.carrier_mode == "float":
+        def same(a, b):
+            return a == b or abs(a - b) <= tol
+    else:
+        same = sr.values_equal
+    for it in range(1, max_iters + 1):
+        nxt = system.apply(x)
+        if all(same(a, b) for a, b in zip(x, nxt)):
+            return KleeneResult(nxt, True, it)
+        x = nxt
+    return KleeneResult(x, False, max_iters)

@@ -19,7 +19,6 @@ from wbisim import (
     by_name,
     check_axioms,
     enumerate_admissible,
-    kleene_iterate,
     milner_weak_oracle,
     partition_for_mode,
     saturate,
@@ -28,6 +27,7 @@ from wbisim import (
 from wbisim.oracle import FinitePath
 
 import helpers
+from helpers import kleene_iterate
 
 
 def _announce(capsys, message):
@@ -296,7 +296,8 @@ def test_criterion_8_runtime_grows_polynomially(capsys):
 def test_criterion_9_axiom_suites_pass_and_flag_the_broken_variant(capsys):
     """Axiom checks pass on every shipped instance, over the structured
     samples and with random extras; the max-first truncation variant
-    fails annihilation."""
+    fails annihilation, and an arctic instance that claims a best-first
+    search key fails star-is-one."""
     rng = random.Random(1009)
     extras = {
         "boolean": [],
@@ -358,8 +359,22 @@ def test_criterion_9_axiom_suites_pass_and_flag_the_broken_variant(capsys):
     assert not report.ok
     failed = {c.law for c in report.failures()}
     assert "annihilate-left" in failed and "annihilate-right" in failed
+
+    class SearchingArctic(type(by_name("arctic"))):
+        """Arctic claiming the best-first search route, which a positive
+        silent cycle (star is infinite there) rules out."""
+
+        def best_first_key(self, v):
+            if v is wb.INF:
+                return -math.inf
+            return math.inf if v is wb.NEG_INF else -v
+
+    report = check_axioms(SearchingArctic())
+    failed = {c.law for c in report.failures()}
+    assert "star-is-one" in failed and "add-keeps-better-key" not in failed
     _announce(
         capsys,
         "criterion 9 PASS: axioms hold on all %d shipped instances;"
-        " the max-first truncation variant fails annihilation" % len(instances)
+        " the max-first truncation variant fails annihilation and an arctic"
+        " instance claiming best-first search fails star-is-one" % len(instances)
     )

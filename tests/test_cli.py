@@ -184,6 +184,14 @@ class TestErrorCodes:
         assert "converge" in err
 
 
+    def test_corrupted_solution_exits_4(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, serialize(helpers.float_residual_system()))
+        helpers.corrupt_eliminations(monkeypatch, "spurious")
+        code, _, err = run(capsys, ["minimize", path, "--equivalence", "weak"])
+        assert code == 4
+        assert "converge" in err
+
+
 class TestMinimize:
     def test_strong_blocks(self, tmp_path, capsys):
         code, payload, _ = run_json(capsys, ["minimize", chains_doc(tmp_path)])

@@ -241,6 +241,25 @@ class TestAxiomChecker:
         report = check_axioms(sr)
         assert ("add-idempotent" in law_names(report)) == sr.idempotent
 
+    @pytest.mark.parametrize("sr", ALL_INSTANCES, ids=repr)
+    def test_search_laws_checked_only_where_claimed(self, sr):
+        # Star is one, and sums keep the better operand, exactly on the
+        # instances that saturate by best-first search.
+        claims = sr.name in ("boolean", "tropical", "truncation", "maxtimes")
+        assert (sr.best_first_key is not None) == claims
+        report = check_axioms(sr)
+        search_laws = {"star-is-one", "add-keeps-better-key"}
+        assert law_names(report) & search_laws == (search_laws if claims else set())
+        assert report.ok
+
+    def test_reversed_search_key_fails(self):
+        class Reversed(type(by_name("tropical"))):
+            def best_first_key(self, v):
+                return -1 if v is INF else -v
+
+        report = check_axioms(Reversed())
+        assert failed_laws(report) == {"add-keeps-better-key"}
+
     def test_zero_is_bottom_everywhere(self):
         for sr in ALL_INSTANCES:
             for v in sr.sample_values():

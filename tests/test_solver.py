@@ -15,12 +15,12 @@ from wbisim import (
     build_delay_system,
     build_tau_system,
     by_name,
-    kleene_iterate,
     saturate,
     solve_least,
 )
 
 import helpers
+from helpers import kleene_iterate
 
 
 class TestLinearSystem:
@@ -334,6 +334,24 @@ class TestSaturation:
             saturate(w, [1])
 
 
+class TestFloatResidualCheck:
+    def test_correct_solutions_pass(self):
+        w = helpers.float_residual_system()
+        for mode in ("weak", "delay"):
+            table = Saturator(w, mode).table([w.index("v")])
+            assert table.vector("a") == [0.25, 0.0, 0.0]
+
+    @pytest.mark.parametrize("corrupt", ["scaled", "dropped", "spurious"])
+    def test_corrupted_solution_raises(self, corrupt, monkeypatch):
+        # The check builds only the rows that reach the right-hand side or
+        # the solution, which must catch each corruption the full system did.
+        w = helpers.float_residual_system()
+        helpers.corrupt_eliminations(monkeypatch, corrupt)
+        for mode in ("weak", "delay"):
+            with pytest.raises(ConvergenceError):
+                Saturator(w, mode).table([w.index("v")])
+
+
 class TestSharedRightHandSide:
     """Saturation tables against right-hand sides built state by state:
     the action step summed against the silent-reach vector (weak), or the
@@ -550,3 +568,130 @@ class TestTargetedSaturation:
         assert _silent_components_of(w) == ([list(range(n))] if shape == "cycle" else [])
         p = wb.partition_for_mode(w, "weak")
         assert p.blocks == (tuple(range(n)), (n,))
+
+
+def _strongly_connected(rng, sr, n, gen):
+    """S(n): a silent ring plus one random silent chord per state, so the
+    silent graph is one component with two edges per state, and an action
+    ``a`` on 30% of the states."""
+    edges = {}
+    for x in range(n):
+        edges[(x, "tau", (x + 1) % n)] = gen(rng)
+        edges.setdefault((x, "tau", rng.randrange(n)), gen(rng))
+        if rng.random() < 0.3:
+            edges[(x, "a", rng.randrange(n))] = gen(rng)
+    return wb.WLTS(
+        sr, ["s%d" % x for x in range(n)], ["a"], "tau",
+        [(x, label, y, v) for (x, label, y), v in sorted(edges.items())],
+    )
+
+
+def _forbid_elimination(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no elimination on a semiring whose star is one")
+
+    monkeypatch.setattr(wb.solver, "star_closure", forbidden)
+    monkeypatch.setattr(wb.solver, "closure_apply", forbidden)
+    monkeypatch.setattr(Saturator, "_eliminate", forbidden)
+
+
+class TestSearchSaturation:
+    """Semirings whose star is always one saturate by best-first search;
+    the others keep the elimination."""
+
+    # Many weights are ``one`` (tropical and truncation 0, maxtimes 1), so
+    # states settled at ``one`` and states settled from the heap interleave
+    # along the same paths; truncation at k=5 also clamps long paths to zero.
+    ZERO_CLOSED = [
+        (by_name("boolean"), lambda rng: True),
+        (by_name("tropical"), lambda rng: rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(5, 2)])),
+        (by_name("truncation", k=5), lambda rng: rng.choice([0, 0, 1, 2])),
+        (by_name("maxtimes"), lambda rng: rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(3, 4)])),
+    ]
+
+    @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
+    def test_tables_match_full_elimination(self, sr, gen, monkeypatch):
+        rng = random.Random("search saturation %s" % sr.name)
+        systems = [_strongly_connected(rng, sr, rng.randint(2, 40), gen) for _ in range(12)]
+        cases = []
+        for w in systems:
+            n = w.state_count
+            # a single state cuts the component; a larger class cuts it more
+            for C in ({rng.randrange(n)}, set(rng.sample(range(n), rng.randint(1, n)))):
+                w_tau = solve_least(build_tau_system(w, C))
+                expected = {
+                    "weak": solve_least(build_action_system(w, C, "a", w_tau)),
+                    "delay": solve_least(build_delay_system(w, C, "a")),
+                }
+                cases.append((w, C, w_tau, expected))
+        _forbid_elimination(monkeypatch)
+        seen = {"one": 0, "between": 0, "zero": 0}
+        for w, C, w_tau, expected in cases:
+            for mode in ("weak", "delay"):
+                table = Saturator(w, mode).table(C)
+                assert table.vector(w.tau) == w_tau, (mode, C, w)
+                assert table.vector("a") == expected[mode], (mode, C, w)
+                for v in expected[mode]:
+                    seen["one" if v == sr.one else "zero" if v == sr.zero else "between"] += 1
+        assert seen["one"] and seen["zero"]
+        if sr.name != "boolean":
+            assert seen["between"]
+
+    @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
+    def test_work_is_one_product_per_silent_edge(self, sr, gen, monkeypatch):
+        # Each settled state relaxes its silent in-edges once, and nothing
+        # is eliminated: a solve costs at most one product per silent edge
+        # into the states that reach its right-hand side.
+        n = 2000
+        w = _strongly_connected(random.Random(2000), sr, n, gen)
+        _forbid_elimination(monkeypatch)
+        products = []
+        mul = sr.mul
+        monkeypatch.setattr(sr, "mul", lambda a, b: products.append(None) or mul(a, b))
+        solve = Saturator._solve
+        solves = []
+
+        def counted(self, b, pinned=frozenset()):
+            products.clear()
+            sol = solve(self, b, pinned)
+            region = self._silent_reach(x for x, v in b.items() if v != sr.zero)
+            edges = sum(len(w.predecessors(y, w.tau)) for y in region)
+            solves.append((len(products), edges))
+            return sol
+
+        monkeypatch.setattr(Saturator, "_solve", counted)
+        for C in ([0], sorted(random.Random(7).sample(range(n), 50))):
+            for mode in ("weak", "delay"):
+                solves.clear()
+                table = Saturator(w, mode).table(C)
+                assert len(solves) == 2
+                assert all(p <= e for p, e in solves), (mode, solves)
+                if sr.name != "truncation":  # truncation clamps long paths to zero
+                    assert len(table.support(w.tau)) == n
+
+    def test_arctic_positive_cycle_is_infinite_by_elimination(self, monkeypatch):
+        sr = by_name("arctic")
+        assert sr.best_first_key is None
+        w = helpers.make_wlts(
+            sr,
+            ["x", "y", "z", "c"],
+            [
+                ("x", "tau", "y", Fraction(1)),
+                ("y", "tau", "x", Fraction(-1, 2)),
+                ("y", "a", "c", Fraction(0)),
+                ("z", "tau", "x", Fraction(-3)),
+            ],
+        )
+        C = [w.index("c")]
+        eliminate = Saturator._eliminate
+        calls = []
+        monkeypatch.setattr(
+            Saturator, "_eliminate",
+            lambda self, b, pinned: calls.append(None) or eliminate(self, b, pinned),
+        )
+        expected = [wb.INF, wb.INF, wb.INF, wb.NEG_INF]
+        assert solve_least(build_delay_system(w, C, "a")) == expected
+        for mode in ("weak", "delay"):
+            calls.clear()
+            assert Saturator(w, mode).table(C).vector("a") == expected
+            assert calls
