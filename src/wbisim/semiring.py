@@ -220,7 +220,7 @@ class RealSemiring(Semiring):
         return a + b
 
     def mul(self, a, b):
-        if a == self.zero or b == self.zero:
+        if not a or not b:  # INF is truthy
             return self.zero
         if a is INF or b is INF:
             return INF
@@ -275,8 +275,8 @@ class RealFloatSemiring(Semiring):
     one = 1.0
 
     def __init__(self, epsilon=1e-9):
-        if not (isinstance(epsilon, float) and epsilon > 0):
-            raise ValueError("epsilon must be a positive float")
+        if not (isinstance(epsilon, float) and 0 < epsilon < math.inf):
+            raise ValueError("epsilon must be a positive finite float")
         self.epsilon = epsilon
 
     def add(self, a, b):

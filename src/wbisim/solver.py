@@ -15,15 +15,20 @@ least solution is a best-path weight, found by one best-first search
 backwards along silent steps (Knuth, "A generalization of Dijkstra's
 algorithm", 1977; Mohri, "Semiring frameworks and algorithms for
 shortest-distance problems", 2002).  On the others it solves one silent
-strongly connected component at a time, sinks first, by an elimination
-for the one b at hand (Tarjan, "A unified approach to path problems",
-1981).  Weak and delay saturation differ only in b: one action step that
-lands on the class's silent-reach weights (weak) or on the class itself
-(delay).
+strongly connected component at a time, sinks first (Tarjan, "A unified
+approach to path problems", 1981).  A component that the solve leaves
+whole is factored once, by an elimination that keeps its multipliers,
+stars and reduced rows (Lehmann, "Algebraic structures for transitive
+closure", 1977), and every later b applies that factor by forward and
+back-substitution; a component that the class cuts is eliminated for the
+one b at hand.  Weak and delay saturation differ only in b: one action
+step that lands on the class's silent-reach weights (weak) or on the
+class itself (delay).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
 
 
@@ -294,10 +299,14 @@ class Saturator:
     On the other semirings the states that reach the support of b are
     solved one silent strongly connected component at a time, sinks first,
     after the states below it and the class: a component of one state is
-    back-substitution through the star of its self-loop, a larger one is a
-    Gaussian elimination for this b.  The components are found once per
-    system; nothing else is kept between solves.  In ``real-float`` mode
-    every solution is also checked on the rows that can be nonzero.
+    back-substitution through the star of its self-loop.  A larger
+    component that no class state cuts is factored on first use and the
+    factor is kept for the life of the Saturator, because the silent
+    matrix is the same for every label and class; each b then costs one
+    forward and one back-substitution through it.  A component that the
+    class cuts is factored afresh for that solve and not kept.  The
+    components are found once per system.  In ``real-float`` mode every
+    solution is also checked on the rows that can be nonzero.
 
     The action right-hand sides are summed over the stored predecessors of
     the silent-reach support (weak) or of the class (delay).  Mode "strong"
@@ -313,9 +322,15 @@ class Saturator:
         self.w = w
         self.mode = mode
         self._key = w.semiring.best_first_key
-        if mode != "strong" and self._key is None:
-            self._silent = [w.successors(x, w.tau) for x in range(w.state_count)]
+        if mode == "strong":
+            return
+        n = w.state_count
+        self._pred = [w.predecessors(y, w.tau) for y in range(n)]
+        if self._key is None:
+            self._silent = [w.successors(x, w.tau) for x in range(n)]
             self._comp = _silent_components(self._silent)
+            self._size = Counter(self._comp)
+            self._factors = {}  # component -> factor, for components left whole
 
     def _solve(self, b, pinned=_NO_PINS):
         """Support of the least x with x = M*x + b, where M is the silent
@@ -329,12 +344,11 @@ class Saturator:
     def _silent_reach(self, seeds):
         """The states that reach one of ``seeds`` by silent steps, seeds
         first, each once."""
-        w = self.w
-        tau = w.tau
+        pred = self._pred
         region = list(dict.fromkeys(seeds))
         seen = set(region)
         for y in region:
-            for x in w.predecessors(y, tau):
+            for x in pred[y]:
                 if x not in seen:
                     seen.add(x)
                     region.append(x)
@@ -349,10 +363,9 @@ class Saturator:
         FIFO order; over the booleans that is the whole search, breadth
         first.  Other tentative weights wait in buckets, one per key, with
         the keys in a heap."""
-        w = self.w
-        sr = w.semiring
+        sr = self.w.semiring
         add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
-        tau, predecessors = w.tau, w.predecessors
+        pred = self._pred
         sol = {}  # settled weights
         best = {}  # tentative weights
         waiting = {}  # key -> states whose tentative weight has that key
@@ -367,7 +380,7 @@ class Saturator:
         level, batch = one, list(sol)
         while True:
             for y in batch:  # grows while it is relaxed
-                for x, m in predecessors(y, tau).items():
+                for x, m in pred[y].items():
                     if x in sol:
                         continue
                     t = mul(m, level)
@@ -399,10 +412,9 @@ class Saturator:
 
     def _eliminate(self, b, pinned):
         """``_solve`` by elimination, one silent component at a time."""
-        w = self.w
-        sr = w.semiring
+        sr = self.w.semiring
         add, mul, zero = sr.add, sr.mul, sr.zero
-        silent, comp = self._silent, self._comp
+        silent, comp, size, factors = self._silent, self._comp, self._size, self._factors
         region = self._silent_reach(x for x, v in b.items() if v != zero)
         sol = {}
         groups = {}
@@ -425,42 +437,68 @@ class Saturator:
                 if acc != zero:
                     sol[x] = acc if loop is None else mul(sr.star(loop), acc)
                 continue
-            # Gaussian elimination of the component's unsolved states in
-            # ascending order, with b and the solved states in one more
-            # column, ``end``: each row substitutes the reduced rows of
-            # earlier states, smallest first, then is scaled by the star of
-            # its self-loop.  Back-substitution runs in reverse order.
-            end = w.state_count
-            reduced = {}
-            for x in sorted(free):
-                row = {end: b.get(x, zero)}
+            if len(free) < size[c]:  # the class cuts the component
+                factor = self._factor(free)
+            else:
+                factor = factors.get(c)
+                if factor is None:
+                    factor = factors[c] = self._factor(free)
+            # Forward substitution: b and the solved states outside the
+            # free states, then the multipliers, then the star of the
+            # self-loop.  Back-substitution runs in reverse order.
+            forward = {}
+            for x, multipliers, s, _ in factor:
+                acc = b.get(x, zero)
                 for y, m in silent[x].items():
                     if y in sol:
-                        row[end] = add(row[end], mul(m, sol[y]))
-                    elif comp[y] == c:
-                        row[y] = m
-                earlier = sorted(y for y in row if y < x)  # a sorted list is a heap
-                while earlier:
-                    y = heappop(earlier)
-                    m = row.pop(y)
-                    for z, v in reduced[y].items():
-                        t = mul(m, v)
-                        if z not in row and z < x:
-                            heappush(earlier, z)
-                        row[z] = add(row[z], t) if z in row else t
-                loop = row.pop(x, None)
-                if loop is not None:
-                    s = sr.star(loop)
-                    row = {z: mul(s, v) for z, v in row.items()}
-                reduced[x] = row
-            for x, row in reversed(reduced.items()):
-                acc = row[end]
-                for z, v in row.items():
+                        acc = add(acc, mul(m, sol[y]))
+                for y, m in multipliers:
+                    acc = add(acc, mul(m, forward[y]))
+                forward[x] = acc if s is None else mul(s, acc)
+            for x, _, _, reduced in reversed(factor):
+                acc = forward[x]
+                for z, v in reduced:
                     if z in sol:
                         acc = add(acc, mul(v, sol[z]))
                 if acc != zero:
                     sol[x] = acc
         return sol
+
+    def _factor(self, free):
+        """LU factor of the silent rows of ``free`` (states of one
+        component) restricted to ``free``, by Gaussian elimination in
+        ascending order: each row substitutes the reduced rows of earlier
+        states, smallest first, then is scaled by the star of its
+        self-loop.  For each state, ascending, it holds the multipliers in
+        the order they were substituted, that star (None without a
+        self-loop) and the reduced row to later states."""
+        sr = self.w.semiring
+        add, mul = sr.add, sr.mul
+        silent = self._silent
+        inside = set(free)
+        reduced = {}
+        factor = []
+        for x in sorted(free):
+            row = {y: m for y, m in silent[x].items() if y in inside}
+            earlier = sorted(y for y in row if y < x)  # a sorted list is a heap
+            multipliers = []
+            while earlier:
+                y = heappop(earlier)
+                m = row.pop(y)
+                multipliers.append((y, m))
+                for z, v in reduced[y]:
+                    t = mul(m, v)
+                    if z not in row and z < x:
+                        heappush(earlier, z)
+                    row[z] = add(row[z], t) if z in row else t
+            s = None
+            loop = row.pop(x, None)
+            if loop is not None:
+                s = sr.star(loop)
+                row = {z: mul(s, v) for z, v in row.items()}
+            reduced[x] = tuple(row.items())
+            factor.append((x, tuple(multipliers), s, reduced[x]))
+        return factor
 
     def _check_residual(self, b, pinned, support, label):
         """Raise ConvergenceError unless ``support`` solves the system of

@@ -168,6 +168,27 @@ class TestErrorCodes:
         assert main(["axioms", "--semiring", "boolean", "--param", "zeta=1"]) == 2
         capsys.readouterr()
 
+    def test_infinite_epsilon_exits_2(self, tmp_path, capsys):
+        # p has an a-step of weight 0.5 and q has none: with an infinite
+        # epsilon every two weights would compare equal
+        doc = {
+            "semiring": {"name": "real-float", "epsilon": 1e-9},
+            "states": ["p", "q", "r"],
+            "transitions": [{"from": "p", "label": "a", "to": "r", "weight": "0.5"}],
+        }
+        check = ["check", "--left", "p", "--right", "q"]
+        path = write_doc(tmp_path, doc)
+        assert run(capsys, check + [path])[0] == 1
+        for epsilon in ("inf", "1e400"):
+            code, _, err = run(capsys, check + [path, "--semiring", "real-float",
+                                                "--param", "epsilon=" + epsilon])
+            assert code == 2, epsilon
+            assert "epsilon" in err
+        doc["semiring"]["epsilon"] = float("inf")  # written as Infinity
+        code, _, err = run(capsys, check + [write_doc(tmp_path, doc, "inf.json")])
+        assert code == 2
+        assert "epsilon" in err
+
     def test_residual_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         doc = {
             "semiring": "real-float",

@@ -78,6 +78,8 @@ class TestReal:
         assert self.sr.mul(INF, Fraction(0)) == 0
         assert self.sr.mul(Fraction(0), INF) == 0
         assert self.sr.mul(INF, Fraction(2, 7)) is INF
+        assert self.sr.mul(Fraction(1, 2), INF) is INF
+        assert self.sr.mul(INF, INF) is INF
 
     def test_rejects_negative_and_float_text(self):
         with pytest.raises(ValueError):
@@ -122,6 +124,12 @@ class TestRealFloat:
         loose = by_name("real-float", epsilon=0.5)
         assert loose.values_equal(1.0, 1.25)
         assert loose.params()["epsilon"] == 0.5
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1e-9])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # an infinite epsilon would make every two weights equal
+        with pytest.raises(ValueError):
+            by_name("real-float", epsilon=epsilon)
 
 
 class TestTropical:

@@ -695,3 +695,133 @@ class TestSearchSaturation:
             calls.clear()
             assert Saturator(w, mode).table(C).vector("a") == expected
             assert calls
+
+
+class _CountingHits(dict):
+    """A factor store that counts the lookups that find a factor."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
+def _two_rings(rng, sr, gen):
+    """Two chorded silent rings of 2-10 states, the first leading into the
+    second, and three states outside them: one that the second ring leads
+    into, one that leads into the first, and one apart.  State ids are
+    shuffled, so the pivot order is not the ring order."""
+    k1, k2 = rng.randint(2, 10), rng.randint(2, 10)
+    n = k1 + k2 + 3
+    ids = rng.sample(range(n), n)
+    ring1, ring2, outside = ids[:k1], ids[k1:k1 + k2], ids[k1 + k2:]
+    edges = {}
+    for ring in (ring1, ring2):
+        for i, x in enumerate(ring):
+            edges[(x, "tau", ring[(i + 1) % len(ring)])] = gen(rng)
+            edges.setdefault((x, "tau", rng.choice(ring)), gen(rng))
+    edges.setdefault((rng.choice(ring1), "tau", rng.choice(ring2)), gen(rng))
+    edges.setdefault((rng.choice(ring2), "tau", outside[0]), gen(rng))
+    edges.setdefault((outside[1], "tau", rng.choice(ring1)), gen(rng))
+    for x in range(n):
+        for _ in range(2):
+            edges.setdefault((x, rng.choice("ab"), rng.randrange(n)), gen(rng))
+    w = wb.WLTS(
+        sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
+        [(x, label, y, v) for (x, label, y), v in sorted(edges.items())],
+    )
+    return w, ring1, ring2, outside
+
+
+class TestFactoredSaturation:
+    """On the semirings that eliminate, each silent component that a solve
+    leaves whole is factored once per Saturator and the factor is reused
+    for every later right-hand side; a component that the class cuts is
+    eliminated fresh."""
+
+    ELIMINATING = [
+        (by_name("real"), lambda rng: Fraction(rng.randint(1, 12), 16)),
+        (by_name("real-float"), lambda rng: rng.randint(1, 12) / 16),
+        (by_name("arctic"), lambda rng: Fraction(rng.randint(-4, 1))),
+    ]
+
+    @pytest.mark.parametrize("sr,gen", ELIMINATING, ids=[sr.name for sr, _ in ELIMINATING])
+    def test_tables_match_full_elimination(self, sr, gen):
+        if sr.carrier_mode == "float":
+            same = sr.values_equal
+        else:
+            def same(a, b):
+                return a == b
+        rng = random.Random("factored saturation %s" % sr.name)
+        seen = {"cut": 0, "reused": 0}
+        for _ in range(25):
+            w, ring1, ring2, outside = _two_rings(rng, sr, gen)
+            n = w.state_count
+            classes = [
+                {outside[0]},  # leaves both rings whole
+                {outside[2]},  # reached by nothing
+                {rng.choice(ring2)},  # cuts the second ring
+                set(rng.sample(range(n), rng.randint(1, n))),
+            ]
+            for mode in ("weak", "delay"):
+                sat = Saturator(w, mode)
+                sat._factors = _CountingHits()
+                for C in classes:
+                    seen["cut"] += any(
+                        0 < len(C.intersection(ring)) <= len(ring) - 2 for ring in (ring1, ring2)
+                    )
+                    w_tau = solve_least(build_tau_system(w, C))
+                    table = sat.table(C)
+                    assert all(map(same, table.vector(w.tau), w_tau)), (mode, C, w)
+                    for a in w.actions:
+                        if mode == "weak":
+                            expected = solve_least(build_action_system(w, C, a, w_tau))
+                        else:
+                            expected = solve_least(build_delay_system(w, C, a))
+                        assert all(map(same, table.vector(a), expected)), (mode, a, C, w)
+                assert len(sat._factors) <= 2  # one factor per ring at most
+                seen["reused"] += sat._factors.hits
+        assert seen["cut"] and seen["reused"]
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_second_table_reuses_the_factor(self, mode, monkeypatch):
+        # A 2,000-state silent ring of weight 1/2 and two states outside,
+        # each reached from the ring by one a-step.  The first table factors
+        # the ring; the second applies the factor: no star and about two
+        # products per ring state.
+        sr = by_name("real")
+        n = 2000
+        half = Fraction(1, 2)
+        edges = [(x, "tau", (x + 1) % n, half) for x in range(n)]
+        edges += [(0, "a", n, half), (n // 3, "a", n + 1, half)]
+        w = wb.WLTS(sr, ["s%d" % x for x in range(n + 2)], ["a"], "tau", edges)
+        C1, C2 = [n], [n + 1]
+        sat = Saturator(w, mode)
+        first = sat.table(C1)
+        assert len(first.support("a")) == n
+        assert len(sat._factors) == 1
+        products, stars = [], []
+        mul, star = sr.mul, sr.star
+        monkeypatch.setattr(sr, "mul", lambda a, b: products.append(None) or mul(a, b))
+        monkeypatch.setattr(sr, "star", lambda a: stars.append(None) or star(a))
+        table = sat.table(C2)
+        assert not stars
+        assert len(products) <= 3 * n
+        monkeypatch.undo()
+        fresh = Saturator(w, mode).table(C2)
+        assert table.supports == fresh.supports
+        assert len(table.support("a")) == n
+
+    def test_factor_of_a_ring_stays_linear(self):
+        # The closure of a 400-state ring has 160,000 entries; its factor
+        # holds one multiplier and one reduced entry per state.
+        n = 400
+        w = _silent_ring(by_name("real"), n, Fraction(1, 2))
+        sat = Saturator(w, "weak")
+        sat.table([n])
+        (factor,) = sat._factors.values()
+        assert len(factor) == n
+        entries = sum(len(mults) + (s is not None) + len(row) for _, mults, s, row in factor)
+        assert entries <= 4 * n

@@ -1,5 +1,6 @@
 """Unit tests for system documents, the WLTS core, and partitions."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -147,6 +148,14 @@ class TestLoad:
         for broken in [bad_src, bad_dst, bad_weight, dup_states, unknown_sr, missing_k]:
             with pytest.raises(SemanticError):
                 load(broken)
+
+    def test_infinite_epsilon_is_a_semantic_error(self):
+        doc = dict(doc_chain(), semiring={"name": "real-float", "epsilon": 1e-6})
+        assert load(doc).semiring.epsilon == 1e-6
+        text = json.dumps(dict(doc, semiring={"name": "real-float", "epsilon": float("inf")}))
+        assert "Infinity" in text
+        with pytest.raises(SemanticError):
+            load(json.loads(text))
 
     def test_tau_cannot_be_an_action(self):
         with pytest.raises(SemanticError):
