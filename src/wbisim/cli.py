@@ -120,6 +120,8 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise SemanticError("--param expects key=value, got %r" % pair)
         key, _, value = pair.partition("=")
+        if key in params:
+            raise SemanticError("--param %s given more than once" % key)
         if key == "k":
             try:
                 params["k"] = int(value)
@@ -137,6 +139,8 @@ def _parse_params(pairs):
 
 def _semiring_from_args(args):
     if not args.semiring:
+        if args.param:
+            raise SemanticError("--param needs --semiring")
         return None
     try:
         return _semiring.by_name(args.semiring, **_parse_params(args.param))
@@ -455,10 +459,7 @@ def main(argv=None):
     except QuotientError as exc:
         print("quotient error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except SemanticError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (SemanticError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except ConvergenceError as exc:

@@ -20,7 +20,10 @@ Shipped instances (selected by name):
 
 Values are plain Python objects (bool, Fraction, float, int, or the
 module-level ``INF``/``NEG_INF`` sentinels); the semiring instance holds
-the operations, so no per-value wrapper objects are allocated.
+the operations, so no per-value wrapper objects are allocated.  The four
+instances over exact rationals (``real``, ``tropical``, ``arctic`` and
+``maxtimes``) differ only in their algebra and in the bounds of their
+carrier; they share one codec (coerce, parse, format, sort key).
 """
 
 from __future__ import annotations
@@ -201,7 +204,48 @@ class BooleanSemiring(Semiring):
         return [False, True]
 
 
-class RealSemiring(Semiring):
+class _RationalSemiring(Semiring):
+    """Carrier codec shared by the instances over exact rationals.
+
+    The carrier is the rationals between the bounds ``low`` and ``high``;
+    a bound that is ``NEG_INF`` or ``INF`` is itself a carrier value.
+    Literals are ``"p/q"``, ``"n"``, ``"inf"`` and ``"-inf"``.
+    """
+
+    carrier_mode = "exact-rational"
+    low = 0
+    high = INF
+
+    def coerce(self, v):
+        # A Fraction comes back as is: load passes every weight here twice.
+        if type(v) is not Fraction:
+            if v is INF or v is NEG_INF:
+                if v is self.low or v is self.high:
+                    return v
+            elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+                return self.coerce(Fraction(v))
+            raise ValueError("cannot use %r as a %s weight" % (v, self.name))
+        low, high = self.low, self.high
+        if (low is NEG_INF or v >= low) and (high is INF or v <= high):
+            return v
+        raise ValueError("%s carrier is [%s, %s], got %s" % (self.name, low, high, v))
+
+    def parse(self, text):
+        t = text.strip()
+        if t == "inf":
+            return self.coerce(INF)
+        if t == "-inf":
+            return self.coerce(NEG_INF)
+        return self.coerce(_parse_fraction(t))
+
+    def format(self, v):
+        return str(v)  # the extremes print as "inf" and "-inf"
+
+    def sort_key(self, v):
+        return (v.sign, 0) if v is INF or v is NEG_INF else (0, v)
+
+
+class RealSemiring(_RationalSemiring):
     """Non-negative extended rationals with exact arithmetic.
 
     ``INF`` is absorbing for + and for * against nonzero values, while
@@ -210,7 +254,6 @@ class RealSemiring(Semiring):
     """
 
     name = "real"
-    carrier_mode = "exact-rational"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -237,30 +280,6 @@ class RealSemiring(Semiring):
         if a is INF:
             return False
         return a <= b
-
-    def coerce(self, v):
-        if v is INF:
-            return v
-        if isinstance(v, bool):
-            raise ValueError("bool is not a rational weight")
-        if isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-            if v < 0:
-                raise ValueError("negative weight %s outside the carrier" % v)
-            return v
-        raise ValueError("cannot use %r as an extended rational" % (v,))
-
-    def parse(self, text):
-        t = text.strip()
-        if t == "inf":
-            return INF
-        return self.coerce(_parse_fraction(t))
-
-    def format(self, v):
-        return "inf" if v is INF else str(v)
-
-    def sort_key(self, v):
-        return (1, Fraction(0)) if v is INF else (0, v)
 
     def sample_values(self):
         return [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
@@ -339,7 +358,7 @@ class RealFloatSemiring(Semiring):
         return {"epsilon": self.epsilon}
 
 
-class TropicalSemiring(Semiring):
+class TropicalSemiring(_RationalSemiring):
     """Min-plus over non-negative rationals plus INF (which is the zero).
 
     The carrier is restricted to non-negative values so that ``star`` is
@@ -347,7 +366,6 @@ class TropicalSemiring(Semiring):
     """
 
     name = "tropical"
-    carrier_mode = "exact-rational"
     idempotent = True
     zero = INF
     one = Fraction(0)
@@ -378,35 +396,11 @@ class TropicalSemiring(Semiring):
     def best_first_key(self, v):
         return math.inf if v is INF else v
 
-    def coerce(self, v):
-        if v is INF:
-            return v
-        if isinstance(v, bool):
-            raise ValueError("bool is not a tropical weight")
-        if isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-            if v < 0:
-                raise ValueError("tropical carrier is non-negative, got %s" % v)
-            return v
-        raise ValueError("cannot use %r as a tropical weight" % (v,))
-
-    def parse(self, text):
-        t = text.strip()
-        if t == "inf":
-            return INF
-        return self.coerce(_parse_fraction(t))
-
-    def format(self, v):
-        return "inf" if v is INF else str(v)
-
-    def sort_key(self, v):
-        return (1, Fraction(0)) if v is INF else (0, v)
-
     def sample_values(self):
         return [INF, Fraction(0), Fraction(1), Fraction(7, 2), Fraction(5)]
 
 
-class ArcticSemiring(Semiring):
+class ArcticSemiring(_RationalSemiring):
     """Max-plus over rationals extended with both infinities.
 
     NEG_INF is the zero and must annihilate, so NEG_INF + INF is NEG_INF
@@ -414,8 +408,8 @@ class ArcticSemiring(Semiring):
     """
 
     name = "arctic"
-    carrier_mode = "exact-rational"
     idempotent = True
+    low = NEG_INF
     zero = NEG_INF
     one = Fraction(0)
 
@@ -450,37 +444,6 @@ class ArcticSemiring(Semiring):
         if a is INF:
             return False
         return a <= b
-
-    def coerce(self, v):
-        if v is INF or v is NEG_INF:
-            return v
-        if isinstance(v, bool):
-            raise ValueError("bool is not an arctic weight")
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
-        raise ValueError("cannot use %r as an arctic weight" % (v,))
-
-    def parse(self, text):
-        t = text.strip()
-        if t == "inf":
-            return INF
-        if t == "-inf":
-            return NEG_INF
-        return self.coerce(_parse_fraction(t))
-
-    def format(self, v):
-        if v is INF:
-            return "inf"
-        if v is NEG_INF:
-            return "-inf"
-        return str(v)
-
-    def sort_key(self, v):
-        if v is NEG_INF:
-            return (-1, Fraction(0))
-        if v is INF:
-            return (1, Fraction(0))
-        return (0, v)
 
     def sample_values(self):
         return [NEG_INF, Fraction(-1), Fraction(0), Fraction(2), INF]
@@ -547,12 +510,12 @@ class TruncationSemiring(Semiring):
         return {"k": self.k}
 
 
-class MaxTimesSemiring(Semiring):
+class MaxTimesSemiring(_RationalSemiring):
     """([0,1], max, 0, *, 1): best-run probabilities."""
 
     name = "maxtimes"
-    carrier_mode = "exact-rational"
     idempotent = True
+    high = 1
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -570,25 +533,6 @@ class MaxTimesSemiring(Semiring):
 
     def best_first_key(self, v):
         return -v
-
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise ValueError("bool is not a maxtimes weight")
-        if isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-            if not (0 <= v <= 1):
-                raise ValueError("maxtimes carrier is [0,1], got %s" % v)
-            return v
-        raise ValueError("cannot use %r as a maxtimes weight" % (v,))
-
-    def parse(self, text):
-        return self.coerce(_parse_fraction(text.strip()))
-
-    def format(self, v):
-        return str(v)
-
-    def sort_key(self, v):
-        return v
 
     def sample_values(self):
         return [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]

@@ -207,11 +207,10 @@ class SaturationTable:
     semiring zero.  States outside it weigh zero.
     """
 
-    __slots__ = ("mode", "class_states", "n", "zero", "supports")
+    __slots__ = ("mode", "n", "zero", "supports")
 
-    def __init__(self, mode, class_states, n, zero, supports):
+    def __init__(self, mode, n, zero, supports):
         self.mode = mode
-        self.class_states = tuple(sorted(class_states))
         self.n = n
         self.zero = zero
         self.supports = supports
@@ -298,15 +297,14 @@ class Saturator:
 
     On the other semirings the states that reach the support of b are
     solved one silent strongly connected component at a time, sinks first,
-    after the states below it and the class: a component of one state is
-    back-substitution through the star of its self-loop.  A larger
-    component that no class state cuts is factored on first use and the
-    factor is kept for the life of the Saturator, because the silent
-    matrix is the same for every label and class; each b then costs one
-    forward and one back-substitution through it.  A component that the
-    class cuts is factored afresh for that solve and not kept.  The
-    components are found once per system.  In ``real-float`` mode every
-    solution is also checked on the rows that can be nonzero.
+    after the states below it and the class.  A component that no class
+    state cuts, of any size, is factored on first use and the factor is
+    kept for the life of the Saturator, because the silent matrix is the
+    same for every label and class; each b then costs one forward and one
+    back-substitution through it.  A component that the class cuts is
+    factored afresh for that solve and not kept.  The components are found
+    once per system.  In ``real-float`` mode every solution is also checked
+    on the rows that can be nonzero.
 
     The action right-hand sides are summed over the stored predecessors of
     the silent-reach support (weak) or of the class (delay).  Mode "strong"
@@ -425,18 +423,6 @@ class Saturator:
                 groups.setdefault(comp[x], []).append(x)
         for c in sorted(groups):
             free = groups[c]
-            if len(free) == 1:
-                x = free[0]
-                acc = b.get(x, zero)
-                loop = None
-                for y, m in silent[x].items():
-                    if y == x:
-                        loop = m
-                    elif y in sol:
-                        acc = add(acc, mul(m, sol[y]))
-                if acc != zero:
-                    sol[x] = acc if loop is None else mul(sr.star(loop), acc)
-                continue
             if len(free) < size[c]:  # the class cuts the component
                 factor = self._factor(free)
             else:
@@ -533,7 +519,7 @@ class Saturator:
                     for x, wt in w.predecessors(y, label).items():
                         support[x] = sr.add(support[x], wt) if x in support else wt
                 supports[label] = support
-            return SaturationTable("strong", Cset, n, zero, supports)
+            return SaturationTable("strong", n, zero, supports)
         float_mode = sr.carrier_mode == "float"
         in_class = dict.fromkeys(Cset, sr.one)
         w_tau = self._solve(in_class, Cset)
@@ -547,7 +533,7 @@ class Saturator:
             if float_mode:
                 self._check_residual(b, _NO_PINS, x_a, a)
             supports[a] = x_a
-        return SaturationTable(self.mode, Cset, n, zero, supports)
+        return SaturationTable(self.mode, n, zero, supports)
 
 
 def saturate(w, C, mode="weak"):

@@ -189,6 +189,35 @@ class TestErrorCodes:
         assert code == 2
         assert "epsilon" in err
 
+    def _half_and_point_six(self, tmp_path):
+        # p has an a-step of 0.5 and q one of 0.6: equal within epsilon 0.2
+        doc = {
+            "semiring": {"name": "real-float"},
+            "states": ["p", "q", "r"],
+            "transitions": [
+                {"from": "p", "label": "a", "to": "r", "weight": "0.5"},
+                {"from": "q", "label": "a", "to": "r", "weight": "0.6"},
+            ],
+        }
+        return ["check", write_doc(tmp_path, doc), "--left", "p", "--right", "q"]
+
+    def test_param_without_semiring_exits_2(self, tmp_path, capsys):
+        check = self._half_and_point_six(tmp_path)
+        widened = check + ["--semiring", "real-float", "--param", "epsilon=0.2"]
+        assert run(capsys, widened)[0] == 0
+        for param in ("epsilon=0.2", "bogus=1"):
+            code, out, err = run(capsys, check + ["--param", param])
+            assert code == 2, param
+            assert not out
+            assert "--semiring" in err
+
+    def test_repeated_param_exits_2(self, tmp_path, capsys):
+        check = self._half_and_point_six(tmp_path) + ["--semiring", "real-float"]
+        code, out, err = run(capsys, check + ["--param", "epsilon=1e-9", "--param", "epsilon=0.2"])
+        assert code == 2
+        assert not out
+        assert "epsilon" in err
+
     def test_residual_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         doc = {
             "semiring": "real-float",

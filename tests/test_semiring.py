@@ -349,3 +349,68 @@ class TestSortKey:
         values = [Fraction(0), NEG_INF, INF, Fraction(-2)]
         ordered = sorted(values, key=sr.sort_key)
         assert ordered == [NEG_INF, Fraction(-2), Fraction(0), INF]
+
+
+RATIONAL = ["real", "tropical", "arctic", "maxtimes"]
+
+# What real, tropical, arctic and maxtimes make of each input, in that
+# order; None means the carrier rejects it.  Strings go through parse,
+# other values through coerce.
+CODEC_CASES = [
+    ("inf", (INF, INF, INF, None)),
+    ("-inf", (None, None, NEG_INF, None)),
+    ("-1", (None, None, Fraction(-1), None)),
+    ("3/2", (Fraction(3, 2),) * 3 + (None,)),
+    ("1/2", (Fraction(1, 2),) * 4),
+    ("0.5", (None,) * 4),
+    (True, (None,) * 4),
+    (INF, (INF, INF, INF, None)),
+    (NEG_INF, (None, None, NEG_INF, None)),
+    (1, (Fraction(1),) * 4),
+    (-1, (None, None, Fraction(-1), None)),
+    (0.5, (None,) * 4),
+]
+
+
+def _numeric(v):
+    return float("inf") if v is INF else float("-inf") if v is NEG_INF else v
+
+
+class TestRationalCodec:
+    """The four instances over exact rationals share one carrier codec."""
+
+    @pytest.mark.parametrize(
+        "name,raw,expected",
+        [(name, raw, row[i]) for raw, row in CODEC_CASES for i, name in enumerate(RATIONAL)],
+        ids=lambda v: repr(v),
+    )
+    def test_accepts_exactly_its_carrier(self, name, raw, expected):
+        sr = by_name(name)
+        decode = sr.parse if isinstance(raw, str) else sr.coerce
+        if expected is None:
+            with pytest.raises(ValueError):
+                decode(raw)
+            return
+        value = decode(raw)
+        assert value == expected
+        assert type(value) is type(expected)
+
+    @pytest.mark.parametrize("name", RATIONAL)
+    def test_parse_inverts_format(self, name):
+        sr = by_name(name)
+        for v in sr.sample_values():
+            assert sr.parse(sr.format(v)) == v
+
+    @pytest.mark.parametrize("name", RATIONAL)
+    def test_sort_key_is_numeric_order(self, name):
+        sr = by_name(name)
+        i = RATIONAL.index(name)
+        values = list(sr.sample_values())
+        values += [row[i] for _, row in CODEC_CASES if row[i] is not None]
+        values = list(dict.fromkeys(reversed(values)))
+        ordered = sorted(values, key=sr.sort_key)
+        assert ordered == sorted(values, key=_numeric)
+        if NEG_INF in values:
+            assert ordered[0] is NEG_INF
+        if INF in values:
+            assert ordered[-1] is INF
