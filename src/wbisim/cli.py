@@ -20,7 +20,7 @@ import sys
 
 from . import semiring as _semiring
 from .bisim import partition_for_mode, refine_partition
-from .oracle import brute_coarsest_partition
+from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
     ParseError,
@@ -151,12 +151,18 @@ def _semiring_from_args(args):
 def _read_document(path):
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # Bytes where the stream has them: under a POSIX locale stdin
+            # decodes with surrogateescape and lets malformed UTF-8 through.
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 text = fh.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("not valid UTF-8: %s" % exc) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -419,7 +425,8 @@ def build_parser():
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against brute-force search (at most 8 states)",
+        help="cross-check against brute-force search (at most 8 states;"
+        " boolean systems, or systems without weighted cycles)",
     )
     p.add_argument("--trace", action="store_true", help="log the splitter sequence")
     p.set_defaults(fn=_cmd_minimize)
@@ -458,6 +465,9 @@ def main(argv=None):
         return EXIT_PARSE
     except QuotientError as exc:
         print("quotient error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except TruncationError as exc:
+        print("error: the oracle cannot certify this system: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except (SemanticError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

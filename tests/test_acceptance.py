@@ -359,6 +359,8 @@ def test_criterion_9_axiom_suites_pass_and_flag_the_broken_variant(capsys):
     assert not report.ok
     failed = {c.law for c in report.failures()}
     assert "annihilate-left" in failed and "annihilate-right" in failed
+    witness = {c.law: c.witness for c in report.failures()}
+    assert witness["annihilate-left"] == "a=1: 1 != 0"
 
     class SearchingArctic(type(by_name("arctic"))):
         """Arctic claiming the best-first search route, which a positive

@@ -218,6 +218,39 @@ class TestErrorCodes:
         assert not out
         assert "epsilon" in err
 
+    def test_oracle_on_weighted_silent_cycle_exits_2(self, tmp_path, capsys):
+        # The brute-force weights of a silent cycle over the reals never
+        # complete, so the oracle cannot certify the partition.
+        doc = {
+            "semiring": "real",
+            "states": ["p", "q", "r"],
+            "transitions": [
+                {"from": "p", "label": "tau", "to": "q", "weight": "1/2"},
+                {"from": "q", "label": "tau", "to": "p", "weight": "1/2"},
+                {"from": "q", "label": "a", "to": "r", "weight": "1/2"},
+            ],
+        }
+        argv = ["minimize", write_doc(tmp_path, doc), "--equivalence", "weak", "--oracle"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: the oracle cannot certify this system")
+        assert err.count("\n") == 1
+
+    def test_invalid_utf8_exits_3(self, tmp_path, capsys, monkeypatch):
+        data = b'{"semiring":"boolean","states":["\xff"],"transitions":[]}'
+        path = tmp_path / "latin.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (3, "")
+        assert "UTF-8" in err
+        # A POSIX locale decodes stdin with surrogateescape.
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, ["validate", "-"])
+        assert (code, out) == (3, "")
+        assert "UTF-8" in err
+
     def test_residual_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         doc = {
             "semiring": "real-float",

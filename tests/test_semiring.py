@@ -238,6 +238,26 @@ class TestRegistry:
         assert by_name("truncation", k=10).describe()["k"] == 10
 
 
+BASE_LAWS = [
+    "add-associative",
+    "add-commutative",
+    "add-identity",
+    "mul-associative",
+    "mul-identity-left",
+    "mul-identity-right",
+    "distribute-left",
+    "distribute-right",
+    "annihilate-left",
+    "annihilate-right",
+    "star-fixed-point",
+    "zero-bottom",
+    "leq-reflexive",
+    "leq-transitive",
+]
+IDEMPOTENT = ["add-idempotent"]
+SEARCH = ["star-is-one", "add-keeps-better-key"]
+
+
 class TestAxiomChecker:
     @pytest.mark.parametrize("sr", ALL_INSTANCES, ids=repr)
     def test_all_shipped_instances_pass(self, sr):
@@ -304,6 +324,9 @@ class TestAxiomChecker:
         failed = failed_laws(report)
         assert "add-commutative" in failed
         assert "add-associative" in failed
+        witnesses = {c.law: c.witness for c in report.failures()}
+        assert witnesses["add-associative"] == "a=0 b=0 c=1: -1 != 1"
+        assert witnesses["add-commutative"] == "a=0 b=1: -1 != 1"
 
     def test_axiom_failure_carries_witness(self):
         class BadStar(Semiring):
@@ -334,7 +357,32 @@ class TestAxiomChecker:
         report = check_axioms(BadStar())
         bad = [c for c in report.checks if c.law == "star-fixed-point"][0]
         assert not bad.ok
-        assert bad.witness
+        assert bad.witness == "a=False: False != True"
+
+    def test_predicate_failure_names_its_samples(self):
+        class Numeric(type(by_name("truncation", k=5))):
+            # The numeric order, which is the reverse of the natural one.
+            def natural_leq(self, a, b):
+                return a <= b
+
+        report = check_axioms(Numeric(5))
+        assert [(c.law, c.witness) for c in report.failures()] == [("zero-bottom", "a=0")]
+
+    @pytest.mark.parametrize(
+        "sr,extra",
+        [
+            (by_name("boolean"), IDEMPOTENT + SEARCH),
+            (by_name("real"), []),
+            (by_name("real-float"), []),
+            (by_name("tropical"), IDEMPOTENT + SEARCH),
+            (by_name("arctic"), IDEMPOTENT),
+            (by_name("truncation", k=10), IDEMPOTENT + SEARCH),
+            (by_name("maxtimes"), IDEMPOTENT + SEARCH),
+        ],
+        ids=repr,
+    )
+    def test_law_names_in_order(self, sr, extra):
+        assert [c.law for c in check_axioms(sr).checks] == BASE_LAWS + extra
 
 
 class TestSortKey:
@@ -414,3 +462,26 @@ class TestRationalCodec:
             assert ordered[0] is NEG_INF
         if INF in values:
             assert ordered[-1] is INF
+
+
+# The natural order of each idempotent instance, written out over its
+# carrier, with the instance's two extremes.
+NATURAL_ORDERS = [
+    ("boolean", {}, (False, True), lambda a, b: b or not a),
+    ("tropical", {}, (INF, Fraction(0)), lambda a, b: _numeric(b) <= _numeric(a)),
+    ("arctic", {}, (NEG_INF, INF), lambda a, b: _numeric(a) <= _numeric(b)),
+    ("truncation", {"k": 5}, (0, 5), lambda a, b: b <= a),
+    ("maxtimes", {}, (Fraction(0), Fraction(1)), lambda a, b: a <= b),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params,extremes,leq", NATURAL_ORDERS, ids=[row[0] for row in NATURAL_ORDERS]
+)
+def test_natural_order_of_idempotent_instances(name, params, extremes, leq):
+    sr = by_name(name, **params)
+    assert sr.idempotent
+    values = list(sr.sample_values()) + list(extremes)
+    for a in values:
+        for b in values:
+            assert sr.natural_leq(a, b) == leq(a, b), (a, b)
