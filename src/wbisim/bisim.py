@@ -11,12 +11,14 @@ Splitting is driven by predecessors, after Paige and Tarjan ("Three
 partition refinement algorithms", 1987) in the weighted form of Valmari
 and Franceschinis ("Simple O(m log n) time Markov chain lumping", 2010).
 A saturation table lists, per label, only the states with a nonzero
-weight into the splitter.  Only blocks holding such a state can split;
-each of them is regrouped on the weights of all its members, the ones
-outside the support weighing zero, and every other block is left alone
-because its members all weigh zero.  In strong mode the table itself is
-summed over the predecessors of the splitter, so a splitter costs its
-in-degree plus the sizes of the blocks it touches.
+weight into the splitter.  Only blocks holding such a state can split,
+and only on their members in the support: the members outside it all
+weigh zero, so one of them stands in for the rest while the block is
+regrouped, and the rest then joins that member's group.  Every other
+block is left alone because its members all weigh zero.  In strong mode
+the table itself is summed over the predecessors of the splitter, so a
+splitter costs its in-degree plus one membership scan of each block it
+touches, and only the support members are sorted.
 
 Splitter scheduling: each class is examined once after it is created
 (the initial blocks to begin with, then every child of a split).  A class
@@ -26,7 +28,8 @@ keeps them grouped.  If the class currently being used as a splitter is
 itself split, the remaining labels are abandoned for it and its children
 take over, so splitters are always classes of the current partition.
 Candidate order is deterministic: smallest minimum state id first, labels
-in alphabet order with the silent one first.
+in alphabet order with the silent one first.  The loop stops as soon as
+every block is a singleton, since no table can split one.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .solver import Saturator
+from .solver import Saturator, _class_set
 from .wlts import Partition
 
 
@@ -70,6 +73,10 @@ class SplitEvent:
 
 @dataclass
 class RefinementTrace:
+    """The splits of one refinement run.  ``candidates_examined`` counts
+    the tables actually computed: none is computed once every block is a
+    singleton."""
+
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
     candidates_examined: int = 0
@@ -98,8 +105,9 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
         heapq.heappush(heap, (block[0], next_id))
         next_id += 1
 
+    splittable = sum(len(blk) > 1 for blk in members.values())  # blocks of 2+
     step = 0
-    while heap:
+    while heap and splittable:
         _, cid = heapq.heappop(heap)
         if cid not in members:
             continue  # split away before its turn
@@ -109,18 +117,43 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
         table = provider.table(C)
         for label in w.labels:
             support = table.support(label)
+            touched = {}
+            for x in support:
+                bid = block_of[x]
+                if bid in touched:
+                    touched[bid].append(x)
+                else:
+                    touched[bid] = [x]
             split_any = 0
-            for bid in dict.fromkeys(block_of[x] for x in support):
+            for bid, inside in touched.items():
                 blk = members[bid]
                 if len(blk) == 1:
                     continue
-                weights = {x: support.get(x, zero) for x in blk}
-                groups = split_block_sorted(sr, blk, weights)
+                rest = [x for x in blk if x not in support]
+                if rest:
+                    # One member of the rest stands in for all of it: they
+                    # weigh zero, so they share a group and sort by id.
+                    r = rest[0]
+                    weights = {x: support[x] for x in inside}
+                    weights[r] = zero
+                    groups = split_block_sorted(sr, inside + [r], weights)
+                else:
+                    groups = split_block_sorted(sr, blk, support)
                 if len(groups) == 1:
                     continue
                 split_any += 1
                 del members[bid]
+                splittable -= 1
                 for g in groups:
+                    if rest and r in g:  # the stand-in brings the rest
+                        if len(g) == 1:
+                            g = sorted(rest)
+                        else:
+                            g = sorted(
+                                g + rest[1:],
+                                key=lambda x: (sr.sort_key(support.get(x, zero)), x),
+                            )
+                    splittable += len(g) > 1
                     members[next_id] = g
                     for x in g:
                         block_of[x] = next_id
@@ -132,8 +165,8 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
                     trace.events.append(
                         SplitEvent(step, label, C, split_any, len(members))
                     )
-            if cid not in members:
-                break  # the splitter class itself split; children take over
+            if cid not in members or not splittable:
+                break  # the splitter class itself split, or nothing can split
     return Partition(n, members.values()), trace
 
 
@@ -148,6 +181,7 @@ def partition_for_mode(w, mode, initial=None):
 
 def bisimilar(w, x, y, mode="weak"):
     """Whether two states (ids) are equated by the chosen equivalence."""
+    _class_set(w, (x, y))  # both ids in range, before any refinement
     return partition_for_mode(w, mode).same_block(x, y)
 
 

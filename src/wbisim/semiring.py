@@ -134,7 +134,8 @@ class Semiring:
         raise NotImplementedError
 
     def parse(self, text):
-        """Parse a weight literal; raises ValueError on malformed input."""
+        """Parse a weight literal into the carrier, through one ``coerce``
+        call; raises ValueError on malformed input."""
         raise NotImplementedError
 
     def format(self, v):
@@ -193,11 +194,9 @@ class BooleanSemiring(Semiring):
 
     def parse(self, text):
         t = text.strip().lower()
-        if t in ("true", "1"):
-            return True
-        if t in ("false", "0"):
-            return False
-        raise ValueError("expected true/false/1/0, got %r" % text)
+        if t not in ("true", "1", "false", "0"):
+            raise ValueError("expected true/false/1/0, got %r" % text)
+        return self.coerce(t in ("true", "1"))
 
     def format(self, v):
         return "true" if v else "false"
@@ -222,7 +221,6 @@ class _RationalSemiring(Semiring):
     high = INF
 
     def coerce(self, v):
-        # A Fraction comes back as is: load passes every weight here twice.
         if type(v) is not Fraction:
             if v is INF or v is NEG_INF:
                 if v is self.low or v is self.high:
@@ -342,7 +340,7 @@ class RealFloatSemiring(Semiring):
     def parse(self, text):
         t = text.strip()
         if t == "inf":
-            return math.inf
+            return self.coerce(math.inf)
         if _RATIONAL_RE.match(t):
             return self.coerce(_parse_fraction(t))
         try:

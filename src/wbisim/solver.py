@@ -140,17 +140,20 @@ def _class_set(w, C):
     return Cset
 
 
-def _action_rhs(w, action, lands_on):
+def _predecessor_column(w, label):
+    """The stored predecessors of every state under ``label``, by state id."""
+    return [w.predecessors(y, label) for y in range(w.state_count)]
+
+
+def _action_rhs(sr, column, lands_on):
     """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
-    summed over the action predecessors of the states in ``lands_on`` (a
-    mapping state -> weight; absent states weigh zero)."""
-    if action not in w.actions:
-        raise ValueError("unknown action %r" % (action,))
-    sr = w.semiring
+    summed over the action predecessors (``column``, by state id) of the
+    states in ``lands_on`` (a mapping state -> weight; absent states weigh
+    zero)."""
     add, mul = sr.add, sr.mul
     b = {}
     for y, v in lands_on.items():
-        for x, wt in w.predecessors(y, action).items():
+        for x, wt in column[y].items():
             t = mul(wt, v)
             b[x] = add(b[x], t) if x in b else t
     return b
@@ -158,7 +161,9 @@ def _action_rhs(w, action, lands_on):
 
 def _action_system(w, action, lands_on):
     """The silent adjacency over all states, with the action right-hand side."""
-    b = _action_rhs(w, action, lands_on)
+    if action not in w.actions:
+        raise ValueError("unknown action %r" % (action,))
+    b = _action_rhs(w.semiring, _predecessor_column(w, action), lands_on)
     n, zero = w.state_count, w.semiring.zero
     rows = [dict(w.successors(x, w.tau)) for x in range(n)]
     return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
@@ -306,10 +311,13 @@ class Saturator:
     once per system.  In ``real-float`` mode every solution is also checked
     on the rows that can be nonzero.
 
-    The action right-hand sides are summed over the stored predecessors of
-    the silent-reach support (weak) or of the class (delay).  Mode "strong"
-    degenerates to single-step class weights and is what the strong
-    refinement engine runs on; they are summed over the stored
+    The Saturator reads one predecessor column per label from the system
+    when it is made, a list indexed by state id, and every table indexes
+    those columns: the silent one for the searches and silent reach, the
+    action ones for the action right-hand sides, summed over the
+    predecessors of the silent-reach support (weak) or of the class
+    (delay).  Mode "strong" degenerates to single-step class weights and
+    is what the strong refinement engine runs on; they are summed over the
     predecessors of the class, so a table costs the in-degree of the class
     rather than a pass over every state.
     """
@@ -320,10 +328,10 @@ class Saturator:
         self.w = w
         self.mode = mode
         self._key = w.semiring.best_first_key
+        self._columns = {label: _predecessor_column(w, label) for label in w.labels}
         if mode == "strong":
             return
         n = w.state_count
-        self._pred = [w.predecessors(y, w.tau) for y in range(n)]
         if self._key is None:
             self._silent = [w.successors(x, w.tau) for x in range(n)]
             self._comp = _silent_components(self._silent)
@@ -342,7 +350,7 @@ class Saturator:
     def _silent_reach(self, seeds):
         """The states that reach one of ``seeds`` by silent steps, seeds
         first, each once."""
-        pred = self._pred
+        pred = self._columns[self.w.tau]
         region = list(dict.fromkeys(seeds))
         seen = set(region)
         for y in region:
@@ -363,7 +371,7 @@ class Saturator:
         the keys in a heap."""
         sr = self.w.semiring
         add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
-        pred = self._pred
+        pred = self._columns[self.w.tau]
         sol = {}  # settled weights
         best = {}  # tentative weights
         waiting = {}  # key -> states whose tentative weight has that key
@@ -514,9 +522,10 @@ class Saturator:
         if self.mode == "strong":
             supports = {}
             for label in w.labels:
+                column = self._columns[label]
                 support = {}
                 for y in Cset:
-                    for x, wt in w.predecessors(y, label).items():
+                    for x, wt in column[y].items():
                         support[x] = sr.add(support[x], wt) if x in support else wt
                 supports[label] = support
             return SaturationTable("strong", n, zero, supports)
@@ -528,7 +537,7 @@ class Saturator:
         lands_on = w_tau if self.mode == "weak" else in_class
         supports = {w.tau: w_tau}
         for a in w.actions:
-            b = _action_rhs(w, a, lands_on)
+            b = _action_rhs(sr, self._columns[a], lands_on)
             x_a = self._solve(b)
             if float_mode:
                 self._check_residual(b, _NO_PINS, x_a, a)

@@ -47,12 +47,14 @@ class WLTS:
     """Immutable weighted LTS over a fixed semiring.
 
     Constructor transitions are (source_id, label, target_id, weight)
-    tuples with already-parsed weights; duplicates are combined with the
-    semiring sum and zero-weight entries are dropped (counted in
+    tuples with already-parsed weights, which are passed through
+    ``sr.coerce`` (``load`` hands over weights that ``sr.parse`` coerced
+    already); duplicates are combined with the semiring sum and
+    zero-weight entries are dropped (counted in
     ``zero_transitions_dropped``).
     """
 
-    def __init__(self, sr, state_names, actions=(), tau="tau", transitions=()):
+    def __init__(self, sr, state_names, actions=(), tau="tau", transitions=(), *, _parsed=False):
         names = tuple(state_names)
         if len(set(names)) != len(names):
             raise SemanticError("duplicate state names")
@@ -77,10 +79,11 @@ class WLTS:
                 raise SemanticError("bad target state id %r" % (y,))
             if label not in labels:
                 raise SemanticError("undeclared label %r" % (label,))
-            try:
-                w = sr.coerce(w)
-            except ValueError as exc:
-                raise SemanticError(str(exc)) from None
+            if not _parsed:
+                try:
+                    w = sr.coerce(w)
+                except ValueError as exc:
+                    raise SemanticError(str(exc)) from None
             if sr.is_zero(w):
                 dropped += 1
                 continue
@@ -261,7 +264,7 @@ def load(doc, sr=None):
             raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
         triples.append((index[src], label, index[dst], w))
 
-    return WLTS(sr, states, actions, tau, triples)
+    return WLTS(sr, states, actions, tau, triples, _parsed=True)
 
 
 def serialize(w):
@@ -399,13 +402,15 @@ class Partition:
         return cls(len(assign), groups.values())
 
     def block_index(self, x):
+        if not (isinstance(x, int) and 0 <= x < self.n):
+            raise ValueError("state id %r out of range" % (x,))
         return self._block_of[x]
 
     def block_of(self, x):
-        return self.blocks[self._block_of[x]]
+        return self.blocks[self.block_index(x)]
 
     def same_block(self, x, y):
-        return self._block_of[x] == self._block_of[y]
+        return self.block_index(x) == self.block_index(y)
 
     def refines(self, other):
         """True iff every block of self sits inside a block of other."""

@@ -73,6 +73,17 @@ class TestChains:
         assert bisimilar(w, w.index("p0"), w.index("q0"), mode="weak")
         assert not bisimilar(w, w.index("p0"), w.index("q0"), mode="strong")
 
+    def test_bisimilar_rejects_ids_out_of_range(self, monkeypatch):
+        w = helpers.chains_system()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("refined before the ids were checked")
+
+        monkeypatch.setattr(wb.bisim, "refine_partition", forbidden)
+        for x, y in ((-1, 0), (0, -1), (0, w.state_count), (99, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                bisimilar(w, x, y)
+
 
 class TestWeakVersusDelay:
     def test_witness_separates_the_modes(self):
@@ -441,6 +452,97 @@ class TestPredecessorDrivenEngine:
         assert len(calls) <= w.transition_count
         monkeypatch.undo()
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
+
+    def test_no_table_after_the_partition_is_discrete(self, monkeypatch):
+        w = helpers.random_sparse_boolean(random.Random(61), 1000, 3, 4)
+        tables = [0]
+        last_split = [0]
+        table = Saturator.table
+
+        def counting_table(self, C):
+            tables[0] += 1
+            return table(self, C)
+
+        def noting_split(sr, members, weights):
+            groups = split_block_sorted(sr, members, weights)
+            if len(groups) > 1:
+                last_split[0] = tables[0]
+            return groups
+
+        monkeypatch.setattr(Saturator, "table", counting_table)
+        monkeypatch.setattr(wb.bisim, "split_block_sorted", noting_split)
+        p, trace = refine_partition(w, "strong", want_trace=True)
+        assert p == Partition.discrete(w.state_count)
+        assert tables[0] == last_split[0] == trace.candidates_examined
+
+    @pytest.mark.parametrize("mode,n", [("strong", 1000), ("weak", 200), ("delay", 200)])
+    def test_a_splitter_regroups_only_its_support(self, mode, n, monkeypatch):
+        # Per label, each touched block passes its support members plus at
+        # most one stand-in for the zero-weight rest.
+        w = helpers.random_sparse_boolean(random.Random(62), n, 3, 4)
+        log = []  # [support size, members passed, calls] per splitter label
+
+        class Recording:
+            def __init__(self, table):
+                self.table = table
+
+            def support(self, label):
+                support = self.table.support(label)
+                log.append([len(support), 0, 0])
+                return support
+
+        def counting_split(sr, members, weights):
+            log[-1][1] += len(members)
+            log[-1][2] += 1
+            return split_block_sorted(sr, members, weights)
+
+        table = Saturator.table
+        monkeypatch.setattr(Saturator, "table", lambda self, C: Recording(table(self, C)))
+        monkeypatch.setattr(wb.bisim, "split_block_sorted", counting_split)
+        refine_partition(w, mode)
+        assert sum(calls for _, _, calls in log) > 0
+        for size, passed, calls in log:
+            assert passed <= size + calls
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_explicit_zeros_in_supports_change_nothing(self, sr, gen, mode, monkeypatch):
+        # A support may list states of weight zero; they must group exactly
+        # as the states it leaves out.
+        rng = random.Random("zero padding %s/%s" % (sr.name, mode))
+        table = Saturator.table
+
+        def padded(self, C):
+            t = table(self, C)
+            for label in self.w.labels:
+                support = t.support(label)
+                for x in range(self.w.state_count):
+                    if x not in support and (x + len(C)) % 3 == 0:
+                        support[x] = sr.zero
+            return t
+
+        for _ in range(15):
+            n = rng.randint(1, 12)
+            w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.05, 0.35), gen)
+            w = _disjoint_union(w) if rng.random() < 0.5 else w
+            expected = engine_run(w, mode)
+            monkeypatch.setattr(Saturator, "table", padded)
+            assert engine_run(w, mode) == expected, w
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_float_support_within_epsilon_of_zero_joins_the_rest(self, mode):
+        sr = by_name("real-float", epsilon=1e-9)
+        weights = {"s0": 4e-10, "s1": 8e-10, "s2": 1.2e-9, "s3": 0.5}
+        w = helpers.make_wlts(
+            sr,
+            ["s0", "s1", "s2", "s3", "s4", "s5", "sink"],
+            [(x, "a", "sink", wt) for x, wt in weights.items()],
+        )
+        p, events = engine_run(w, mode)
+        assert p.to_names(w) == [["s0", "s1", "s4", "s5", "sink"], ["s2"], ["s3"]]
+        assert (p, events) == full_scan_refine(w, mode)
+        assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
 
 @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())

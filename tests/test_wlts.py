@@ -45,6 +45,42 @@ class TestLoad:
         assert w.is_terminal(2)
         assert not w.is_terminal(0)
 
+    @pytest.mark.parametrize(
+        "name,params,weights",
+        [
+            ("real-float", {}, ["0.5", "1/3", "inf", "0", "2.5"]),
+            ("boolean", {}, ["true", "false", "1", "true", "0"]),
+            ("truncation", {"k": 4}, ["0", "3", "4", "1", "2"]),
+        ],
+    )
+    def test_each_weight_is_coerced_once(self, name, params, weights, monkeypatch):
+        doc = {
+            "semiring": dict(name=name, **params),
+            "states": ["s0", "s1", "s2"],
+            "transitions": [
+                {"from": "s%d" % (i % 3), "label": "a", "to": "s%d" % (i % 2), "weight": wt}
+                for i, wt in enumerate(weights)
+            ],
+        }
+        sr = by_name(name, **params)
+        cls = type(sr)
+        calls = []
+        coerce = cls.coerce
+
+        def counting(self, v):
+            calls.append(v)
+            return coerce(self, v)
+
+        monkeypatch.setattr(cls, "coerce", counting)
+        w = load(doc)
+        assert len(calls) == len(weights)
+        monkeypatch.undo()
+        # the same system as the constructor builds, coercing the values
+        raw = [(i % 3, "a", i % 2, sr.parse(wt)) for i, wt in enumerate(weights)]
+        expected = WLTS(sr, doc["states"], ["a"], "tau", raw)
+        assert list(w.transitions()) == list(expected.transitions())
+        assert w.zero_transitions_dropped == expected.zero_transitions_dropped > 0
+
     def test_round_trip(self):
         w = load(doc_chain())
         again = load(serialize(w))
@@ -258,6 +294,18 @@ class TestPartition:
         assert not p.same_block(0, 1)
         assert len(p) == 2
         assert list(p) == [(0, 2), (1, 3)]
+
+    def test_accessors_reject_ids_out_of_range(self):
+        p = Partition(4, [[0, 2], [1, 3]])
+        for x in (-1, 4, -5):
+            with pytest.raises(ValueError, match="out of range"):
+                p.block_index(x)
+            with pytest.raises(ValueError, match="out of range"):
+                p.block_of(x)
+            with pytest.raises(ValueError, match="out of range"):
+                p.same_block(0, x)
+            with pytest.raises(ValueError, match="out of range"):
+                p.same_block(x, 0)
 
     def test_constructors(self):
         assert Partition.single_block(3).blocks == ((0, 1, 2),)
