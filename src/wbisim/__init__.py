@@ -19,12 +19,15 @@ from .wlts import (
     DocumentError,
     ParseError,
     Partition,
+    QuotientError,
     SemanticError,
     WLTS,
     check_fully_probabilistic,
     check_reactive,
+    emit_quotient,
     load,
     serialize,
+    to_dot,
 )
 from .solver import (
     ConvergenceError,
@@ -56,7 +59,7 @@ from .oracle import (
     milner_weak_oracle,
     minimal_support,
 )
-from .cli import QuotientError, emit_quotient, to_dot
+from . import cli  # noqa: F401  (wbisim.cli stays reachable as an attribute)
 
 __version__ = "0.1.0"
 

@@ -30,6 +30,21 @@ take over, so splitters are always classes of the current partition.
 Candidate order is deterministic: smallest minimum state id first, labels
 in alphabet order with the silent one first.  The loop stops as soon as
 every block is a singleton, since no table can split one.
+
+Weak and delay mode on the strong quotient (``partition_for_mode``):
+strong bisimilarity refines delay and weak bisimilarity, so every weak or
+delay class is a union of strong blocks.  Into such a union each Kleene
+iterate of a saturation system is constant on strong blocks and equals
+the iterate of the quotient's system, so the least solutions agree: the
+system is lumpable (Buchholz, "Bisimulation relations for weighted
+automata", TCS 2008).  Refining the quotient therefore gives the same
+partition once its blocks are lifted back, from solves over blocks rather
+than states.  The route is taken on ``real`` and ``arctic`` only.  On the
+semirings with a ``best_first_key`` a weak table is one search, about as
+cheap as a strong table, so the strong pass would cost more than it
+saves; on ``real-float`` strong blocks agree only within epsilon.
+``refine_partition`` always refines the system it is given, so its
+trace (``minimize --trace``) names splitters of the original states.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .solver import Saturator, _class_set
-from .wlts import Partition
+from .wlts import Partition, emit_quotient
 
 
 def split_block_sorted(sr, members, weights):
@@ -170,12 +185,41 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
     return Partition(n, members.values()), trace
 
 
+def _lumps(w, mode):
+    """Whether ``partition_for_mode`` refines on the strong quotient: weak
+    and delay mode on a carrier that is exact and has no best-first key."""
+    sr = w.semiring
+    return mode in ("weak", "delay") and sr.best_first_key is None and sr.carrier_mode != "float"
+
+
 def partition_for_mode(w, mode, initial=None):
     """Coarsest partition under ``mode`` refining ``initial``: equal
     single-step class weights for every label (strong, the silent one
     treated as ordinary), or equal saturated weights with one observable
     action surrounded by silent steps (weak) or only preceded by them
-    (delay)."""
+    (delay).
+
+    Weak and delay mode on ``real`` and ``arctic`` first compute the
+    strong partition; unless it is discrete, its quotient is refined in
+    ``mode``, starting from the quotient states grouped by their block of
+    ``initial``, and each quotient block is lifted back to the union of
+    its strong blocks.  By lumpability (module docstring) that is the
+    partition the direct refinement finds.  Every other semiring and mode
+    refines ``w`` directly: on the semirings with a ``best_first_key`` a
+    weak table is one search and the strong pass would not pay for
+    itself, and on ``real-float`` strong blocks agree only within epsilon.
+    A caller that wants a ``RefinementTrace`` over the states of ``w``,
+    as ``minimize --trace`` does, calls ``refine_partition``.
+    """
+    if _lumps(w, mode):
+        strong = refine_partition(w, "strong", initial)[0]
+        if len(strong) < w.state_count:
+            start = None
+            if initial is not None:
+                start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
+            coarse = refine_partition(emit_quotient(w, strong), mode, start)[0]
+            lifted = ([x for b in block for x in strong.blocks[b]] for block in coarse.blocks)
+            return Partition(w.state_count, lifted)
     return refine_partition(w, mode, initial)[0]
 
 

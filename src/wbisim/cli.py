@@ -24,12 +24,14 @@ from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
     ParseError,
+    QuotientError,
     SemanticError,
-    WLTS,
     check_fully_probabilistic,
     check_reactive,
+    emit_quotient,
     load,
     serialize,
+    to_dot,
 )
 
 EXIT_OK = 0
@@ -37,78 +39,6 @@ EXIT_NOT_BISIMILAR = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-class QuotientError(Exception):
-    """Block representatives disagreed: the partition was not a bisimulation."""
-
-
-def emit_quotient(w, partition):
-    """Quotient system of a strong partition.
-
-    Each member's successor rows are summed by target block in one pass;
-    the block's weights are read off its first member and every other
-    member must agree with them, or QuotientError is raised.  Weak/delay
-    classes do not induce well-defined single-step weights, so the CLI
-    only offers quotients for strong partitions.
-    """
-    if partition.n != w.state_count:
-        raise ValueError("partition is over a different state count")
-    sr = w.semiring
-    names = ["{%s}" % ",".join(w.state_names[x] for x in block) for block in partition.blocks]
-    label_order = {label: i for i, label in enumerate(w.labels)}
-
-    def block_row(x):
-        row = {}
-        for label in w.labels:
-            for y, wt in w.successors(x, label).items():
-                key = (label, partition.block_index(y))
-                row[key] = sr.add(row[key], wt) if key in row else wt
-        return row
-
-    triples = []
-    for bi, block in enumerate(partition.blocks):
-        rep = block[0]
-        rep_row = block_row(rep)
-        for other in block[1:]:
-            row = block_row(other)
-            keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
-            for label, bj in keys:
-                wt = rep_row.get((label, bj), sr.zero)
-                if not sr.values_equal(row.get((label, bj), sr.zero), wt):
-                    raise QuotientError(
-                        "members %s and %s of %s disagree on %s into %s"
-                        % (
-                            w.state_names[rep],
-                            w.state_names[other],
-                            names[bi],
-                            label,
-                            names[bj],
-                        )
-                    )
-        for (label, bj), wt in rep_row.items():
-            if not sr.is_zero(wt):
-                triples.append((bi, label, bj, wt))
-    return WLTS(sr, names, w.actions, w.tau, triples)
-
-
-def to_dot(w, graph_name="wlts"):
-    """Graphviz rendering; edges carry 'label,weight'."""
-
-    def q(s):
-        return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = ["digraph %s {" % graph_name, "  rankdir=LR;"]
-    for x, name in enumerate(w.state_names):
-        shape = "doublecircle" if w.is_terminal(x) else "circle"
-        lines.append("  %s [shape=%s];" % (q(name), shape))
-    for x, label, y, wt in w.transitions():
-        lines.append(
-            "  %s -> %s [label=%s];"
-            % (q(w.state_names[x]), q(w.state_names[y]), q("%s,%s" % (label, w.semiring.format(wt))))
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -257,7 +187,12 @@ def _cmd_minimize(args):
         raise SemanticError("dot output for minimize needs --emit-quotient")
     if args.format == "dot" and mode != "strong":
         raise SemanticError("dot output needs a strong quotient; %s classes have none" % mode)
-    partition, trace = refine_partition(w, mode, want_trace=args.trace)
+    # The trace names splitters of the document's states, so only a traced
+    # run refines directly; partition_for_mode may refine a strong quotient.
+    if args.trace:
+        partition, trace = refine_partition(w, mode, want_trace=True)
+    else:
+        partition, trace = partition_for_mode(w, mode), None
     payload = {
         "equivalence": mode,
         "semiring": w.semiring.describe(),
@@ -267,7 +202,7 @@ def _cmd_minimize(args):
     lines = ["%s partition: %d block(s)" % (mode, len(partition))]
     for block in partition.to_names(w):
         lines.append("  {%s}" % ", ".join(block))
-    if args.trace and trace is not None:
+    if trace is not None:
         payload["trace"] = [
             {
                 "step": e.step,

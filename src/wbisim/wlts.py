@@ -287,6 +287,78 @@ def serialize(w):
     }
 
 
+class QuotientError(Exception):
+    """Block representatives disagreed: the partition was not a bisimulation."""
+
+
+# Escaped inside member names, so distinct blocks get distinct quotient names.
+_NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
+
+
+def emit_quotient(w, partition):
+    """Quotient system of a strong partition.
+
+    Each member's successor rows are summed by target block in one pass;
+    the block's weights are read off its first member and every other
+    member must agree with them, or QuotientError is raised.  A block is
+    named ``{m1,m2,...}`` after its members, with ``\\``, ``,``, ``{`` and
+    ``}`` escaped by a backslash.  Weak/delay classes do not induce
+    well-defined single-step weights, so the CLI only offers quotients for
+    strong partitions.
+    """
+    if partition.n != w.state_count:
+        raise ValueError("partition is over a different state count")
+    sr = w.semiring
+    escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
+    names = ["{%s}" % ",".join(escaped[x] for x in block) for block in partition.blocks]
+    label_order = {label: i for i, label in enumerate(w.labels)}
+
+    def block_row(x):
+        row = {}
+        for label in w.labels:
+            for y, wt in w.successors(x, label).items():
+                key = (label, partition.block_index(y))
+                row[key] = sr.add(row[key], wt) if key in row else wt
+        return row
+
+    triples = []
+    for bi, block in enumerate(partition.blocks):
+        rep_row = block_row(block[0])
+        for other in block[1:]:
+            row = block_row(other)
+            keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
+            for label, bj in keys:
+                wt = rep_row.get((label, bj), sr.zero)
+                if not sr.values_equal(row.get((label, bj), sr.zero), wt):
+                    raise QuotientError(
+                        "members %s and %s of %s disagree on %s into %s"
+                        % (w.state_names[block[0]], w.state_names[other], names[bi], label, names[bj])
+                    )
+        for (label, bj), wt in rep_row.items():
+            if not sr.is_zero(wt):
+                triples.append((bi, label, bj, wt))
+    return WLTS(sr, names, w.actions, w.tau, triples, _parsed=True)
+
+
+def to_dot(w, graph_name="wlts"):
+    """Graphviz rendering; edges carry 'label,weight'."""
+
+    def q(s):
+        return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph %s {" % graph_name, "  rankdir=LR;"]
+    for x, name in enumerate(w.state_names):
+        shape = "doublecircle" if w.is_terminal(x) else "circle"
+        lines.append("  %s [shape=%s];" % (q(name), shape))
+    for x, label, y, wt in w.transitions():
+        lines.append(
+            "  %s -> %s [label=%s];"
+            % (q(w.state_names[x]), q(w.state_names[y]), q("%s,%s" % (label, w.semiring.format(wt))))
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # -- constraint reports -----------------------------------------------------
 
 

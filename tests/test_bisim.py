@@ -555,3 +555,112 @@ def test_strong_refines_delay_refines_weak(sr, gen):
         delay = partition_for_mode(w, "delay")
         weak = partition_for_mode(w, "weak")
         assert strong.refines(delay) and delay.refines(weak), w
+
+
+# -- weak and delay on the strong quotient ------------------------------------
+
+EXACT_WEIGHTS = [(sr, gen) for sr, gen in helpers.SEMIRING_WEIGHTS if sr.carrier_mode != "float"]
+
+
+def _shuffled_copies(rng, w, copies, stutters=0):
+    """``copies`` copies of w side by side, their state ids shuffled
+    together.  In each copy ``stutters`` random states x hand their edges
+    to a new state x' and step to it silently with weight one."""
+    sr = w.semiring
+    edges = []
+    count = 0
+    for _ in range(copies):
+        base = count
+        count += w.state_count
+        moved = {}
+        for x in rng.sample(range(w.state_count), min(stutters, w.state_count)):
+            moved[x] = count
+            edges.append((base + x, w.tau, count, sr.one))
+            count += 1
+        edges += [
+            (moved.get(x, base + x), label, base + y, v) for x, label, y, v in w.transitions()
+        ]
+    perm = list(range(count))
+    rng.shuffle(perm)
+    return wb.WLTS(
+        sr, ["s%d" % x for x in range(count)], w.actions, w.tau,
+        [(perm[x], label, perm[y], v) for x, label, y, v in edges],
+    )
+
+
+def _recording_refinements(monkeypatch):
+    """Wrap the engine's ``refine_partition``; the list gets the state
+    count and the mode of every run."""
+    calls = []
+    original = wb.bisim.refine_partition
+
+    def recording(w, mode, initial=None, want_trace=False):
+        calls.append((w.state_count, mode))
+        return original(w, mode, initial, want_trace)
+
+    monkeypatch.setattr(wb.bisim, "refine_partition", recording)
+    return calls
+
+
+class TestStrongQuotientRoute:
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    @pytest.mark.parametrize(
+        "sr,gen", EXACT_WEIGHTS, ids=[sr.name for sr, _ in EXACT_WEIGHTS]
+    )
+    def test_matches_direct_refinement(self, sr, gen, mode, monkeypatch):
+        # The route is forced on every exact semiring, not only on the
+        # carriers that take it: lumpability does not depend on the carrier.
+        monkeypatch.setattr(wb.bisim, "_lumps", lambda w, mode: True)
+        rng = random.Random("strong quotient %s/%s" % (sr.name, mode))
+        routed = 0
+        for i in range(60):
+            base = helpers.random_wlts(
+                rng, sr, rng.randint(2, 6), 2, rng.uniform(0.15, 0.45), gen
+            )
+            w = _shuffled_copies(rng, base, rng.choice([1, 2, 3, 3]), rng.choice([0, 0, 1, 2]))
+            initial = None
+            if i % 3 == 2:
+                initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
+            expected = refine_partition(w, mode, initial)[0]
+            assert partition_for_mode(w, mode, initial) == expected, (w, initial)
+            routed += len(refine_partition(w, "strong", initial)[0]) < w.state_count
+        assert routed >= 20, routed
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    @pytest.mark.parametrize("name", ["real", "arctic"])
+    def test_refines_a_quotient_of_the_strong_blocks(self, name, mode, monkeypatch):
+        sr, gen = next(entry for entry in helpers.SEMIRING_WEIGHTS if entry[0].name == name)
+        rng = random.Random("replicated %s" % name)
+        w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 6, 2, 0.3, gen), 3)
+        strong = refine_partition(w, "strong")[0]
+        expected = refine_partition(w, mode)[0]
+        calls = _recording_refinements(monkeypatch)
+        assert partition_for_mode(w, mode) == expected
+        assert len(strong) <= w.state_count // 3
+        assert calls == [(w.state_count, "strong"), (len(strong), mode)]
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_not_taken_in_strong_mode_nor_off_real_and_arctic(self, sr, gen, monkeypatch):
+        # best-first semirings and real-float refine directly, with no strong pass
+        rng = random.Random("not routed %s" % sr.name)
+        w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 6, 2, 0.3, gen), 3)
+        calls = _recording_refinements(monkeypatch)
+        routed = sr.name in ("real", "arctic")
+        for mode in ("strong",) if routed else ("strong", "weak", "delay"):
+            calls.clear()
+            partition_for_mode(w, mode)
+            assert calls == [(w.state_count, mode)]
+
+    @pytest.mark.parametrize("name", ["real", "arctic"])
+    def test_not_taken_when_the_strong_partition_is_discrete(self, name, monkeypatch):
+        # s0 and s1 step silently into different strong blocks, s2 acts
+        sr = by_name(name)
+        w = helpers.make_wlts(
+            sr, ["s0", "s1", "s2"],
+            [("s0", "tau", "s1", sr.one), ("s1", "tau", "s2", sr.one), ("s2", "a", "s0", sr.one)],
+        )
+        calls = _recording_refinements(monkeypatch)
+        for mode in ("weak", "delay"):
+            calls.clear()
+            partition_for_mode(w, mode)
+            assert calls == [(3, "strong"), (3, mode)]

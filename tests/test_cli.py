@@ -28,6 +28,22 @@ def chains_doc(tmp_path):
     return write_doc(tmp_path, serialize(helpers.chains_system()))
 
 
+def replicated_real_doc(rng, n, copies):
+    """``copies`` renamed copies (c0-s0, c1-s0, ...) of one random real
+    system of n states."""
+    w = helpers.random_wlts(rng, wb.by_name("real"), n, 2, 0.35, helpers.positive_fraction)
+    edges = list(w.transitions())
+    return serialize(
+        wb.WLTS(
+            w.semiring,
+            ["c%d-%s" % (c, s) for c in range(copies) for s in w.state_names],
+            w.actions,
+            w.tau,
+            [(x + c * n, label, y + c * n, v) for c in range(copies) for x, label, y, v in edges],
+        )
+    )
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -389,6 +405,62 @@ class TestMinimize:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_untraced_blocks_match_traced_blocks_and_check(self, tmp_path, capsys, mode):
+        # Three copies of one real system: the untraced run refines the
+        # strong quotient, the traced one the document's states.
+        path = write_doc(tmp_path, replicated_real_doc(random.Random(3), 6, 3))
+        argv = ["minimize", path, "--equivalence", mode, "--format", "plain"]
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        code, traced, _ = run(capsys, argv + ["--trace"])
+        assert code == 0
+        assert traced.startswith(plain)
+        assert "split 1:" in traced[len(plain):]
+        _, payload, _ = run_json(capsys, ["minimize", path, "--equivalence", mode])
+        blocks = payload["blocks"]
+        assert len(blocks) < payload["states"] // 2
+        block_of = {name: i for i, block in enumerate(blocks) for name in block}
+        for right in ("c1-s0", "c2-s0", "c0-s1", "c0-s4"):
+            code, _, _ = run(
+                capsys,
+                ["check", path, "--left", "c0-s0", "--right", right, "--equivalence", mode],
+            )
+            assert code == (0 if block_of["c0-s0"] == block_of[right] else 1), right
+
+    def test_quotient_names_escape_commas_and_braces(self, tmp_path, capsys):
+        # "a" and "b" are strongly bisimilar; their block and "a,b" alone
+        # must not both be named {a,b}
+        doc = {
+            "semiring": "real",
+            "states": ["a,b", "a", "b", "{c}"],
+            "transitions": [
+                {"from": "a,b", "label": "x", "to": "a", "weight": "1/2"},
+                {"from": "{c}", "label": "tau", "to": "a,b", "weight": "1"},
+            ],
+        }
+        code, payload, err = run_json(
+            capsys, ["minimize", write_doc(tmp_path, doc), "--emit-quotient"]
+        )
+        assert code == 0, err
+        assert payload["blocks"] == [["a,b"], ["a", "b"], ["{c}"]]
+        quotient = load(payload["quotient"])
+        assert quotient.state_names == ("{a\\,b}", "{a,b}", "{\\{c\\}}")
+        assert quotient.transition_count == 2
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_weak_minimize_on_colliding_block_names(self, tmp_path, capsys, mode):
+        doc = {
+            "semiring": "real",
+            "states": ["a,b", "a", "b"],
+            "transitions": [{"from": "a,b", "label": "x", "to": "a", "weight": "1/2"}],
+        }
+        code, payload, err = run_json(
+            capsys, ["minimize", write_doc(tmp_path, doc), "--equivalence", mode]
+        )
+        assert code == 0, err
+        assert payload["blocks"] == [["a,b"], ["a", "b"]]
 
 
 class TestCheck:
