@@ -26,6 +26,7 @@ from .wlts import (
     ParseError,
     QuotientError,
     SemanticError,
+    block_names,
     check_fully_probabilistic,
     check_reactive,
     emit_quotient,
@@ -193,14 +194,15 @@ def _cmd_minimize(args):
         partition, trace = refine_partition(w, mode, want_trace=True)
     else:
         partition, trace = partition_for_mode(w, mode), None
+    blocks = partition.to_names(w)
     payload = {
         "equivalence": mode,
         "semiring": w.semiring.describe(),
         "states": w.state_count,
-        "blocks": partition.to_names(w),
+        "blocks": blocks,
     }
     lines = ["%s partition: %d block(s)" % (mode, len(partition))]
-    for block in partition.to_names(w):
+    for block in blocks:
         lines.append("  {%s}" % ", ".join(block))
     if trace is not None:
         payload["trace"] = [
@@ -245,10 +247,10 @@ def _cmd_minimize(args):
             # Weak/delay classes have no single-step quotient; emit the
             # saturation grid per final class instead.
             saturator = Saturator(w, mode)
-            grids = {}
-            for block in partition.blocks:
-                key = "{%s}" % ",".join(w.state_names[x] for x in block)
-                grids[key] = _saturation_grid(w, saturator.table(block))
+            grids = {
+                name: _saturation_grid(w, saturator.table(block))
+                for name, block in zip(block_names(w, partition), partition.blocks)
+            }
             payload["saturation"] = grids
             lines.append("saturation grids emitted for %d class(es)" % len(grids))
     _emit(args, payload, lines)

@@ -140,11 +140,6 @@ def _class_set(w, C):
     return Cset
 
 
-def _predecessor_column(w, label):
-    """The stored predecessors of every state under ``label``, by state id."""
-    return [w.predecessors(y, label) for y in range(w.state_count)]
-
-
 def _action_rhs(sr, column, lands_on):
     """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
     summed over the action predecessors (``column``, by state id) of the
@@ -163,7 +158,7 @@ def _action_system(w, action, lands_on):
     """The silent adjacency over all states, with the action right-hand side."""
     if action not in w.actions:
         raise ValueError("unknown action %r" % (action,))
-    b = _action_rhs(w.semiring, _predecessor_column(w, action), lands_on)
+    b = _action_rhs(w.semiring, w.predecessor_column(action), lands_on)
     n, zero = w.state_count, w.semiring.zero
     rows = [dict(w.successors(x, w.tau)) for x in range(n)]
     return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
@@ -311,15 +306,16 @@ class Saturator:
     once per system.  In ``real-float`` mode every solution is also checked
     on the rows that can be nonzero.
 
-    The Saturator reads one predecessor column per label from the system
-    when it is made, a list indexed by state id, and every table indexes
-    those columns: the silent one for the searches and silent reach, the
-    action ones for the action right-hand sides, summed over the
-    predecessors of the silent-reach support (weak) or of the class
-    (delay).  Mode "strong" degenerates to single-step class weights and
-    is what the strong refinement engine runs on; they are summed over the
-    predecessors of the class, so a table costs the in-degree of the class
-    rather than a pass over every state.
+    The Saturator takes one predecessor column per label when it is made,
+    the system's own list indexed by state id (``predecessor_column``,
+    read only, not copied), and every table indexes those columns: the
+    silent one for the searches and silent reach, the action ones for the
+    action right-hand sides, summed over the predecessors of the
+    silent-reach support (weak) or of the class (delay).  Mode "strong"
+    degenerates to single-step class weights and is what the strong
+    refinement engine runs on; they are summed over the predecessors of the
+    class, so a table costs the in-degree of the class rather than a pass
+    over every state.
     """
 
     def __init__(self, w, mode="weak"):
@@ -328,7 +324,7 @@ class Saturator:
         self.w = w
         self.mode = mode
         self._key = w.semiring.best_first_key
-        self._columns = {label: _predecessor_column(w, label) for label in w.labels}
+        self._columns = {label: w.predecessor_column(label) for label in w.labels}
         if mode == "strong":
             return
         n = w.state_count

@@ -47,11 +47,15 @@ class WLTS:
     """Immutable weighted LTS over a fixed semiring.
 
     Constructor transitions are (source_id, label, target_id, weight)
-    tuples with already-parsed weights, which are passed through
-    ``sr.coerce`` (``load`` hands over weights that ``sr.parse`` coerced
-    already); duplicates are combined with the semiring sum and
-    zero-weight entries are dropped (counted in
-    ``zero_transitions_dropped``).
+    tuples with already-parsed weights.  Each id must be in range and each
+    label declared, and each weight is passed through ``sr.coerce``;
+    duplicates are combined with the semiring sum and zero-weight entries
+    are dropped (counted in ``zero_transitions_dropped``).
+
+    ``_parsed`` is for ``load`` and ``emit_quotient`` only, which build
+    their triples from checked ids, declared labels and coerced weights:
+    under it the per-transition checks are skipped, while the names and
+    actions are still checked.
     """
 
     def __init__(self, sr, state_names, actions=(), tau="tau", transitions=(), *, _parsed=False):
@@ -69,17 +73,16 @@ class WLTS:
         self.actions = acts
         self._index = {s: i for i, s in enumerate(names)}
         succ = [dict() for _ in names]
-        labels = set(acts)
-        labels.add(tau)
+        labels = None if _parsed else {tau, *acts}
         dropped = 0
         for x, label, y, w in transitions:
-            if not (isinstance(x, int) and 0 <= x < len(names)):
-                raise SemanticError("bad source state id %r" % (x,))
-            if not (isinstance(y, int) and 0 <= y < len(names)):
-                raise SemanticError("bad target state id %r" % (y,))
-            if label not in labels:
-                raise SemanticError("undeclared label %r" % (label,))
             if not _parsed:
+                if not (isinstance(x, int) and 0 <= x < len(names)):
+                    raise SemanticError("bad source state id %r" % (x,))
+                if not (isinstance(y, int) and 0 <= y < len(names)):
+                    raise SemanticError("bad target state id %r" % (y,))
+                if label not in labels:
+                    raise SemanticError("undeclared label %r" % (label,))
                 try:
                     w = sr.coerce(w)
                 except ValueError as exc:
@@ -117,7 +120,14 @@ class WLTS:
         return self._succ[x].get(label, _EMPTY)
 
     def predecessors(self, y, label):
-        """Mapping source_id -> weight for the stored steps into y.
+        """Mapping source_id -> weight for the stored steps into y."""
+        col = self.predecessor_column(label)
+        return _EMPTY if col is None else col[y]
+
+    def predecessor_column(self, label):
+        """``predecessors(y, label)`` for every state y, as a list indexed by
+        y; None for a label the system does not have.  The list and its
+        mappings are the system's own, not copies: read them only.
 
         The index is built on the first call, in time proportional to the
         transition count, and kept for the life of the system.
@@ -136,8 +146,7 @@ class WLTS:
                             col[target] = {}
                         col[target][x] = w
             self._pred = pred
-        col = self._pred.get(label)
-        return _EMPTY if col is None else col[y]
+        return self._pred.get(label)
 
     def weight(self, x, label, y):
         return self._succ[x].get(label, _EMPTY).get(y, self.semiring.zero)
@@ -211,6 +220,11 @@ def load(doc, sr=None):
     ``sr`` overrides the document's semiring (the CLI --semiring flag);
     weight literals are then parsed under the override.  Zero-weight edges
     are dropped and counted, duplicate edges are combined with the sum.
+
+    Each distinct literal text is parsed once per call and its value shared
+    by every edge that repeats it (the carriers' values are immutable); a
+    bad literal is reported at its first occurrence.  Every edge is checked
+    here, so the system is built with ``_parsed`` and not checked again.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -243,6 +257,7 @@ def load(doc, sr=None):
         index[s] = i
 
     triples = []
+    weights = {}  # literal text -> parsed weight
     for e in raw_edges:
         if not isinstance(e, dict):
             raise ParseError("each transition must be an object")
@@ -250,19 +265,25 @@ def load(doc, sr=None):
             if key not in e:
                 raise ParseError("transition lacks %r: %r" % (key, e))
         src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
-        if not all(isinstance(v, str) for v in (src, label, dst, wtext)):
+        if not (type(src) is type(label) is type(dst) is type(wtext) is str) and not all(
+            isinstance(v, str) for v in (src, label, dst, wtext)
+        ):
             raise ParseError("transition fields must be strings: %r" % (e,))
-        if src not in index:
+        x = index.get(src)
+        if x is None:
             raise SemanticError("transition from unknown state %r" % src)
-        if dst not in index:
+        y = index.get(dst)
+        if y is None:
             raise SemanticError("transition to unknown state %r" % dst)
         if label != tau and label not in actions:
             actions.append(label)
-        try:
-            w = sr.parse(wtext)
-        except ValueError as exc:
-            raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
-        triples.append((index[src], label, index[dst], w))
+        w = weights.get(wtext)
+        if w is None:
+            try:
+                w = weights[wtext] = sr.parse(wtext)
+            except ValueError as exc:
+                raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
+        triples.append((x, label, y, w))
 
     return WLTS(sr, states, actions, tau, triples, _parsed=True)
 
@@ -295,22 +316,29 @@ class QuotientError(Exception):
 _NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
 
 
+def block_names(w, partition):
+    """One name per block of ``partition``: ``{m1,m2,...}`` after its
+    members, with ``\\``, ``,``, ``{`` and ``}`` escaped by a backslash, so
+    distinct blocks get distinct names."""
+    escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
+    return ["{%s}" % ",".join(escaped[x] for x in block) for block in partition.blocks]
+
+
 def emit_quotient(w, partition):
     """Quotient system of a strong partition.
 
     Each member's successor rows are summed by target block in one pass;
     the block's weights are read off its first member and every other
-    member must agree with them, or QuotientError is raised.  A block is
-    named ``{m1,m2,...}`` after its members, with ``\\``, ``,``, ``{`` and
-    ``}`` escaped by a backslash.  Weak/delay classes do not induce
-    well-defined single-step weights, so the CLI only offers quotients for
-    strong partitions.
+    member must agree with them (equal rows at once, others label by
+    label), or QuotientError is raised.  Blocks are named by
+    ``block_names``.  Weak/delay classes do not induce well-defined
+    single-step weights, so the CLI only offers quotients for strong
+    partitions.
     """
     if partition.n != w.state_count:
         raise ValueError("partition is over a different state count")
     sr = w.semiring
-    escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
-    names = ["{%s}" % ",".join(escaped[x] for x in block) for block in partition.blocks]
+    names = block_names(w, partition)
     label_order = {label: i for i, label in enumerate(w.labels)}
 
     def block_row(x):
@@ -326,6 +354,8 @@ def emit_quotient(w, partition):
         rep_row = block_row(block[0])
         for other in block[1:]:
             row = block_row(other)
+            if row == rep_row:
+                continue
             keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
             for label, bj in keys:
                 wt = rep_row.get((label, bj), sr.zero)

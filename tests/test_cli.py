@@ -462,6 +462,30 @@ class TestMinimize:
         assert code == 0, err
         assert payload["blocks"] == [["a,b"], ["a", "b"]]
 
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_saturation_grids_are_keyed_by_escaped_block_names(self, tmp_path, capsys, mode):
+        # {a,b} and {"a,b"} would both be keyed "{a,b}" without escaping
+        doc = {
+            "semiring": "real",
+            "states": ["a,b", "a", "b"],
+            "transitions": [
+                {"from": "a", "label": "x", "to": "a,b", "weight": "1/2"},
+                {"from": "b", "label": "x", "to": "a,b", "weight": "1/2"},
+            ],
+        }
+        path = write_doc(tmp_path, doc)
+        argv = ["minimize", path, "--equivalence", mode, "--emit-quotient"]
+        code, payload, err = run_json(capsys, argv)
+        assert code == 0, err
+        assert payload["blocks"] == [["a,b"], ["a", "b"]]
+        grids = payload["saturation"]
+        assert set(grids) == {"{a\\,b}", "{a,b}"}
+        assert grids["{a\\,b}"]["a"]["x"] == "1/2"
+        assert grids["{a,b}"]["a"]["x"] == "0"
+        code, out, _ = run(capsys, argv + ["--format", "plain"])
+        assert code == 0
+        assert "saturation grids emitted for 2 class(es)" in out
+
 
 class TestCheck:
     def test_weakly_equal(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import wbisim as wb
 from wbisim import (
+    DocumentError,
     Partition,
     ParseError,
     SemanticError,
@@ -73,7 +74,8 @@ class TestLoad:
 
         monkeypatch.setattr(cls, "coerce", counting)
         w = load(doc)
-        assert len(calls) == len(weights)
+        # once per distinct literal text: "true" repeats, "1" is parsed apart
+        assert len(calls) == {"real-float": 5, "boolean": 4, "truncation": 5}[name]
         monkeypatch.undo()
         # the same system as the constructor builds, coercing the values
         raw = [(i % 3, "a", i % 2, sr.parse(wt)) for i, wt in enumerate(weights)]
@@ -196,6 +198,173 @@ class TestLoad:
     def test_tau_cannot_be_an_action(self):
         with pytest.raises(SemanticError):
             WLTS(by_name("boolean"), ["s"], actions=("tau",))
+
+    # Literal pools with repeats, zero, and equal values in different text.
+    LITERALS = [
+        ("boolean", {}, ["true", "false", "1", "0", " true", "TRUE"]),
+        ("real", {}, ["1/2", "2/4", " 1/2", "1", "0", "0/3", "3", "inf", "1/3", "10/30"]),
+        ("real-float", {"epsilon": 1e-6}, ["0.5", "1/2", " 0.5", "2/4", "0", "0.0", "inf", "1e-3", "3"]),
+        ("tropical", {}, ["0", "1/2", "2/4", "inf", " inf", "3", " 3"]),
+        ("arctic", {}, ["-inf", "-1/2", "-2/4", "0", "3", "-inf "]),
+        ("truncation", {"k": 5}, ["0", "1", "01", " 2", "5", "3"]),
+        ("maxtimes", {}, ["0", "1", "1/2", "2/4", " 1/3", "2/6"]),
+    ]
+
+    @pytest.mark.parametrize("name,params,literals", LITERALS, ids=[c[0] for c in LITERALS])
+    def test_load_matches_the_checking_constructor(self, name, params, literals):
+        # load parses each distinct literal once and skips the constructor's
+        # checks; the public constructor, given each edge parsed on its own,
+        # must build the same system
+        rng = random.Random("load %s" % name)
+        sr = by_name(name, **params)
+        for _ in range(45):
+            n = rng.randint(1, 6)
+            states = ["s%d" % i for i in range(n)]
+            declared = rng.choice([[], ["b"], ["b", "a", "b"]])
+            edges = []
+            for _ in range(rng.randint(0, 16)):
+                if edges and rng.random() < 0.25:
+                    x, label, y, _ = rng.choice(edges)  # a duplicate edge
+                else:
+                    x, label, y = rng.randrange(n), rng.choice(["tau", "a", "b", "c"]), rng.randrange(n)
+                edges.append((x, label, y, rng.choice(literals)))
+            doc = {
+                "semiring": dict(name=name, **params),
+                "states": states,
+                "actions": declared,
+                "transitions": [
+                    {"from": states[x], "label": label, "to": states[y], "weight": text}
+                    for x, label, y, text in edges
+                ],
+            }
+            actions = list(dict.fromkeys(declared + [e[1] for e in edges if e[1] != "tau"]))
+            triples = [(x, label, y, sr.parse(text)) for x, label, y, text in edges]
+            expected = WLTS(sr, states, actions, "tau", triples)
+            w = load(doc)
+            assert list(w.transitions()) == list(expected.transitions())
+            assert [type(t[3]) for t in w.transitions()] == [
+                type(t[3]) for t in expected.transitions()
+            ]
+            assert w.actions == expected.actions
+            assert w.zero_transitions_dropped == expected.zero_transitions_dropped
+
+    def test_string_subclass_fields_are_accepted(self):
+        class Name(str):
+            pass
+
+        doc = doc_chain()
+        doc["transitions"] = [{k: Name(v) for k, v in e.items()} for e in doc["transitions"]]
+        assert list(load(doc).transitions()) == list(load(doc_chain()).transitions())
+
+    @pytest.mark.parametrize(
+        "edges,extra,error,message",
+        [
+            (
+                [("s0", "a", "s1", "1/2"), ("s0", "a", "s1", "x/2"), ("s1", "a", "s0", "x/2")],
+                {},
+                SemanticError,
+                "bad weight 'x/2': expected a rational literal 'p/q' or 'n', got 'x/2'",
+            ),
+            (
+                [("s0", "a", "s1", "1"), ("s0", "a", "s1", "-1"), ("s1", "a", "s0", "x"), ("s1", "a", "s0", "-1")],
+                {},
+                SemanticError,
+                "bad weight '-1': real carrier is [0, inf], got -1",
+            ),
+            (
+                [("s0", "a", "s1", "-1/2"), ("zz", "a", "s1", "1/2")],
+                {},
+                SemanticError,
+                "bad weight '-1/2': real carrier is [0, inf], got -1/2",
+            ),
+            (
+                [("s0", "a", "zz", "1/2"), ("s0", "a", "s1", "-1/2")],
+                {},
+                SemanticError,
+                "transition to unknown state 'zz'",
+            ),
+            (
+                [("s0", "a", "zz", "oops")],
+                {},
+                SemanticError,
+                "transition to unknown state 'zz'",
+            ),
+            (
+                [("s0", "tau", "s1", "1/2"), ("s1", "a", "s0", "oops")],
+                {"actions": ["a", "tau"]},
+                SemanticError,
+                "bad weight 'oops': expected a rational literal 'p/q' or 'n', got 'oops'",
+            ),
+            (
+                [("s0", "tau", "s1", "1/2"), ("s1", "a", "s0", "1/2")],
+                {"actions": ["tau"]},
+                SemanticError,
+                "silent label 'tau' also declared as an action",
+            ),
+            (
+                [("s0", "a", "s1", "oops"), ("s0", "a", "s1", 1)],
+                {},
+                SemanticError,
+                "bad weight 'oops': expected a rational literal 'p/q' or 'n', got 'oops'",
+            ),
+            (
+                [("zz", 3, "s1", "1/2")],
+                {},
+                ParseError,
+                "transition fields must be strings:"
+                " {'from': 'zz', 'label': 3, 'to': 's1', 'weight': '1/2'}",
+            ),
+            (
+                [("s0", "a", "s1", "1/2"), ("s0", "a", "s1", 0.5)],
+                {},
+                ParseError,
+                "transition fields must be strings:"
+                " {'from': 's0', 'label': 'a', 'to': 's1', 'weight': 0.5}",
+            ),
+        ],
+        ids=[
+            "repeated-bad-literal",
+            "first-of-two-bad-literals",
+            "unknown-state-after-bad-weight",
+            "bad-weight-after-unknown-state",
+            "unknown-state-and-bad-weight-on-one-edge",
+            "tau-action-and-bad-weight",
+            "tau-action",
+            "non-string-field-after-bad-weight",
+            "non-string-field-and-unknown-state",
+            "non-string-weight",
+        ],
+    )
+    def test_first_error_wins(self, edges, extra, error, message):
+        doc = dict(
+            {
+                "semiring": "real",
+                "states": ["s0", "s1"],
+                "transitions": [
+                    dict(zip(("from", "label", "to", "weight"), e)) for e in edges
+                ],
+            },
+            **extra,
+        )
+        with pytest.raises(DocumentError) as exc:
+            load(doc)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_constructor_checks_every_transition(self):
+        sr = by_name("real")
+        good = (0, "a", 1, Fraction(1, 2))
+        for bad, message in [
+            ((2, "a", 1, Fraction(1)), "bad source state id 2"),
+            ((0, "a", -1, Fraction(1)), "bad target state id -1"),
+            (("0", "a", 1, Fraction(1)), "bad source state id '0'"),
+            ((0, "b", 1, Fraction(1)), "undeclared label 'b'"),
+            ((0, "a", 1, -1), "real carrier is [0, inf], got -1"),
+            ((0, "a", 1, "1/2"), "cannot use '1/2' as a real weight"),
+        ]:
+            with pytest.raises(SemanticError) as exc:
+                WLTS(sr, ["u", "v"], ["a"], "tau", [good, bad])
+            assert str(exc.value) == message
 
 
 class TestWLTSQueries:
