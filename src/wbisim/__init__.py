@@ -44,7 +44,6 @@ from .bisim import (
     RefinementTrace,
     bisimilar,
     check_is_weak_bisimulation,
-    partition_for_mode,
     refine_partition,
     split_block_sorted,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "RefinementTrace",
     "bisimilar",
     "check_is_weak_bisimulation",
-    "partition_for_mode",
     "refine_partition",
     "split_block_sorted",
     "FinitePath",

@@ -31,7 +31,7 @@ Candidate order is deterministic: smallest minimum state id first, labels
 in alphabet order with the silent one first.  The loop stops as soon as
 every block is a singleton, since no table can split one.
 
-Weak and delay mode on the strong quotient (``partition_for_mode``):
+Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
 delay class is a union of strong blocks.  Into such a union each Kleene
 iterate of a saturation system is constant on strong blocks and equals
@@ -43,8 +43,8 @@ than states.  The route is taken on ``real`` and ``arctic`` only.  On the
 semirings with a ``best_first_key`` a weak table is one search, about as
 cheap as a strong table, so the strong pass would cost more than it
 saves; on ``real-float`` strong blocks agree only within epsilon.
-``refine_partition`` always refines the system it is given, so its
-trace (``minimize --trace``) names splitters of the original states.
+Every caller, traced or not, goes through ``refine_partition``, so a
+trace describes the run that computed the partition.
 """
 
 from __future__ import annotations
@@ -90,15 +90,18 @@ class SplitEvent:
 class RefinementTrace:
     """The splits of one refinement run.  ``candidates_examined`` counts
     the tables actually computed: none is computed once every block is a
-    singleton."""
+    singleton.  On the strong-quotient route this is the quotient pass,
+    each splitter lifted to the sorted states of its strong blocks; the
+    strong pre-pass is not traced."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
     candidates_examined: int = 0
 
 
-def refine_partition(w, mode="weak", initial=None, want_trace=False):
-    """Run the refinement loop; returns (Partition, RefinementTrace | None)."""
+def _refine(w, mode, initial, want_trace):
+    """Run the refinement loop on the states of ``w``; returns
+    (Partition, RefinementTrace | None)."""
     n = w.state_count
     if initial is None:
         initial = Partition.single_block(n)
@@ -186,47 +189,46 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
 
 
 def _lumps(w, mode):
-    """Whether ``partition_for_mode`` refines on the strong quotient: weak
+    """Whether ``refine_partition`` refines on the strong quotient: weak
     and delay mode on a carrier that is exact and has no best-first key."""
     sr = w.semiring
     return mode in ("weak", "delay") and sr.best_first_key is None and sr.carrier_mode != "float"
 
 
-def partition_for_mode(w, mode, initial=None):
+def refine_partition(w, mode="weak", initial=None, want_trace=False):
     """Coarsest partition under ``mode`` refining ``initial``: equal
     single-step class weights for every label (strong, the silent one
     treated as ordinary), or equal saturated weights with one observable
     action surrounded by silent steps (weak) or only preceded by them
-    (delay).
+    (delay).  Returns (Partition, RefinementTrace | None).
 
-    Weak and delay mode on ``real`` and ``arctic`` first compute the
-    strong partition; unless it is discrete, its quotient is refined in
-    ``mode``, starting from the quotient states grouped by their block of
-    ``initial``, and each quotient block is lifted back to the union of
-    its strong blocks.  By lumpability (module docstring) that is the
-    partition the direct refinement finds.  Every other semiring and mode
-    refines ``w`` directly: on the semirings with a ``best_first_key`` a
-    weak table is one search and the strong pass would not pay for
-    itself, and on ``real-float`` strong blocks agree only within epsilon.
-    A caller that wants a ``RefinementTrace`` over the states of ``w``,
-    as ``minimize --trace`` does, calls ``refine_partition``.
+    Where ``_lumps`` holds, the strong partition comes first; unless it is
+    discrete, its quotient is refined from the quotient states grouped by
+    their block of ``initial``, and every quotient block and splitter is
+    lifted back to the union of its strong blocks (module docstring).
     """
     if _lumps(w, mode):
-        strong = refine_partition(w, "strong", initial)[0]
+        strong = _refine(w, "strong", initial, False)[0]
         if len(strong) < w.state_count:
             start = None
             if initial is not None:
                 start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
-            coarse = refine_partition(emit_quotient(w, strong), mode, start)[0]
-            lifted = ([x for b in block for x in strong.blocks[b]] for block in coarse.blocks)
-            return Partition(w.state_count, lifted)
-    return refine_partition(w, mode, initial)[0]
+            coarse, trace = _refine(emit_quotient(w, strong), mode, start, want_trace)
+
+            def lift(block):
+                return tuple(sorted(x for b in block for x in strong.blocks[b]))
+
+            if trace is not None:
+                for e in trace.events:
+                    e.splitter = lift(e.splitter)
+            return Partition(w.state_count, map(lift, coarse.blocks)), trace
+    return _refine(w, mode, initial, want_trace)
 
 
 def bisimilar(w, x, y, mode="weak"):
     """Whether two states (ids) are equated by the chosen equivalence."""
     _class_set(w, (x, y))  # both ids in range, before any refinement
-    return partition_for_mode(w, mode).same_block(x, y)
+    return refine_partition(w, mode)[0].same_block(x, y)
 
 
 @dataclass

@@ -15,11 +15,12 @@ semantic failure, 3 parse failure, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import semiring as _semiring
-from .bisim import partition_for_mode, refine_partition
+from .bisim import refine_partition
 from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
@@ -188,12 +189,7 @@ def _cmd_minimize(args):
         raise SemanticError("dot output for minimize needs --emit-quotient")
     if args.format == "dot" and mode != "strong":
         raise SemanticError("dot output needs a strong quotient; %s classes have none" % mode)
-    # The trace names splitters of the document's states, so only a traced
-    # run refines directly; partition_for_mode may refine a strong quotient.
-    if args.trace:
-        partition, trace = refine_partition(w, mode, want_trace=True)
-    else:
-        partition, trace = partition_for_mode(w, mode), None
+    partition, trace = refine_partition(w, mode, want_trace=args.trace)
     blocks = partition.to_names(w)
     payload = {
         "equivalence": mode,
@@ -261,8 +257,7 @@ def _cmd_check(args):
     w = _load_system(args)
     x = w.index(args.left)
     y = w.index(args.right)
-    partition = partition_for_mode(w, args.equivalence)
-    same = partition.same_block(x, y)
+    same = refine_partition(w, args.equivalence)[0].same_block(x, y)
     payload = {
         "left": args.left,
         "right": args.right,
@@ -317,7 +312,10 @@ def _cmd_axioms(args):
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    ``main`` call, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="wbisim",
         description="Equivalence checking for semiring-weighted transition systems.",
@@ -393,8 +391,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

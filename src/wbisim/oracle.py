@@ -14,7 +14,7 @@ sum of its path weights.
 
 from __future__ import annotations
 
-from .bisim import partition_for_mode
+from .bisim import refine_partition
 from .solver import _class_set
 from .wlts import Partition, WLTS
 
@@ -416,4 +416,4 @@ def milner_weak_oracle(w):
             for z in landed:
                 triples.append((x, a, z, True))
     doubled = WLTS(w.semiring, w.state_names, w.actions, w.tau, triples)
-    return partition_for_mode(doubled, "strong")
+    return refine_partition(doubled, "strong")[0]

@@ -20,7 +20,7 @@ from wbisim import (
     check_axioms,
     enumerate_admissible,
     milner_weak_oracle,
-    partition_for_mode,
+    refine_partition,
     saturate,
     solve_least,
 )
@@ -45,7 +45,7 @@ def test_criterion_1_weak_partition_matches_double_arrow_oracle(capsys):
         n_actions = rng.randint(1, 3)
         density = rng.uniform(0.15, 0.5)
         w = helpers.random_boolean_lts(rng, n, n_actions, density)
-        assert partition_for_mode(w, "weak") == milner_weak_oracle(w), (
+        assert refine_partition(w, "weak")[0] == milner_weak_oracle(w), (
             "disagreement on %r (run %d)" % (w, runs)
         )
         runs += 1
@@ -61,13 +61,13 @@ def test_criterion_2_weak_partition_matches_brute_force_on_probabilistic(capsys)
         n = rng.randint(2, 6)
         w = helpers.random_generative(rng, n, rng.randint(1, 2), acyclic=True)
         assert wb.check_fully_probabilistic(w).ok
-        assert partition_for_mode(w, "weak") == brute_coarsest_partition(w, mode="weak")
+        assert refine_partition(w, "weak")[0] == brute_coarsest_partition(w, mode="weak")
         runs += 1
 
     golden = helpers.golden_cyclic_system()
     table = saturate(golden, [golden.index("c")], mode="weak")
     assert table.weight(golden.index("x"), "tau") == Fraction(1)
-    assert partition_for_mode(golden, "weak") == brute_coarsest_partition(golden, mode="weak")
+    assert refine_partition(golden, "weak")[0] == brute_coarsest_partition(golden, mode="weak")
     _announce(
         capsys,
         "criterion 2 PASS: weak == brute force on %d probabilistic systems"
@@ -89,7 +89,7 @@ def test_criterion_3_strong_partition_matches_brute_force_per_instance(capsys):
             n = rng.randint(2, 6)
             density = rng.uniform(0.15, 0.5)
             w = helpers.random_wlts(rng, sr, n, rng.randint(1, 2), density, gen)
-            strong = partition_for_mode(w, "strong")
+            strong = refine_partition(w, "strong")[0]
             assert strong == brute_coarsest_partition(w, mode="strong"), (
                 "disagreement on %r (lane %s, run %d)" % (w, label, run)
             )
@@ -245,14 +245,14 @@ def test_criterion_7_weak_equals_delay_on_generative_systems(capsys):
         n = rng.randint(2, 7)
         w = helpers.random_generative(rng, n, rng.randint(1, 2))
         assert wb.check_fully_probabilistic(w).ok
-        assert partition_for_mode(w, "weak") == partition_for_mode(w, "delay"), (
+        assert refine_partition(w, "weak")[0] == refine_partition(w, "delay")[0], (
             "weak/delay split on %r (run %d)" % (w, runs)
         )
         runs += 1
 
     witness = helpers.weak_delay_witness()
-    weak = partition_for_mode(witness, "weak")
-    delay = partition_for_mode(witness, "delay")
+    weak = refine_partition(witness, "weak")[0]
+    delay = refine_partition(witness, "delay")[0]
     assert weak.to_names(witness) == [["s0", "s2"], ["s1"]]
     assert delay == Partition.discrete(3)
     assert weak == brute_coarsest_partition(witness, mode="weak")
@@ -269,12 +269,12 @@ def test_criterion_8_runtime_grows_polynomially(capsys):
     slope <= 4.2, well inside the stated n^4-ish envelope."""
     started = time.perf_counter()
     sizes = [50, 100, 200]
-    partition_for_mode(helpers.random_sparse_boolean(random.Random(98), 20, 3, 4), "weak")
+    refine_partition(helpers.random_sparse_boolean(random.Random(98), 20, 3, 4), "weak")[0]
     times = []
     for n in sizes:
         w = helpers.random_sparse_boolean(random.Random(99), n, 3, 4)
         t0 = time.perf_counter()
-        partition_for_mode(w, "weak")
+        refine_partition(w, "weak")[0]
         times.append(max(time.perf_counter() - t0, 1e-6))
     xs = [math.log(n) for n in sizes]
     ys = [math.log(t) for t in times]

@@ -16,7 +16,6 @@ from wbisim import (
     brute_coarsest_partition,
     by_name,
     check_is_weak_bisimulation,
-    partition_for_mode,
     refine_partition,
 )
 from wbisim.bisim import split_block_sorted
@@ -54,16 +53,16 @@ class TestChains:
 
     def test_weak_merges_the_roots(self):
         w = helpers.chains_system()
-        p = partition_for_mode(w, "weak")
+        p = refine_partition(w, "weak")[0]
         assert p.to_names(w) == [["p0", "q0"], ["p1", "p2", "q1"], ["p3", "q2"]]
 
     def test_delay_agrees_here(self):
         w = helpers.chains_system()
-        assert partition_for_mode(w, "delay") == partition_for_mode(w, "weak")
+        assert refine_partition(w, "delay")[0] == refine_partition(w, "weak")[0]
 
     def test_strong_separates_the_roots(self):
         w = helpers.chains_system()
-        p = partition_for_mode(w, "strong")
+        p = refine_partition(w, "strong")[0]
         assert not p.same_block(w.index("p0"), w.index("q0"))
         # the two terminal states stay together under every mode
         assert p.same_block(w.index("p3"), w.index("q2"))
@@ -88,8 +87,8 @@ class TestChains:
 class TestWeakVersusDelay:
     def test_witness_separates_the_modes(self):
         w = helpers.weak_delay_witness()
-        weak = partition_for_mode(w, "weak")
-        delay = partition_for_mode(w, "delay")
+        weak = refine_partition(w, "weak")[0]
+        delay = refine_partition(w, "delay")[0]
         assert weak.to_names(w) == [["s0", "s2"], ["s1"]]
         assert delay == Partition.discrete(3)
 
@@ -110,7 +109,7 @@ class TestWeakVersusDelay:
                 if mask >> i & 1
             ]
             w = wb.WLTS(sr, ["u", "v"], ("a",), "tau", triples)
-            assert partition_for_mode(w, "weak") == partition_for_mode(w, "delay")
+            assert refine_partition(w, "weak")[0] == refine_partition(w, "delay")[0]
 
 
 class TestEngineInvariants:
@@ -127,16 +126,16 @@ class TestEngineInvariants:
                 w.tau,
                 [t for t in w.transitions() if t[1] != w.tau],
             )
-            strong = partition_for_mode(w, "strong")
-            assert partition_for_mode(w, "weak") == strong
-            assert partition_for_mode(w, "delay") == strong
+            strong = refine_partition(w, "strong")[0]
+            assert refine_partition(w, "weak")[0] == strong
+            assert refine_partition(w, "delay")[0] == strong
 
     def test_result_is_a_bisimulation_and_coarsest_found(self):
         rng = random.Random(52)
         for _ in range(30):
             w = helpers.random_boolean_lts(rng, rng.randint(2, 7), 2, 0.3)
             for mode in ("strong", "weak", "delay"):
-                p = partition_for_mode(w, mode)
+                p = refine_partition(w, mode)[0]
                 assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
     def test_discrete_partition_always_passes_the_checker(self):
@@ -152,7 +151,7 @@ class TestEngineInvariants:
         v = report.violations[0]
         assert v.label in w.labels
         assert set(v.weights) <= set(w.state_names)
-        weak = partition_for_mode(w, "weak")
+        weak = refine_partition(w, "weak")[0]
         report_delay = check_is_weak_bisimulation(w, weak, mode="delay")
         assert not report_delay.ok
 
@@ -160,8 +159,8 @@ class TestEngineInvariants:
         rng = random.Random(53)
         for _ in range(25):
             w = helpers.random_boolean_lts(rng, rng.randint(2, 7), 2, 0.3)
-            final = partition_for_mode(w, "weak")
-            assert partition_for_mode(w, "weak", initial=final) == final
+            final = refine_partition(w, "weak")[0]
+            assert refine_partition(w, "weak", initial=final)[0] == final
 
     def test_strong_with_signature_presplit_matches_default(self):
         # grouping states by their per-label total outgoing weight is
@@ -177,18 +176,18 @@ class TestEngineInvariants:
                 key = tuple(w.class_weight(x, lab, everything) for lab in w.labels)
                 sig.setdefault(key, []).append(x)
             presplit = Partition(n, sig.values())
-            strong = partition_for_mode(w, "strong")
-            assert partition_for_mode(w, "strong", initial=presplit) == strong
+            strong = refine_partition(w, "strong")[0]
+            assert refine_partition(w, "strong", initial=presplit)[0] == strong
 
     def test_initial_partition_size_mismatch(self):
         w = helpers.chains_system()
         with pytest.raises(ValueError):
-            partition_for_mode(w, "weak", initial=Partition.single_block(2))
+            refine_partition(w, "weak", initial=Partition.single_block(2))[0]
 
     def test_unknown_mode(self):
         w = helpers.chains_system()
         with pytest.raises(ValueError):
-            partition_for_mode(w, "branching")
+            refine_partition(w, "branching")[0]
         with pytest.raises(ValueError):
             check_is_weak_bisimulation(w, Partition.single_block(7), mode="eta")
 
@@ -201,9 +200,9 @@ class TestEngineInvariants:
             rng.shuffle(triples)
             shuffled = wb.WLTS(sr, w.state_names, w.actions, w.tau, triples)
             for mode in ("strong", "weak", "delay"):
-                assert partition_for_mode(w, mode) == partition_for_mode(
+                assert refine_partition(w, mode)[0] == refine_partition(
                     shuffled, mode
-                )
+                )[0]
 
     def test_deterministic_across_runs(self):
         w = helpers.weak_delay_witness()
@@ -253,7 +252,7 @@ class TestFloatTolerance:
             [("s%d" % i, "a", "sink", wt) for i, wt in enumerate(weights)],
         )
         for mode in ("strong", "weak", "delay"):
-            p = partition_for_mode(w, mode)
+            p = refine_partition(w, mode)[0]
             assert not p.same_block(w.index("s0"), w.index("s2"))
             assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
@@ -282,7 +281,8 @@ def test_float_partition_matches_exact_when_weights_sit_apart(mode, monkeypatch)
         classes = []
         table = Saturator.table
         monkeypatch.setattr(Saturator, "table", lambda self, C: classes.append(C) or table(self, C))
-        expected = partition_for_mode(w, mode)
+        # direct refinement, so that every recorded class is over w's states
+        expected = wb.bisim._refine(w, mode, None, False)[0]
         monkeypatch.undo()
         saturator = Saturator(w, mode)
         gaps = []
@@ -293,7 +293,7 @@ def test_float_partition_matches_exact_when_weights_sit_apart(mode, monkeypatch)
         if any(gap <= 10 * approx.epsilon for gap in gaps):
             continue
         compared += 1
-        assert partition_for_mode(w_float, mode) == expected, w
+        assert refine_partition(w_float, mode)[0] == expected, w
     assert compared >= 50
 
 
@@ -340,9 +340,9 @@ class TestSymmetry:
         perm = data.draw(st.permutations(range(w.state_count)))
         moved = _relabelled(w, perm)
         for mode in ("strong", "weak", "delay"):
-            p = partition_for_mode(w, mode)
+            p = refine_partition(w, mode)[0]
             expected = Partition(w.state_count, [[perm[x] for x in b] for b in p.blocks])
-            assert partition_for_mode(moved, mode) == expected, (mode, w, perm)
+            assert refine_partition(moved, mode)[0] == expected, (mode, w, perm)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(w=small_systems)
@@ -350,10 +350,10 @@ class TestSymmetry:
         n = w.state_count
         union = _disjoint_union(w)
         for mode in ("strong", "weak", "delay"):
-            p = partition_for_mode(union, mode)
+            p = refine_partition(union, mode)[0]
             assert all(p.same_block(x, x + n) for x in range(n)), (mode, w)
             halves = Partition(n, [[x for x in b if x < n] for b in p.blocks])
-            assert halves == partition_for_mode(w, mode), (mode, w)
+            assert halves == refine_partition(w, mode)[0], (mode, w)
 
 
 def full_scan_refine(w, mode):
@@ -551,9 +551,9 @@ def test_strong_refines_delay_refines_weak(sr, gen):
     for _ in range(40):
         n = rng.randint(1, 9)
         w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.1, 0.45), gen)
-        strong = partition_for_mode(w, "strong")
-        delay = partition_for_mode(w, "delay")
-        weak = partition_for_mode(w, "weak")
+        strong = refine_partition(w, "strong")[0]
+        delay = refine_partition(w, "delay")[0]
+        weak = refine_partition(w, "weak")[0]
         assert strong.refines(delay) and delay.refines(weak), w
 
 
@@ -589,41 +589,75 @@ def _shuffled_copies(rng, w, copies, stutters=0):
 
 
 def _recording_refinements(monkeypatch):
-    """Wrap the engine's ``refine_partition``; the list gets the state
-    count and the mode of every run."""
+    """Wrap the engine's refinement loop ``_refine``; the list gets the
+    state count and the mode of every run."""
     calls = []
-    original = wb.bisim.refine_partition
+    original = wb.bisim._refine
 
     def recording(w, mode, initial=None, want_trace=False):
         calls.append((w.state_count, mode))
         return original(w, mode, initial, want_trace)
 
-    monkeypatch.setattr(wb.bisim, "refine_partition", recording)
+    monkeypatch.setattr(wb.bisim, "_refine", recording)
     return calls
+
+
+def _events(trace):
+    return [e.__dict__ for e in trace.events]
+
+
+def _route_base(sr, gen, infinite=False):
+    """Random systems of 2-6 states over ``sr``.  With ``infinite`` a
+    weight is ``INF`` one time in eight, and about every third state gets a
+    silent self-loop whose star is ``INF``: weight one on ``real``, a
+    positive weight on ``arctic``."""
+
+    def build(rng):
+        n = rng.randint(2, 6)
+        weight = (lambda r: wb.INF if r.random() < 0.125 else gen(r)) if infinite else gen
+        w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.15, 0.45), weight)
+        if not infinite:
+            return w
+        loops = [
+            (x, w.tau, x, sr.one if sr.name == "real" else Fraction(rng.randint(1, 3)))
+            for x in range(n)
+            if rng.random() < 1 / 3
+        ]
+        return wb.WLTS(sr, w.state_names, w.actions, w.tau, list(w.transitions()) + loops)
+
+    return build
+
+
+ROUTE_BASES = [(sr.name, _route_base(sr, gen)) for sr, gen in EXACT_WEIGHTS] + [
+    (sr.name + "-infinite", _route_base(sr, gen, infinite=True))
+    for sr, gen in EXACT_WEIGHTS
+    if sr.name in ("real", "arctic")
+]
 
 
 class TestStrongQuotientRoute:
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     @pytest.mark.parametrize(
-        "sr,gen", EXACT_WEIGHTS, ids=[sr.name for sr, _ in EXACT_WEIGHTS]
+        "name,make_base", ROUTE_BASES, ids=[name for name, _ in ROUTE_BASES]
     )
-    def test_matches_direct_refinement(self, sr, gen, mode, monkeypatch):
+    def test_matches_direct_refinement(self, name, make_base, mode, monkeypatch):
         # The route is forced on every exact semiring, not only on the
         # carriers that take it: lumpability does not depend on the carrier.
+        # It must give the partition and the trace events of direct refinement.
         monkeypatch.setattr(wb.bisim, "_lumps", lambda w, mode: True)
-        rng = random.Random("strong quotient %s/%s" % (sr.name, mode))
+        rng = random.Random("strong quotient %s/%s" % (name, mode))
         routed = 0
         for i in range(60):
-            base = helpers.random_wlts(
-                rng, sr, rng.randint(2, 6), 2, rng.uniform(0.15, 0.45), gen
-            )
+            base = make_base(rng)
             w = _shuffled_copies(rng, base, rng.choice([1, 2, 3, 3]), rng.choice([0, 0, 1, 2]))
             initial = None
             if i % 3 == 2:
                 initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
-            expected = refine_partition(w, mode, initial)[0]
-            assert partition_for_mode(w, mode, initial) == expected, (w, initial)
-            routed += len(refine_partition(w, "strong", initial)[0]) < w.state_count
+            expected, direct = wb.bisim._refine(w, mode, initial, True)
+            partition, trace = refine_partition(w, mode, initial, want_trace=True)
+            assert partition == expected, (w, initial)
+            assert _events(trace) == _events(direct), (w, initial)
+            routed += len(wb.bisim._refine(w, "strong", initial, False)[0]) < w.state_count
         assert routed >= 20, routed
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
@@ -632,10 +666,10 @@ class TestStrongQuotientRoute:
         sr, gen = next(entry for entry in helpers.SEMIRING_WEIGHTS if entry[0].name == name)
         rng = random.Random("replicated %s" % name)
         w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 6, 2, 0.3, gen), 3)
-        strong = refine_partition(w, "strong")[0]
-        expected = refine_partition(w, mode)[0]
+        strong = wb.bisim._refine(w, "strong", None, False)[0]
+        expected = wb.bisim._refine(w, mode, None, False)[0]
         calls = _recording_refinements(monkeypatch)
-        assert partition_for_mode(w, mode) == expected
+        assert refine_partition(w, mode)[0] == expected
         assert len(strong) <= w.state_count // 3
         assert calls == [(w.state_count, "strong"), (len(strong), mode)]
 
@@ -648,7 +682,7 @@ class TestStrongQuotientRoute:
         routed = sr.name in ("real", "arctic")
         for mode in ("strong",) if routed else ("strong", "weak", "delay"):
             calls.clear()
-            partition_for_mode(w, mode)
+            refine_partition(w, mode)
             assert calls == [(w.state_count, mode)]
 
     @pytest.mark.parametrize("name", ["real", "arctic"])
@@ -662,5 +696,41 @@ class TestStrongQuotientRoute:
         calls = _recording_refinements(monkeypatch)
         for mode in ("weak", "delay"):
             calls.clear()
-            partition_for_mode(w, mode)
+            refine_partition(w, mode)
             assert calls == [(3, "strong"), (3, mode)]
+
+
+def _replay(w, mode, trace):
+    """Replay ``trace`` on the states of w from the one-block partition:
+    each event regroups every block by its members' saturated weights
+    into the event's splitter at the event's label.  Checks the counts of
+    every event and returns the final partition."""
+    saturator = Saturator(w, mode)
+    blocks = [list(range(w.state_count))] if w.state_count else []
+    for e in trace.events:
+        weights = saturator.table(e.splitter).vector(e.label)
+        regrouped = [split_block_sorted(w.semiring, block, weights) for block in blocks]
+        blocks = [group for groups in regrouped for group in groups]
+        assert (sum(len(groups) > 1 for groups in regrouped), len(blocks)) == (
+            e.blocks_split, e.block_count,
+        ), e
+    return Partition(w.state_count, blocks)
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_trace_replays_on_the_document_states(sr, gen, mode):
+    # Every other system is shuffled copies, whose strong partition is
+    # coarse: on real and arctic, weak and delay traces then come from
+    # the quotient pass and must still replay on the document's states.
+    rng = random.Random("replay %s/%s" % (sr.name, mode))
+    routed = 0
+    for i in range(100):
+        w = helpers.random_wlts(rng, sr, rng.randint(1, 7), 2, rng.uniform(0.1, 0.45), gen)
+        if i % 2:
+            w = _shuffled_copies(rng, w, rng.choice([2, 3]))
+        partition, trace = refine_partition(w, mode, want_trace=True)
+        assert _replay(w, mode, trace) == partition, w
+        if wb.bisim._lumps(w, mode):
+            routed += len(wb.bisim._refine(w, "strong", None, False)[0]) < w.state_count
+    assert routed >= 40 or not wb.bisim._lumps(w, mode), routed

@@ -408,8 +408,8 @@ class TestMinimize:
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_untraced_blocks_match_traced_blocks_and_check(self, tmp_path, capsys, mode):
-        # Three copies of one real system: the untraced run refines the
-        # strong quotient, the traced one the document's states.
+        # Three copies of one real system: both runs refine its strong
+        # quotient, and the traced one also reports the splits.
         path = write_doc(tmp_path, replicated_real_doc(random.Random(3), 6, 3))
         argv = ["minimize", path, "--equivalence", mode, "--format", "plain"]
         code, plain, _ = run(capsys, argv)
@@ -428,6 +428,48 @@ class TestMinimize:
                 ["check", path, "--left", "c0-s0", "--right", right, "--equivalence", mode],
             )
             assert code == (0 if block_of["c0-s0"] == block_of[right] else 1), right
+
+    def test_each_command_refines_once_through_refine_partition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_doc(tmp_path, replicated_real_doc(random.Random(3), 6, 3))
+        calls = []
+        original = wb.cli.refine_partition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wb.cli, "refine_partition", counting)
+        minimize = ["minimize", path, "--equivalence", "weak"]
+        check = ["check", path, "--left", "c0-s0", "--right", "c1-s0", "--equivalence", "weak"]
+        for argv in (minimize, minimize + ["--trace"], check):
+            calls.clear()
+            code, _, _ = run(capsys, argv)
+            assert code == 0
+            assert len(calls) == 1, argv
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_traced_run_refines_the_strong_quotient(self, tmp_path, capsys, monkeypatch, mode):
+        doc = replicated_real_doc(random.Random(3), 6, 3)
+        w = load(doc)
+        strong = wb.refine_partition(w, "strong")[0]
+        runs = []
+        original = wb.bisim._refine
+
+        def recording(system, run_mode, initial, want_trace):
+            runs.append((system.state_count, run_mode))
+            return original(system, run_mode, initial, want_trace)
+
+        monkeypatch.setattr(wb.bisim, "_refine", recording)
+        argv = ["minimize", write_doc(tmp_path, doc), "--equivalence", mode, "--trace"]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 0
+        assert runs == [(w.state_count, "strong"), (len(strong), mode)]
+        assert len(strong) < w.state_count and payload["trace"]
+        for event in payload["trace"]:
+            splitter = {w.index(name) for name in event["splitter"]}
+            assert splitter == {x for y in splitter for x in strong.block_of(y)}, event
 
     def test_quotient_names_escape_commas_and_braces(self, tmp_path, capsys):
         # "a" and "b" are strongly bisimilar; their block and "a,b" alone
@@ -654,7 +696,7 @@ class TestQuotientHelpers:
 
     def test_emit_quotient_preserves_weights(self):
         w = helpers.figure_system()
-        p = wb.partition_for_mode(w, "strong")
+        p = wb.refine_partition(w, "strong")[0]
         quotient = emit_quotient(w, p)
         # single-state blocks keep their outgoing weights
         bx = p.block_index(w.index("x"))
@@ -667,7 +709,7 @@ class TestQuotientHelpers:
         for _ in range(20):
             n = rng.randint(1, 10)
             w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.05, 0.35), gen)
-            p = wb.partition_for_mode(w, "strong")
+            p = wb.refine_partition(w, "strong")[0]
             quotient = emit_quotient(w, p)
             assert quotient.state_count == len(p)
             for bi, block in enumerate(p.blocks):

@@ -18,7 +18,7 @@ from wbisim import (
     enumerate_admissible,
     milner_weak_oracle,
     minimal_support,
-    partition_for_mode,
+    refine_partition,
 )
 from wbisim.oracle import _restricted_growth_strings
 
@@ -313,19 +313,19 @@ class TestBruteCoarsest:
     def test_chains_weak(self):
         w = helpers.chains_system()
         p = brute_coarsest_partition(w, mode="weak")
-        assert p == partition_for_mode(w, "weak")
+        assert p == refine_partition(w, "weak")[0]
         assert p.to_names(w) == [["p0", "q0"], ["p1", "p2", "q1"], ["p3", "q2"]]
 
     def test_witness_modes_differ(self):
         w = helpers.weak_delay_witness()
-        assert brute_coarsest_partition(w, mode="weak") == partition_for_mode(w, "weak")
+        assert brute_coarsest_partition(w, mode="weak") == refine_partition(w, "weak")[0]
         assert brute_coarsest_partition(w, mode="delay") == Partition.discrete(3)
 
     def test_strong_matches_engine_on_randoms(self):
         rng = random.Random(65)
         for _ in range(20):
             w = helpers.random_boolean_lts(rng, rng.randint(1, 5), 2, 0.35)
-            assert brute_coarsest_partition(w, mode="strong") == partition_for_mode(w, "strong")
+            assert brute_coarsest_partition(w, mode="strong") == refine_partition(w, "strong")[0]
 
     def test_size_guard(self):
         w = helpers.random_boolean_lts(random.Random(0), 9, 1, 0.2)
@@ -355,19 +355,19 @@ class TestBruteCoarsest:
         w = helpers.golden_cyclic_system()
         p = brute_coarsest_partition(w, mode="weak")
         assert p == Partition.single_block(2)
-        assert partition_for_mode(w, "weak") == p
+        assert refine_partition(w, "weak")[0] == p
 
 
 class TestMilnerOracle:
     def test_chains(self):
         w = helpers.chains_system()
-        assert milner_weak_oracle(w) == partition_for_mode(w, "weak")
+        assert milner_weak_oracle(w) == refine_partition(w, "weak")[0]
 
     def test_silent_cycle_collapses(self):
         w = helpers.tau_cycle_system()
         p = milner_weak_oracle(w)
         assert p == Partition.single_block(3)
-        assert partition_for_mode(w, "weak") == p
+        assert refine_partition(w, "weak")[0] == p
 
     def test_boolean_only(self):
         with pytest.raises(ValueError):

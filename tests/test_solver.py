@@ -566,7 +566,7 @@ class TestTargetedSaturation:
         edges.append((n, "a", 0, True))
         w = wb.WLTS(sr, ["s%d" % x for x in range(n + 1)], ["a"], "tau", edges)
         assert _silent_components_of(w) == ([list(range(n))] if shape == "cycle" else [])
-        p = wb.partition_for_mode(w, "weak")
+        p = wb.refine_partition(w, "weak")[0]
         assert p.blocks == (tuple(range(n)), (n,))
 
 
