@@ -18,7 +18,7 @@ regrouped, and the rest then joins that member's group.  Every other
 block is left alone because its members all weigh zero.  In strong mode
 the table itself is summed over the predecessors of the splitter, so a
 splitter costs its in-degree plus one membership scan of each block it
-touches, and only the support members are sorted.
+touches, and only the support members are regrouped.
 
 Splitter scheduling: each class is examined once after it is created
 (the initial blocks to begin with, then every child of a split).  A class
@@ -57,24 +57,33 @@ from .wlts import Partition, emit_quotient
 
 
 def split_block_sorted(sr, members, weights):
-    """Sort members by weight and split where the value changes.
+    """Group members by equal weight: each group in ascending id order,
+    the groups in order of their first member.
 
-    A group holds the values equal to its first (smallest) one, so in
-    float mode every group spans at most the tolerance: comparing against
-    the previous value instead would chain neighbours into groups of any
-    width.
+    Exact carriers group on the weights as dict keys, so they need only
+    ``==`` and ``hash``.  In float mode the distinct values are then
+    merged in ascending order, a group holding the values within the
+    tolerance of its smallest one, so every group spans at most the
+    tolerance: comparing against the previous value instead would chain
+    neighbours into groups of any width.
     """
-    order = sorted(members, key=lambda x: (sr.sort_key(weights[x]), x))
-    groups = []
-    first = None
-    for x in order:
+    by_value = {}
+    for x in sorted(members):
         wx = weights[x]
-        if groups and sr.values_equal(first, wx):
-            groups[-1].append(x)
+        if wx in by_value:
+            by_value[wx].append(x)
         else:
-            groups.append([x])
-            first = wx
-    return groups
+            by_value[wx] = [x]
+    if sr.carrier_mode != "float":
+        return list(by_value.values())
+    merged = []
+    for v in sorted(by_value):
+        if merged and sr.values_equal(first, v):
+            merged[-1] += by_value[v]
+        else:
+            merged.append(by_value[v])
+            first = v
+    return sorted(map(sorted, merged))
 
 
 @dataclass
@@ -150,7 +159,7 @@ def _refine(w, mode, initial, want_trace):
                 rest = [x for x in blk if x not in support]
                 if rest:
                     # One member of the rest stands in for all of it: they
-                    # weigh zero, so they share a group and sort by id.
+                    # weigh zero, so they share a group.
                     r = rest[0]
                     weights = {x: support[x] for x in inside}
                     weights[r] = zero
@@ -164,18 +173,12 @@ def _refine(w, mode, initial, want_trace):
                 splittable -= 1
                 for g in groups:
                     if rest and r in g:  # the stand-in brings the rest
-                        if len(g) == 1:
-                            g = sorted(rest)
-                        else:
-                            g = sorted(
-                                g + rest[1:],
-                                key=lambda x: (sr.sort_key(support.get(x, zero)), x),
-                            )
+                        g = sorted(g + rest[1:])
                     splittable += len(g) > 1
                     members[next_id] = g
                     for x in g:
                         block_of[x] = next_id
-                    heapq.heappush(heap, (min(g), next_id))
+                    heapq.heappush(heap, (g[0], next_id))
                     next_id += 1
             if split_any:
                 step += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import semiring as _semiring
@@ -277,7 +278,9 @@ def _cmd_check(args):
 
 def _cmd_saturate(args):
     w = _load_system(args)
-    names = sorted({s for s in (args.cls or "").split(",") if s})
+    # Split on unescaped commas and read \x as x, the escape of block_names.
+    names = sorted({re.sub(r"\\(.)", r"\1", s, flags=re.S)
+                    for s in re.findall(r"(?:[^\\,]|\\.?)+", args.cls or "", re.S)})
     if not names:
         raise SemanticError("--class needs a comma-separated list of states")
     C = [w.index(s) for s in names]
@@ -378,7 +381,8 @@ def build_parser():
     p = sub.add_parser("saturate", help="saturated weights for one class")
     common(p)
     p.add_argument(
-        "--class", dest="cls", required=True, help="comma-separated state names"
+        "--class", dest="cls", required=True,
+        help="comma-separated state names; \\, and \\\\ stand for a comma and a backslash"
     )
     p.add_argument("--mode", choices=("weak", "delay"), default="weak")
     p.set_defaults(fn=_cmd_saturate)

@@ -23,7 +23,7 @@ module-level ``INF``/``NEG_INF`` sentinels); the semiring instance holds
 the operations, so no per-value wrapper objects are allocated.  The four
 instances over exact rationals (``real``, ``tropical``, ``arctic`` and
 ``maxtimes``) differ only in their algebra and in the bounds of their
-carrier; they share one codec (coerce, parse, format, sort key).
+carrier; they share one codec (coerce, parse and format).
 
 The natural order of an idempotent instance is derived from its sum
 rather than written out, and :func:`check_axioms` checks every instance
@@ -77,7 +77,11 @@ class Semiring:
     """Base class fixing the operation contract shared by all instances.
 
     Subclasses set ``zero``/``one`` and implement ``add``, ``mul`` and
-    ``star``.  ``natural_leq(a, b)`` decides the natural preorder: whether
+    ``star``.  Carrier values must be hashable with ``==`` as their
+    equality, since refinement groups states on their weights as dict
+    keys; no order on the carrier is needed.  A ``carrier_mode`` of
+    ``"float"`` instead compares within a tolerance (``values_equal``).
+    ``natural_leq(a, b)`` decides the natural preorder: whether
     some c exists with ``a + c == b``; ``zero`` is its bottom in every
     shipped instance.  Where ``idempotent`` is set it is derived from the
     sum (a <= b iff a + b == b); other instances implement it.
@@ -127,7 +131,7 @@ class Semiring:
             total = self.add(total, v)
         return total
 
-    # -- I/O and ordering ------------------------------------------------
+    # -- I/O -----------------------------------------------------------
 
     def coerce(self, v):
         """Normalize a raw Python value into the carrier; ValueError if outside."""
@@ -139,10 +143,6 @@ class Semiring:
         raise NotImplementedError
 
     def format(self, v):
-        raise NotImplementedError
-
-    def sort_key(self, v):
-        """Key for a total order on the carrier (used by sorted splitting)."""
         raise NotImplementedError
 
     def sample_values(self):
@@ -201,9 +201,6 @@ class BooleanSemiring(Semiring):
     def format(self, v):
         return "true" if v else "false"
 
-    def sort_key(self, v):
-        return 1 if v else 0
-
     def sample_values(self):
         return [False, True]
 
@@ -243,9 +240,6 @@ class _RationalSemiring(Semiring):
 
     def format(self, v):
         return str(v)  # the extremes print as "inf" and "-inf"
-
-    def sort_key(self, v):
-        return (v.sign, 0) if v is INF or v is NEG_INF else (0, v)
 
 
 class RealSemiring(_RationalSemiring):
@@ -350,9 +344,6 @@ class RealFloatSemiring(Semiring):
 
     def format(self, v):
         return "inf" if v == math.inf else repr(v)
-
-    def sort_key(self, v):
-        return v
 
     def sample_values(self):
         return [0.0, 0.5, 1.0, 2.0, math.inf]
@@ -481,9 +472,6 @@ class TruncationSemiring(Semiring):
 
     def format(self, v):
         return str(v)
-
-    def sort_key(self, v):
-        return v
 
     def sample_values(self):
         vals = [0, 1, self.k // 2, self.k - 1, self.k]

@@ -24,11 +24,34 @@ import helpers
 
 
 class TestSplitting:
-    def test_sorted_variant_orders_by_weight(self):
+    def test_groups_come_in_first_member_order(self):
         sr = by_name("real")
         weights = [Fraction(3), Fraction(1), Fraction(3), wb.INF, Fraction(1)]
         groups = split_block_sorted(sr, [0, 1, 2, 3, 4], weights)
-        assert groups == [[1, 4], [0, 2], [3]]
+        assert groups == [[0, 2], [1, 4], [3]]
+
+    @pytest.mark.parametrize(
+        "name,equal,other",
+        [
+            ("real", (Fraction(1, 2), Fraction(2, 4)), Fraction(1)),
+            ("real", (wb.INF, type(wb.INF)(1)), Fraction(0)),
+            ("tropical", (wb.INF, type(wb.INF)(1)), Fraction(1, 2)),
+            ("arctic", (wb.NEG_INF, type(wb.NEG_INF)(-1)), wb.INF),
+            ("maxtimes", (Fraction(1, 2), Fraction(2, 4)), Fraction(1)),
+        ],
+    )
+    def test_equal_values_group_when_distinct_objects(self, name, equal, other):
+        # Exact carriers group on == and hash alone, not on identity.
+        sr = by_name(name)
+        a, b = equal
+        assert a is not b and a == b
+        weights = {4: a, 1: other, 2: b}
+        assert split_block_sorted(sr, [4, 2, 1], weights) == [[1], [2, 4]]
+
+    def test_float_tolerance_group_comes_back_in_id_order(self):
+        sr = by_name("real-float", epsilon=1e-9)
+        weights = [1.0 + 4e-10, 1.0, 0.0, 1.0 + 2e-10]
+        assert split_block_sorted(sr, [0, 1, 2, 3], weights) == [[0, 1, 3], [2]]
 
     def test_float_groups_split_at_tolerance_gaps(self):
         sr = by_name("real-float", epsilon=1e-9)
@@ -734,3 +757,76 @@ def test_trace_replays_on_the_document_states(sr, gen, mode):
         if wb.bisim._lumps(w, mode):
             routed += len(wb.bisim._refine(w, "strong", None, False)[0]) < w.state_count
     assert routed >= 40 or not wb.bisim._lumps(w, mode), routed
+
+
+def _float_group_out_of_weight_order():
+    """real-float system whose first split leaves {s0, s1}, weighing
+    1 + 4e-10 and 1 into s2, as one group; that group then splits
+    {s3, s4} from s5 on b."""
+    return helpers.make_wlts(
+        by_name("real-float"),
+        ["s%d" % i for i in range(6)],
+        [
+            ("s0", "a", "s2", 1.0 + 4e-10),
+            ("s1", "a", "s2", 1.0),
+            ("s3", "b", "s0", 1.0),
+            ("s4", "b", "s1", 1.0),
+            ("s5", "b", "s2", 1.0),
+        ],
+    )
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_splitters_are_listed_in_id_order(sr, gen, mode):
+    rng = random.Random("splitter order %s/%s" % (sr.name, mode))
+    for i in range(60):
+        w = helpers.random_wlts(rng, sr, rng.randint(1, 9), 2, rng.uniform(0.1, 0.45), gen)
+        if i % 2:
+            w = _shuffled_copies(rng, w, rng.choice([2, 3]))
+        for e in refine_partition(w, mode, want_trace=True)[1].events:
+            assert list(e.splitter) == sorted(e.splitter), (w, e)
+    if sr.carrier_mode == "float":
+        w = _float_group_out_of_weight_order()
+        splitters = [e.splitter for e in refine_partition(w, mode, want_trace=True)[1].events]
+        assert (0, 1) in splitters and all(list(c) == sorted(c) for c in splitters), splitters
+
+
+class _BooleanPairs(wb.Semiring):
+    """Componentwise or/and on pairs of booleans, with no order given."""
+
+    name = "boolean-pairs"
+    carrier_mode = "pairs"
+    idempotent = True
+    zero = (False, False)
+    one = (True, True)
+
+    def add(self, a, b):
+        return (a[0] or b[0], a[1] or b[1])
+
+    def mul(self, a, b):
+        return (a[0] and b[0], a[1] and b[1])
+
+    def star(self, a):
+        return self.one
+
+    def coerce(self, v):
+        return v
+
+    def format(self, v):
+        return "(%s,%s)" % v
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+def test_a_semiring_needs_no_order(mode):
+    sr = _BooleanPairs()
+    pairs = [(True, False), (False, True), (True, True)]
+    rng = random.Random("pairs/%s" % mode)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        w = helpers.random_dag_wlts(
+            rng, sr, n, rng.randint(1, 2), rng.uniform(0.15, 0.5), lambda r: r.choice(pairs)
+        )
+        p = refine_partition(w, mode)[0]
+        assert check_is_weak_bisimulation(w, p, mode).ok, w
+        assert p == brute_coarsest_partition(w, mode=mode), w

@@ -627,6 +627,30 @@ class TestSaturate:
             for x in w.state_names
         ]
 
+    def test_class_names_an_emitted_quotient_state(self, tmp_path, capsys):
+        # Quotient states are named {m1,m2,...}: an escaped comma (\,) stays
+        # in the name, and an escaped backslash (\\) is a literal one.
+        code, payload, _ = run_json(capsys, ["minimize", chains_doc(tmp_path), "--emit-quotient"])
+        assert code == 0
+        path = write_doc(tmp_path, payload["quotient"], "quotient.json")
+        code, payload, err = run_json(capsys, ["saturate", path, "--class", "{p2\\,q1}"])
+        assert code == 0, err
+        assert payload["class"] == ["{p2,q1}"]
+        doc = {
+            "semiring": "real",
+            "states": ["a,b", "a", "b"],
+            "transitions": [{"from": "a,b", "label": "x", "to": "a", "weight": "1/2"}],
+        }
+        code, payload, _ = run_json(capsys, ["minimize", write_doc(tmp_path, doc), "--emit-quotient"])
+        assert code == 0
+        path = write_doc(tmp_path, payload["quotient"], "quotient.json")
+        code, payload, err = run_json(
+            capsys, ["saturate", path, "--class", "{a\\\\\\,b},{a\\,b}", "--mode", "delay"]
+        )
+        assert code == 0, err
+        assert payload["class"] == ["{a,b}", "{a\\,b}"]
+        assert payload["table"]["{a\\,b}"]["x"] == "1/2"
+
     def test_empty_class_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["saturate", figure_doc(tmp_path), "--class", ","])
         assert code == 2

@@ -385,20 +385,6 @@ class TestAxiomChecker:
         assert [c.law for c in check_axioms(sr).checks] == BASE_LAWS + extra
 
 
-class TestSortKey:
-    def test_orders_extremes(self):
-        sr = by_name("real")
-        values = [INF, Fraction(0), Fraction(3), Fraction(1, 2)]
-        ordered = sorted(values, key=sr.sort_key)
-        assert ordered == [Fraction(0), Fraction(1, 2), Fraction(3), INF]
-
-    def test_arctic_bottom_first(self):
-        sr = by_name("arctic")
-        values = [Fraction(0), NEG_INF, INF, Fraction(-2)]
-        ordered = sorted(values, key=sr.sort_key)
-        assert ordered == [NEG_INF, Fraction(-2), Fraction(0), INF]
-
-
 RATIONAL = ["real", "tropical", "arctic", "maxtimes"]
 
 # What real, tropical, arctic and maxtimes make of each input, in that
@@ -448,20 +434,6 @@ class TestRationalCodec:
         sr = by_name(name)
         for v in sr.sample_values():
             assert sr.parse(sr.format(v)) == v
-
-    @pytest.mark.parametrize("name", RATIONAL)
-    def test_sort_key_is_numeric_order(self, name):
-        sr = by_name(name)
-        i = RATIONAL.index(name)
-        values = list(sr.sample_values())
-        values += [row[i] for _, row in CODEC_CASES if row[i] is not None]
-        values = list(dict.fromkeys(reversed(values)))
-        ordered = sorted(values, key=sr.sort_key)
-        assert ordered == sorted(values, key=_numeric)
-        if NEG_INF in values:
-            assert ordered[0] is NEG_INF
-        if INF in values:
-            assert ordered[-1] is INF
 
 
 # The natural order of each idempotent instance, written out over its
