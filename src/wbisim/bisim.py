@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .solver import Saturator, _class_set
 from .wlts import Partition, emit_quotient
@@ -61,19 +62,24 @@ def split_block_sorted(sr, members, weights):
     the groups in order of their first member.
 
     Exact carriers group on the weights as dict keys, so they need only
-    ``==`` and ``hash``.  In float mode the distinct values are then
-    merged in ascending order, a group holding the values within the
-    tolerance of its smallest one, so every group spans at most the
-    tolerance: comparing against the previous value instead would chain
-    neighbours into groups of any width.
+    ``==`` and ``hash``; ``"exact-rational"`` ones key a ``Fraction`` by its
+    integer pair, equal iff the (reduced) values are, sparing its slow hash.
+    In float mode the distinct values are then merged in ascending order, a
+    group holding the values within the tolerance of its smallest one, so
+    every group spans at most the tolerance: comparing against the previous
+    value instead would chain neighbours into groups of any width.
     """
     by_value = {}
+    pairs = sr.carrier_mode == "exact-rational"
     for x in sorted(members):
         wx = weights[x]
-        if wx in by_value:
-            by_value[wx].append(x)
-        else:
+        if pairs and type(wx) is Fraction:
+            wx = wx.as_integer_ratio()
+        group = by_value.get(wx)
+        if group is None:
             by_value[wx] = [x]
+        else:
+            group.append(x)
     if sr.carrier_mode != "float":
         return list(by_value.values())
     merged = []

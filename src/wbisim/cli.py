@@ -286,7 +286,8 @@ def _cmd_saturate(args):
     C = [w.index(s) for s in names]
     grid = _saturation_grid(w, Saturator(w, args.mode).table(C))
     payload = {"mode": args.mode, "class": names, "table": grid}
-    lines = ["%s saturation into {%s}" % (args.mode, ",".join(names))]
+    escaped = (re.sub(r"([\\,])", r"\\\1", s) for s in names)  # the inverse of the split
+    lines = ["%s saturation into {%s}" % (args.mode, ",".join(escaped))]
     for state, cells in grid.items():
         row = ", ".join("%s=%s" % cell for cell in cells.items())
         lines.append("  %s: %s" % (state, row))

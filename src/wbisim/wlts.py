@@ -53,9 +53,10 @@ class WLTS:
     are dropped (counted in ``zero_transitions_dropped``).
 
     ``_parsed`` is for ``load`` and ``emit_quotient`` only, which build
-    their triples from checked ids, declared labels and coerced weights:
-    under it the per-transition checks are skipped, while the names and
-    actions are still checked.
+    their triples from checked ids, declared labels and coerced nonzero
+    weights, dropping the zero ones themselves: under it the
+    per-transition checks and the zero test are skipped, while the names
+    and actions are still checked.
     """
 
     def __init__(self, sr, state_names, actions=(), tau="tau", transitions=(), *, _parsed=False):
@@ -87,9 +88,9 @@ class WLTS:
                     w = sr.coerce(w)
                 except ValueError as exc:
                     raise SemanticError(str(exc)) from None
-            if sr.is_zero(w):
-                dropped += 1
-                continue
+                if sr.is_zero(w):
+                    dropped += 1
+                    continue
             row = succ[x].setdefault(label, {})
             if y in row:
                 w = sr.add(row[y], w)
@@ -221,10 +222,11 @@ def load(doc, sr=None):
     weight literals are then parsed under the override.  Zero-weight edges
     are dropped and counted, duplicate edges are combined with the sum.
 
-    Each distinct literal text is parsed once per call and its value shared
-    by every edge that repeats it (the carriers' values are immutable); a
-    bad literal is reported at its first occurrence.  Every edge is checked
-    here, so the system is built with ``_parsed`` and not checked again.
+    Each distinct literal text is parsed and tested for zero once per call,
+    and its value shared by every edge that repeats it (the carriers'
+    values are immutable); a bad literal is reported at its first
+    occurrence.  Every edge is checked and zero edges are dropped here, so
+    the system is built with ``_parsed`` and not checked again.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -257,7 +259,7 @@ def load(doc, sr=None):
         index[s] = i
 
     triples = []
-    weights = {}  # literal text -> parsed weight
+    weights = {}  # literal text -> (parsed weight, whether it is zero)
     for e in raw_edges:
         if not isinstance(e, dict):
             raise ParseError("each transition must be an object")
@@ -277,15 +279,19 @@ def load(doc, sr=None):
             raise SemanticError("transition to unknown state %r" % dst)
         if label != tau and label not in actions:
             actions.append(label)
-        w = weights.get(wtext)
-        if w is None:
+        parsed = weights.get(wtext)
+        if parsed is None:
             try:
-                w = weights[wtext] = sr.parse(wtext)
+                w = sr.parse(wtext)
             except ValueError as exc:
                 raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
-        triples.append((x, label, y, w))
+            parsed = weights[wtext] = (w, sr.is_zero(w))
+        if not parsed[1]:
+            triples.append((x, label, y, parsed[0]))
 
-    return WLTS(sr, states, actions, tau, triples, _parsed=True)
+    w = WLTS(sr, states, actions, tau, triples, _parsed=True)
+    w.zero_transitions_dropped = len(raw_edges) - len(triples)
+    return w
 
 
 def serialize(w):

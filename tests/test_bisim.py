@@ -70,6 +70,41 @@ class TestSplitting:
         assert split_block_sorted(sr, [2], [True, True, False]) == [[2]]
         assert split_block_sorted(sr, [], []) == []
 
+    # Values in different representations of one weight: unreduced
+    # constructions that Fraction reduces, and extremes built afresh.
+    POOLS = {
+        "real": [Fraction(1, 2), Fraction(2, 4), Fraction(0), Fraction(0, 3), Fraction(3),
+                 Fraction(6, 2), Fraction(10**20, 3 * 10**20), Fraction(1, 3), wb.INF,
+                 type(wb.INF)(1)],
+        "tropical": [Fraction(0), Fraction(0, 5), Fraction(1, 2), Fraction(2, 4), Fraction(7, 2),
+                     wb.INF, type(wb.INF)(1)],
+        "arctic": [Fraction(-1, 2), Fraction(-2, 4), Fraction(0), Fraction(2), Fraction(4, 2),
+                   wb.INF, wb.NEG_INF, type(wb.NEG_INF)(-1)],
+        "maxtimes": [Fraction(0), Fraction(1, 2), Fraction(2, 4), Fraction(1), Fraction(3, 3),
+                     Fraction(1, 3)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(POOLS))
+    def test_exact_grouping_matches_pairwise_equality(self, name):
+        # A naive grouping that compares each member with == against the
+        # first member of every group found so far.
+        sr = by_name(name)
+        rng = random.Random("split %s" % name)
+        pool = self.POOLS[name]
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            weights = {x: rng.choice(pool) for x in range(n)}
+            members = rng.sample(range(n), rng.randint(0, n))
+            expected = []
+            for x in sorted(members):
+                for group in expected:
+                    if weights[group[0]] == weights[x]:
+                        group.append(x)
+                        break
+                else:
+                    expected.append([x])
+            assert split_block_sorted(sr, members, weights) == expected, (members, weights)
+
 
 class TestChains:
     """One branch does a then silently b, the other does a then b."""
@@ -721,6 +756,35 @@ class TestStrongQuotientRoute:
             calls.clear()
             refine_partition(w, mode)
             assert calls == [(3, "strong"), (3, mode)]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+def test_exact_real_splitting_never_hashes_a_fraction(mode, monkeypatch):
+    # Fraction.__hash__ is a modular pow on every call: grouping exact
+    # weights must not call it, on the strong pass nor on the quotient.
+    sr, gen = next(entry for entry in helpers.SEMIRING_WEIGHTS if entry[0].name == "real")
+    rng = random.Random("no fraction hash")
+    w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 8, 2, 0.3, gen), 4, 1)
+    expected = wb.bisim._refine(w, mode, None, False)[0]
+    inside, hashes, splits = [False], [0], [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashes[0] += inside[0]
+        return fraction_hash(self)
+
+    def watched_split(sr, members, weights):
+        inside[0] = True
+        splits[0] += 1
+        try:
+            return split_block_sorted(sr, members, weights)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    monkeypatch.setattr(wb.bisim, "split_block_sorted", watched_split)
+    assert refine_partition(w, mode)[0] == expected
+    assert splits[0] > 0 and hashes[0] == 0
 
 
 def _replay(w, mode, trace):

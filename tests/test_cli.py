@@ -651,6 +651,27 @@ class TestSaturate:
         assert payload["class"] == ["{a,b}", "{a\\,b}"]
         assert payload["table"]["{a\\,b}"]["x"] == "1/2"
 
+    def test_plain_header_escapes_commas_and_backslashes(self, tmp_path, capsys):
+        # The class of state "a,b" and the class of states "a" and "b"
+        # differ: the header escapes names as the --class argument does, so
+        # it reads back as the class it names.
+        doc = {
+            "semiring": "real",
+            "states": ["a,b", "a", "b", "c\\"],
+            "transitions": [{"from": "a", "label": "x", "to": "a,b", "weight": "1/2"}],
+        }
+        path = write_doc(tmp_path, doc)
+        headers = {}
+        for cls in ["a\\,b", "a,b", "c\\\\,a"]:
+            code, out, err = run(capsys, ["saturate", path, "--class", cls, "--format", "plain"])
+            assert code == 0, err
+            headers[cls] = out.splitlines()[0]
+        assert headers == {
+            "a\\,b": "weak saturation into {a\\,b}",
+            "a,b": "weak saturation into {a,b}",
+            "c\\\\,a": "weak saturation into {a,c\\\\}",
+        }
+
     def test_empty_class_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["saturate", figure_doc(tmp_path), "--class", ","])
         assert code == 2

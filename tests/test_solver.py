@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,22 @@ class TestEquationFamilies:
             build_tau_system(w, [7])
         with pytest.raises(ValueError):
             build_action_system(w, [0], "zap", [Fraction(1)] * 2)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_table_rejects_every_id_that_is_not_a_state(self, mode):
+        # Every id that is not an int in range is named in the error,
+        # wherever it sits in the class; a bool is an int.
+        w = helpers.figure_system()
+        n = w.state_count
+        saturator = Saturator(w, mode)
+        for bad in (1.0, Fraction(1), -1, n, "0", None):
+            for C in ((bad,), (0, bad), (bad, n - 1)):
+                with pytest.raises(ValueError, match=r"state id %s out of range" % re.escape(repr(bad))):
+                    saturator.table(C)
+        with pytest.raises(ValueError, match="nonempty"):
+            saturator.table(())
+        assert saturator.table((True, n - 1)).supports == saturator.table((1, n - 1)).supports
+        assert saturator.table(range(n)).supports == saturator.table(list(range(n))).supports
 
     def test_weak_action_value_on_figure(self):
         w = helpers.figure_system()

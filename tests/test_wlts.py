@@ -248,6 +248,70 @@ class TestLoad:
             assert w.actions == expected.actions
             assert w.zero_transitions_dropped == expected.zero_transitions_dropped
 
+    # (document semiring, --semiring override or None, literals, zero edges
+    # among the ones that cycle through the literals twice)
+    ZERO_LITERALS = [
+        ("real", None, ["0", "1/2", "0/3", "0", "2/4"], 6),
+        ("tropical", None, ["inf", "0", " inf", "3"], 4),
+        ("arctic", None, ["-inf", "0", "-1/2", "-inf"], 4),
+        ("boolean", None, ["false", "true", "false", "0"], 6),
+        ("real-float", None, ["1e-12", "0.5", "1e-12", "0"], 6),
+        ("real", ("maxtimes", {}), ["0", "1", "0/3", "1/2"], 4),
+        ("real", ("real-float", {"epsilon": 1e-6}), ["1e-9", "1/2", "0", "inf"], 4),
+        ("tropical", ("arctic", {}), ["-inf", "inf", "0", "-inf"], 4),
+        ("boolean", ("truncation", {"k": 3}), ["3", "0", "3", "1"], 4),
+    ]
+
+    @staticmethod
+    def _zero_doc(name, literals):
+        # repeats every edge with each literal: zero and nonzero duplicates
+        return {
+            "semiring": name,
+            "states": ["s0", "s1"],
+            "transitions": [
+                {"from": "s%d" % (i % 2), "label": "a", "to": "s%d" % (i // 2 % 2), "weight": text}
+                for i, text in enumerate(literals * 2)
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "name,override,literals,zeros", ZERO_LITERALS, ids=[str(i) for i in range(len(ZERO_LITERALS))]
+    )
+    def test_zero_edges_drop_as_in_the_checking_constructor(
+        self, name, override, literals, zeros, tmp_path, capsys
+    ):
+        doc = self._zero_doc(name, literals)
+        sr = by_name(override[0], **override[1]) if override else by_name(name)
+        w = load(doc, sr if override else None)
+        triples = [
+            (i % 2, "a", i // 2 % 2, sr.parse(text)) for i, text in enumerate(literals * 2)
+        ]
+        expected = WLTS(sr, doc["states"], ["a"], "tau", triples)
+        assert list(w.transitions()) == list(expected.transitions())
+        assert w.zero_transitions_dropped == expected.zero_transitions_dropped == zeros
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path)]
+        if override:
+            argv += ["--semiring", override[0]]
+            argv += ["--param=%s=%s" % kv for kv in override[1].items()]
+        assert wb.cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["zero_weights_dropped"] == zeros
+        assert payload["transitions"] == expected.transition_count
+
+    @pytest.mark.parametrize(
+        "name,override,literals,zeros", ZERO_LITERALS, ids=[str(i) for i in range(len(ZERO_LITERALS))]
+    )
+    def test_is_zero_runs_once_per_distinct_literal(self, name, override, literals, zeros, monkeypatch):
+        sr = by_name(override[0], **override[1]) if override else by_name(name)
+        calls = []
+        is_zero = sr.is_zero
+        monkeypatch.setattr(sr, "is_zero", lambda v: calls.append(v) or is_zero(v))
+        w = load(self._zero_doc(name, literals), sr)
+        assert 0 < len(calls) <= len(set(literals))
+        assert w.zero_transitions_dropped == zeros
+
     def test_string_subclass_fields_are_accepted(self):
         class Name(str):
             pass
