@@ -15,21 +15,42 @@ weight into the splitter.  Only blocks holding such a state can split,
 and only on their members in the support: the members outside it all
 weigh zero, so one of them stands in for the rest while the block is
 regrouped, and the rest then joins that member's group.  Every other
-block is left alone because its members all weigh zero.  In strong mode
-the table itself is summed over the predecessors of the splitter, so a
-splitter costs its in-degree plus one membership scan of each block it
-touches, and only the support members are regrouped.
+block is left alone because its members all weigh zero.
 
-Splitter scheduling: each class is examined once after it is created
-(the initial blocks to begin with, then every child of a split).  A class
-that has been examined never needs re-examination, because its induced
-grouping is a fixed function of the state space; refining other blocks
-keeps them grouped.  If the class currently being used as a splitter is
-itself split, the remaining labels are abandoned for it and its children
-take over, so splitters are always classes of the current partition.
-Candidate order is deterministic: smallest minimum state id first, labels
-in alphabet order with the silent one first.  The loop stops as soon as
-every block is a singleton, since no table can split one.
+Splitter scheduling, weak and delay mode: each class is examined once
+after it is created (the initial blocks to begin with, then every child
+of a split).  A class that has been examined never needs re-examination,
+because its induced grouping is a fixed function of the state space;
+refining other blocks keeps them grouped.  If the class currently being
+used as a splitter is itself split, the remaining labels are abandoned
+for it and its children take over, so splitters are always classes of
+the current partition.  Candidate order is deterministic: smallest
+minimum state id first, labels in alphabet order with the silent one
+first.
+
+Splitter scheduling, strong mode: the blocks of the initial partition,
+and their pieces before their turn, are examined whole as above.  A
+block that has been examined becomes a compound splitter X, the union of
+its pieces from then on, and every block stays stable for X: its members
+weigh the same into X.  While X holds two or more blocks, the smaller S
+of two of them leaves X, and only the blocks that S touches are
+regrouped, on the pair (weight into S, weight into X minus S).  Blocks
+to examine whole go first, then the compound that most recently gained a
+second block; S is used at every label even if it splits meanwhile,
+since its table is of a fixed set, and its pieces then make up its own
+compound.  The weight into S comes from S's table, summed over its
+predecessors; the weight into the rest of X is summed over each touched
+member's own successor row.  Where the semiring ``cancels`` the weight
+into S, that weight fixes the other, since both sum to the weight into
+X.  A state enters some S at most log2(n) times after its first
+examination, so a run reads O(m log n) predecessor and successor entries
+when out-degrees per label are bounded.  A touched block keeps its id
+and its members outside the support: the group of the stand-in keeps the
+block, or, when the support covers the whole block, its group of weight
+zero or else its largest group, and only the other groups move out.
+
+The loop stops as soon as every block is a singleton, since no table can
+split one.
 
 Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
@@ -39,10 +60,12 @@ the iterate of the quotient's system, so the least solutions agree: the
 system is lumpable (Buchholz, "Bisimulation relations for weighted
 automata", TCS 2008).  Refining the quotient therefore gives the same
 partition once its blocks are lifted back, from solves over blocks rather
-than states.  The route is taken on ``real`` and ``arctic`` only.  On the
-semirings with a ``best_first_key`` a weak table is one search, about as
-cheap as a strong table, so the strong pass would cost more than it
-saves; on ``real-float`` strong blocks agree only within epsilon.
+than states.  The strong pass guarantees that the members of a block
+agree, so the quotient is read off one member per block.  The route is
+taken on ``real`` and ``arctic`` only.  On the semirings with a
+``best_first_key`` a weak table is one search, about as cheap as a
+strong table, so the strong pass would cost more than it saves; on
+``real-float`` strong blocks agree only within epsilon.
 Every caller, traced or not, goes through ``refine_partition``, so a
 trace describes the run that computed the partition.
 """
@@ -54,7 +77,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .solver import Saturator, _class_set
-from .wlts import Partition, emit_quotient
+from .wlts import Partition, _representative_quotient
 
 
 def split_block_sorted(sr, members, weights):
@@ -92,6 +115,33 @@ def split_block_sorted(sr, members, weights):
     return sorted(map(sorted, merged))
 
 
+def _touched(support, block_of):
+    """The members of ``support`` by block id."""
+    touched = {}
+    for x in support:
+        bid = block_of[x]
+        if bid in touched:
+            touched[bid].append(x)
+        else:
+            touched[bid] = [x]
+    return touched
+
+
+def _regroup(sr, blk, inside, support):
+    """Group block ``blk`` by weight into a splitter, from its members in
+    the support, ``inside``, and one member outside it, if any, standing in
+    for all of those: they weigh zero, so they share a group.  Returns the
+    groups, the stand-in (None without one) and the weights grouped on."""
+    if len(inside) == len(blk):
+        return split_block_sorted(sr, inside, support), None, support
+    for r in blk:
+        if r not in support:
+            break
+    weights = {x: support[x] for x in inside}
+    weights[r] = sr.zero
+    return split_block_sorted(sr, inside + [r], weights), r, weights
+
+
 @dataclass
 class SplitEvent:
     step: int
@@ -105,9 +155,13 @@ class SplitEvent:
 class RefinementTrace:
     """The splits of one refinement run.  ``candidates_examined`` counts
     the tables actually computed: none is computed once every block is a
-    singleton.  On the strong-quotient route this is the quotient pass,
-    each splitter lifted to the sorted states of its strong blocks; the
-    strong pre-pass is not traced."""
+    singleton.  A strong run records, per splitter S and label, one event
+    for the regroup on the weight into S and, when S was taken from a
+    compound X, one for the regroup on the weight into the rest of X,
+    whose splitter is the sorted states of X minus S; each event carries
+    the counts after it.  On the strong-quotient route this is the
+    quotient pass, each splitter lifted to the sorted states of its
+    strong blocks; the strong pre-pass is not traced."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
@@ -124,8 +178,9 @@ def _refine(w, mode, initial, want_trace):
         raise ValueError("initial partition is over a different state count")
     provider = Saturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
+    if mode == "strong":
+        return _refine_strong(w, initial, provider, trace), trace
     sr = w.semiring
-    zero = sr.zero
 
     members = {}
     block_of = [0] * n
@@ -150,36 +205,20 @@ def _refine(w, mode, initial, want_trace):
         table = provider.table(C)
         for label in w.labels:
             support = table.support(label)
-            touched = {}
-            for x in support:
-                bid = block_of[x]
-                if bid in touched:
-                    touched[bid].append(x)
-                else:
-                    touched[bid] = [x]
             split_any = 0
-            for bid, inside in touched.items():
+            for bid, inside in _touched(support, block_of).items():
                 blk = members[bid]
                 if len(blk) == 1:
                     continue
-                rest = [x for x in blk if x not in support]
-                if rest:
-                    # One member of the rest stands in for all of it: they
-                    # weigh zero, so they share a group.
-                    r = rest[0]
-                    weights = {x: support[x] for x in inside}
-                    weights[r] = zero
-                    groups = split_block_sorted(sr, inside + [r], weights)
-                else:
-                    groups = split_block_sorted(sr, blk, support)
+                groups, r, _ = _regroup(sr, blk, inside, support)
                 if len(groups) == 1:
                     continue
                 split_any += 1
                 del members[bid]
                 splittable -= 1
                 for g in groups:
-                    if rest and r in g:  # the stand-in brings the rest
-                        g = sorted(g + rest[1:])
+                    if r in g:  # the stand-in brings the rest
+                        g = sorted({*g, *(x for x in blk if x not in support)})
                     splittable += len(g) > 1
                     members[next_id] = g
                     for x in g:
@@ -195,6 +234,106 @@ def _refine(w, mode, initial, want_trace):
             if cid not in members or not splittable:
                 break  # the splitter class itself split, or nothing can split
     return Partition(n, members.values()), trace
+
+
+def _refine_strong(w, initial, provider, trace):
+    """The strong loop of ``_refine``, with compound splitters (module
+    docstring); returns the Partition."""
+    sr = w.semiring
+    add, cancels, is_zero = sr.add, sr.cancels, sr.is_zero
+    members = [set(block) for block in initial.blocks]
+    block_of = [0] * w.state_count
+    for bid, block in enumerate(initial.blocks):
+        for x in block:
+            block_of[x] = bid
+    comp = [None] * len(members)  # the compound of each block, None before its turn
+    pending = list(reversed(range(len(members))))  # blocks to examine whole
+    todo = []  # compounds of two or more blocks
+    splittable = sum(len(blk) > 1 for blk in members)
+    while splittable and (pending or todo):
+        if pending:
+            cid, X = pending.pop(), None
+        else:
+            X = todo[-1]
+            cid = X.pop()
+            if len(members[X[-1]]) < len(members[cid]):
+                cid, X[-1] = X[-1], cid
+            if len(X) == 1:
+                todo.pop()
+        comp[cid] = [cid]
+        S = members[cid]
+        if trace is not None:
+            trace.candidates_examined += 1
+            C = tuple(sorted(S))
+            if X is not None:
+                rest_of_X = tuple(sorted(x for b in X for x in members[b]))
+        table = provider.table(S)
+        for label in w.labels:
+            support = table.support(label)
+            count = len(members)  # after the regroups on the weight into S
+            split_s = split_rest = 0
+            for bid, inside in _touched(support, block_of).items():
+                blk = members[bid]
+                if len(blk) == 1:
+                    continue
+                groups, r, weights = _regroup(sr, blk, inside, support)
+                if len(groups) > 1:
+                    split_s += 1
+                    count += len(groups) - 1
+                if X is not None:
+                    regrouped = []
+                    for g in groups:
+                        if len(g) == 1 or cancels(weights[g[0]]):
+                            regrouped.append(g)
+                            continue
+                        into_rest = {}
+                        for x in g:
+                            t = None
+                            for y, v in w.successors(x, label).items():
+                                if comp[block_of[y]] is X:
+                                    t = v if t is None else add(t, v)
+                            into_rest[x] = sr.zero if t is None else t
+                        pieces = split_block_sorted(sr, g, into_rest)
+                        split_rest += len(pieces) > 1
+                        regrouped += pieces
+                    groups = regrouped
+                if len(groups) == 1:
+                    continue
+                if r is not None:
+                    keep = next(g for g in groups if r in g)
+                else:
+                    zero_groups = (g for g in groups if is_zero(weights[g[0]]))
+                    keep = next(zero_groups, None) or max(groups, key=len)
+                owner = comp[bid]
+                splittable -= 1
+                for g in groups:
+                    if g is keep:
+                        continue
+                    blk.difference_update(g)
+                    new = len(members)
+                    members.append(set(g))
+                    comp.append(owner)
+                    for x in g:
+                        block_of[x] = new
+                    splittable += len(g) > 1
+                    if owner is None:
+                        pending.append(new)
+                    else:
+                        owner.append(new)
+                        if len(owner) == 2:
+                            todo.append(owner)
+                splittable += len(blk) > 1
+            if trace is not None:
+                events = trace.events
+                if split_s:
+                    events.append(SplitEvent(len(events) + 1, label, C, split_s, count))
+                if split_rest:
+                    events.append(
+                        SplitEvent(len(events) + 1, label, rest_of_X, split_rest, len(members))
+                    )
+            if not splittable:
+                break
+    return Partition(w.state_count, members)
 
 
 def _lumps(w, mode):
@@ -222,7 +361,7 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
             start = None
             if initial is not None:
                 start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
-            coarse, trace = _refine(emit_quotient(w, strong), mode, start, want_trace)
+            coarse, trace = _refine(_representative_quotient(w, strong), mode, start, want_trace)
 
             def lift(block):
                 return tuple(sorted(x for b in block for x in strong.blocks[b]))

@@ -52,7 +52,7 @@ class WLTS:
     duplicates are combined with the semiring sum and zero-weight entries
     are dropped (counted in ``zero_transitions_dropped``).
 
-    ``_parsed`` is for ``load`` and ``emit_quotient`` only, which build
+    ``_parsed`` is for ``load`` and the quotient builders only, which build
     their triples from checked ids, declared labels and coerced nonzero
     weights, dropping the zero ones themselves: under it the
     per-transition checks and the zero test are skipped, while the names
@@ -374,6 +374,24 @@ def emit_quotient(w, partition):
             if not sr.is_zero(wt):
                 triples.append((bi, label, bj, wt))
     return WLTS(sr, names, w.actions, w.tau, triples, _parsed=True)
+
+
+def _representative_quotient(w, partition):
+    """Quotient of a strong partition whose members are known to agree, as
+    the one ``refine_partition`` has just computed: each block's weights
+    are read off its first member alone and nothing is checked.  Its states
+    are named by their block index."""
+    sr = w.semiring
+    block_of = partition._block_of
+    triples = []
+    for bi, block in enumerate(partition.blocks):
+        for label, targets in w._succ[block[0]].items():
+            row = {}
+            for y, wt in targets.items():
+                bj = block_of[y]
+                row[bj] = sr.add(row[bj], wt) if bj in row else wt
+            triples += [(bi, label, bj, wt) for bj, wt in row.items() if not sr.is_zero(wt)]
+    return WLTS(sr, map(str, range(len(partition))), w.actions, w.tau, triples, _parsed=True)
 
 
 def to_dot(w, graph_name="wlts"):

@@ -458,13 +458,27 @@ def full_scan_refine(w, mode):
     return Partition(n, members.values()), events
 
 
+def event_tuples(trace):
+    return [(e.step, e.label, e.splitter, e.blocks_split, e.block_count) for e in trace.events]
+
+
 def engine_run(w, mode):
     p, trace = refine_partition(w, mode, want_trace=True)
-    events = [
-        (e.step, e.label, e.splitter, e.blocks_split, e.block_count)
-        for e in trace.events
-    ]
-    return p, events
+    return p, event_tuples(trace)
+
+
+def assert_matches_full_scan(w, mode):
+    """The engine's partition is the reference's.  Weak and delay events
+    are the reference's too; strong mode takes its splitters from
+    compounds, which the reference does not, so its events must replay."""
+    partition, trace = refine_partition(w, mode, want_trace=True)
+    expected, events = full_scan_refine(w, mode)
+    assert partition == expected, w
+    if mode == "strong":
+        assert _replay(w, mode, trace) == partition, w
+    else:
+        assert event_tuples(trace) == events, w
+    return partition
 
 
 class TestPredecessorDrivenEngine:
@@ -476,7 +490,7 @@ class TestPredecessorDrivenEngine:
             n = rng.randint(1, 12)
             density = rng.uniform(0.05, 0.35)
             w = helpers.random_wlts(rng, sr, n, rng.randint(1, 2), density, gen)
-            assert engine_run(w, mode) == full_scan_refine(w, mode), w
+            assert_matches_full_scan(w, mode)
 
     @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
@@ -487,29 +501,58 @@ class TestPredecessorDrivenEngine:
             n = rng.randint(2, 6)
             density = rng.uniform(0.15, 0.5)
             w = helpers.random_dag_wlts(rng, sr, n, rng.randint(1, 2), density, gen)
-            p, events = engine_run(w, mode)
-            assert (p, events) == full_scan_refine(w, mode), w
+            p = assert_matches_full_scan(w, mode)
             assert p == brute_coarsest_partition(w, mode=mode), w
 
     def test_strong_work_is_bounded_by_the_transition_count(self, monkeypatch):
-        # Only blocks holding a predecessor of the splitter are regrouped,
-        # and no class weight is evaluated state by state.
+        # Per label, each block that a table's support touches makes one
+        # call on the weight into the splitter, plus one on the weight into
+        # the rest of its compound per group of two or more: at most twice
+        # its support members, so the calls are at most twice the supports.
+        # The supports hold only predecessors of examined classes, and each
+        # state is examined about twice (see the class-size guard below).
+        # No class weight is evaluated state by state.
         w = helpers.random_sparse_boolean(random.Random(61), 1000, 3, 4)
         calls = []
+        supports = [0]
+        table = Saturator.table
 
         def counting(sr, members, weights):
             calls.append(len(members))
             return split_block_sorted(sr, members, weights)
 
+        def measured_table(self, C):
+            t = table(self, C)
+            supports[0] += sum(len(t.support(label)) for label in self.w.labels)
+            return t
+
         def forbidden(*args):
             raise AssertionError("class_weight called by the strong engine")
 
         monkeypatch.setattr(wb.bisim, "split_block_sorted", counting)
+        monkeypatch.setattr(Saturator, "table", measured_table)
         monkeypatch.setattr(wb.WLTS, "class_weight", forbidden)
         p, _ = refine_partition(w, "strong")
-        assert len(calls) <= w.transition_count
+        assert len(calls) <= 2 * supports[0] <= 4 * w.transition_count
         monkeypatch.undo()
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
+
+    def test_strong_examines_each_state_about_twice(self, monkeypatch):
+        # Once in the whole initial block, then only in the smaller of two
+        # blocks of a compound: the largest piece of a split is never
+        # examined.  Examining every child of every split summed 12.6n.
+        n = 4000
+        w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
+        examined = [0]
+        table = Saturator.table
+
+        def measured_table(self, C):
+            examined[0] += len(C)
+            return table(self, C)
+
+        monkeypatch.setattr(Saturator, "table", measured_table)
+        assert refine_partition(w, "strong")[0] == Partition.discrete(n)
+        assert examined[0] <= 3 * n
 
     def test_no_table_after_the_partition_is_discrete(self, monkeypatch):
         w = helpers.random_sparse_boolean(random.Random(61), 1000, 3, 4)
@@ -536,7 +579,10 @@ class TestPredecessorDrivenEngine:
     @pytest.mark.parametrize("mode,n", [("strong", 1000), ("weak", 200), ("delay", 200)])
     def test_a_splitter_regroups_only_its_support(self, mode, n, monkeypatch):
         # Per label, each touched block passes its support members plus at
-        # most one stand-in for the zero-weight rest.
+        # most one stand-in for the zero-weight rest.  In strong mode the
+        # groups of that call may be passed once more, each group in a call
+        # of its own, to regroup on the weight into the rest of a compound,
+        # so at most twice as many members are passed.
         w = helpers.random_sparse_boolean(random.Random(62), n, 3, 4)
         log = []  # [support size, members passed, calls] per splitter label
 
@@ -559,8 +605,9 @@ class TestPredecessorDrivenEngine:
         monkeypatch.setattr(wb.bisim, "split_block_sorted", counting_split)
         refine_partition(w, mode)
         assert sum(calls for _, _, calls in log) > 0
+        rounds = 2 if mode == "strong" else 1
         for size, passed, calls in log:
-            assert passed <= size + calls
+            assert passed <= rounds * (size + calls)
 
     @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
@@ -686,6 +733,13 @@ def _route_base(sr, gen, infinite=False):
     return build
 
 
+def _assert_route_quotient(w, strong):
+    """The route's quotient of the strong partition has the transitions
+    of ``emit_quotient``, which checks every member."""
+    quotient = wb.wlts._representative_quotient(w, strong)
+    assert list(quotient.transitions()) == list(wb.emit_quotient(w, strong).transitions()), w
+
+
 ROUTE_BASES = [(sr.name, _route_base(sr, gen)) for sr, gen in EXACT_WEIGHTS] + [
     (sr.name + "-infinite", _route_base(sr, gen, infinite=True))
     for sr, gen in EXACT_WEIGHTS
@@ -715,8 +769,35 @@ class TestStrongQuotientRoute:
             partition, trace = refine_partition(w, mode, initial, want_trace=True)
             assert partition == expected, (w, initial)
             assert _events(trace) == _events(direct), (w, initial)
-            routed += len(wb.bisim._refine(w, "strong", initial, False)[0]) < w.state_count
+            strong = wb.bisim._refine(w, "strong", initial, False)[0]
+            _assert_route_quotient(w, strong)
+            routed += len(strong) < w.state_count
         assert routed >= 20, routed
+
+    @pytest.mark.parametrize("name", ["real", "arctic"])
+    def test_differential_catches_a_broken_strong_pass(self, name, monkeypatch):
+        # The route builds its quotient from one member per block and
+        # checks nothing, so a strong pass that merges two blocks it should
+        # not must show up as a partition that direct refinement disagrees
+        # with.
+        make_base = dict(ROUTE_BASES)[name]
+        original = wb.bisim._refine
+
+        def merging(w, mode, initial=None, want_trace=False):
+            p, trace = original(w, mode, initial, want_trace)
+            if mode == "strong" and len(p) > 1:
+                p = Partition(p.n, [p.blocks[0] + p.blocks[1], *p.blocks[2:]])
+            return p, trace
+
+        rng = random.Random("broken strong pass %s" % name)
+        caught = 0
+        for _ in range(30):
+            w = _shuffled_copies(rng, make_base(rng), rng.choice([2, 3]))
+            expected = original(w, "weak", None, False)[0]
+            monkeypatch.setattr(wb.bisim, "_refine", merging)
+            caught += refine_partition(w, "weak")[0] != expected
+            monkeypatch.undo()
+        assert caught >= 10, caught
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     @pytest.mark.parametrize("name", ["real", "arctic"])
@@ -726,6 +807,7 @@ class TestStrongQuotientRoute:
         w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 6, 2, 0.3, gen), 3)
         strong = wb.bisim._refine(w, "strong", None, False)[0]
         expected = wb.bisim._refine(w, mode, None, False)[0]
+        _assert_route_quotient(w, strong)
         calls = _recording_refinements(monkeypatch)
         assert refine_partition(w, mode)[0] == expected
         assert len(strong) <= w.state_count // 3
@@ -787,13 +869,15 @@ def test_exact_real_splitting_never_hashes_a_fraction(mode, monkeypatch):
     assert splits[0] > 0 and hashes[0] == 0
 
 
-def _replay(w, mode, trace):
-    """Replay ``trace`` on the states of w from the one-block partition:
-    each event regroups every block by its members' saturated weights
-    into the event's splitter at the event's label.  Checks the counts of
-    every event and returns the final partition."""
+def _replay(w, mode, trace, initial=None):
+    """Replay ``trace`` on the states of w from ``initial``, by default the
+    one-block partition: each event regroups every block by its members'
+    saturated weights into the event's splitter at the event's label.
+    Checks the counts of every event and returns the final partition."""
     saturator = Saturator(w, mode)
-    blocks = [list(range(w.state_count))] if w.state_count else []
+    if initial is None:
+        initial = Partition.single_block(w.state_count)
+    blocks = [list(block) for block in initial.blocks]
     for e in trace.events:
         weights = saturator.table(e.splitter).vector(e.label)
         regrouped = [split_block_sorted(w.semiring, block, weights) for block in blocks]
@@ -821,6 +905,69 @@ def test_trace_replays_on_the_document_states(sr, gen, mode):
         if wb.bisim._lumps(w, mode):
             routed += len(wb.bisim._refine(w, "strong", None, False)[0]) < w.state_count
     assert routed >= 40 or not wb.bisim._lumps(w, mode), routed
+
+
+def _marked(w, initial):
+    """w with one more action per block of ``initial``, a weight-one loop
+    on each of the block's states: its coarsest strong bisimulation is
+    that of w refining ``initial``."""
+    sr = w.semiring
+    marks = ["init%d" % i for i in range(len(initial))]
+    loops = [(x, marks[i], x, sr.one) for i, block in enumerate(initial.blocks) for x in block]
+    return wb.WLTS(sr, w.state_names, w.actions + tuple(marks), w.tau, [*w.transitions(), *loops])
+
+
+STRONG_BASES = [(sr.name, _route_base(sr, gen)) for sr, gen in helpers.SEMIRING_WEIGHTS] + [
+    (name, make_base) for name, make_base in ROUTE_BASES if name.endswith("-infinite")
+]
+
+
+@pytest.mark.parametrize("name,make_base", STRONG_BASES, ids=[name for name, _ in STRONG_BASES])
+def test_compound_splitters_match_the_full_scan_reference(name, make_base):
+    # Shuffled copies with stutters end coarse, so compounds keep several
+    # blocks and the largest is never examined; on real the weight into
+    # the rest of a compound is then mostly left to cancellation.
+    rng = random.Random("compound splitters %s" % name)
+    for i in range(60):
+        w = _shuffled_copies(rng, make_base(rng), rng.choice([1, 2, 3, 3]), rng.choice([0, 1, 2]))
+        initial = None
+        reference = w
+        if i % 2:
+            initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
+            reference = _marked(w, initial)
+        partition, trace = refine_partition(w, "strong", initial, want_trace=True)
+        assert partition == full_scan_refine(reference, "strong")[0], (w, initial)
+        assert _replay(w, "strong", trace, initial) == partition, (w, initial)
+
+
+# (a, b) with a + b == a, and for real a weight that does not cancel
+ABSORBING = {
+    "boolean": (True, True),
+    "real": (wb.INF, Fraction(1)),
+    "real-float": (math.inf, 1.0),
+    "tropical": (Fraction(0), Fraction(1)),
+    "arctic": (wb.INF, Fraction(1)),
+    "truncation": (0, 1),
+    "maxtimes": (Fraction(1), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_the_rest_of_a_compound_separates_what_sums_hide(sr, gen):
+    # p and q both step into s with weight a, and p also into t1 with
+    # weight b, so they weigh a into s and into every class holding s.
+    # Only the weight into the rest of the compound that s leaves, where
+    # the largest block {t1, t2, t3} is never examined, tells them apart.
+    a, b = ABSORBING[sr.name]
+    assert sr.add(a, b) == a and not sr.cancels(a)
+    w = helpers.make_wlts(
+        sr,
+        ["p", "q", "s", "t1", "t2", "t3"],
+        [("p", "a", "s", a), ("p", "a", "t1", b), ("q", "a", "s", a), ("s", "b", "s", sr.one)],
+    )
+    partition, trace = refine_partition(w, "strong", want_trace=True)
+    assert partition.to_names(w) == [["p"], ["q"], ["s"], ["t1", "t2", "t3"]]
+    assert _replay(w, "strong", trace) == partition
 
 
 def _float_group_out_of_weight_order():

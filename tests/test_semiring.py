@@ -253,6 +253,7 @@ BASE_LAWS = [
     "zero-bottom",
     "leq-reflexive",
     "leq-transitive",
+    "add-cancels",
 ]
 IDEMPOTENT = ["add-idempotent"]
 SEARCH = ["star-is-one", "add-keeps-better-key"]
@@ -358,6 +359,25 @@ class TestAxiomChecker:
         bad = [c for c in report.checks if c.law == "star-fixed-point"][0]
         assert not bad.ok
         assert bad.witness == "a=False: False != True"
+
+    def test_real_cancels_every_finite_weight(self):
+        sr = by_name("real")
+        assert all(sr.cancels(a) for a in sr.sample_values() if a is not INF)
+        assert not sr.cancels(INF)
+        assert not any(
+            other.cancels(a) for other in ALL_INSTANCES if other.name != "real"
+            for a in other.sample_values()
+        )
+
+    def test_false_cancellation_claim_fails_with_witness(self):
+        class Cancelling(type(by_name("boolean"))):
+            def cancels(self, a):
+                return a  # but True or False == True or True
+
+        report = check_axioms(Cancelling())
+        assert [(c.law, c.witness) for c in report.failures()] == [
+            ("add-cancels", "a=true b=false c=true")
+        ]
 
     def test_predicate_failure_names_its_samples(self):
         class Numeric(type(by_name("truncation", k=5))):
