@@ -17,37 +17,33 @@ weigh zero, so one of them stands in for the rest while the block is
 regrouped, and the rest then joins that member's group.  Every other
 block is left alone because its members all weigh zero.
 
-Splitter scheduling, weak and delay mode: each class is examined once
-after it is created (the initial blocks to begin with, then every child
-of a split).  A class that has been examined never needs re-examination,
-because its induced grouping is a fixed function of the state space;
-refining other blocks keeps them grouped.  If the class currently being
-used as a splitter is itself split, the remaining labels are abandoned
-for it and its children take over, so splitters are always classes of
-the current partition.  Candidate order is deterministic: smallest
-minimum state id first, labels in alphabet order with the silent one
-first.
-
-Splitter scheduling, strong mode: the blocks of the initial partition,
-and their pieces before their turn, are examined whole as above.  A
-block that has been examined becomes a compound splitter X, the union of
-its pieces from then on, and every block stays stable for X: its members
-weigh the same into X.  While X holds two or more blocks, the smaller S
-of two of them leaves X, and only the blocks that S touches are
-regrouped, on the pair (weight into S, weight into X minus S).  Blocks
-to examine whole go first, then the compound that most recently gained a
-second block; S is used at every label even if it splits meanwhile,
-since its table is of a fixed set, and its pieces then make up its own
+Splitter scheduling: the blocks of the initial partition, and their
+pieces before their turn, are examined whole, last queued first (the
+initial blocks by their least state).  A class's table is used at every
+label, in the order of ``w.labels`` (the silent label first, then the
+actions in the order they were declared or first seen), even if the
+class splits meanwhile, since its table is of a fixed set.  In strong
+mode a block that has been examined becomes a compound splitter X, the
+union of its pieces from then on, and every block stays stable for X:
+its members weigh the same into X.  While X holds two or more blocks,
+the smaller S of two of them leaves X, and only the blocks that S
+touches are regrouped, on the pair (weight into S, weight into X minus
+S).  Blocks to examine whole go first, then the compound that most
+recently gained a second block; the pieces of S make up its own
 compound.  The weight into S comes from S's table, summed over its
 predecessors; the weight into the rest of X is summed over each touched
 member's own successor row.  Where the semiring ``cancels`` the weight
 into S, that weight fixes the other, since both sum to the weight into
 X.  A state enters some S at most log2(n) times after its first
 examination, so a run reads O(m log n) predecessor and successor entries
-when out-degrees per label are bounded.  A touched block keeps its id
-and its members outside the support: the group of the stand-in keeps the
-block, or, when the support covers the whole block, its group of weight
-zero or else its largest group, and only the other groups move out.
+when out-degrees per label are bounded.  Weak and delay mode have no
+compounds, because a saturated weight into X minus S cannot be derived
+from those into X and S: when an examined block splits, every piece, the
+kept one included, waits to be examined whole again.  A touched block
+keeps its id and its members outside the support: the group of the
+stand-in keeps the block, or, when the support covers the whole block,
+its group of weight zero or else its largest group, and only the other
+groups move out.
 
 The loop stops as soon as every block is a singleton, since no table can
 split one.
@@ -72,7 +68,6 @@ trace describes the run that computed the partition.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -153,15 +148,18 @@ class SplitEvent:
 
 @dataclass
 class RefinementTrace:
-    """The splits of one refinement run.  ``candidates_examined`` counts
-    the tables actually computed: none is computed once every block is a
-    singleton.  A strong run records, per splitter S and label, one event
-    for the regroup on the weight into S and, when S was taken from a
-    compound X, one for the regroup on the weight into the rest of X,
-    whose splitter is the sorted states of X minus S; each event carries
-    the counts after it.  On the strong-quotient route this is the
-    quotient pass, each splitter lifted to the sorted states of its
-    strong blocks; the strong pre-pass is not traced."""
+    """The splits of one refinement run, in the loop's splitter order.
+    ``candidates_examined`` counts the tables actually computed: none is
+    computed once every block is a singleton.  A run records, per splitter
+    S and label, one event for the regroup on the weight into S and, in
+    strong mode when S was taken from a compound X, one for the regroup on
+    the weight into the rest of X, whose splitter is the sorted states of
+    X minus S; each event carries the counts after it.  On the
+    strong-quotient route this is the quotient pass, each splitter lifted
+    to the sorted states of its strong blocks; the strong pre-pass is not
+    traced.  Such a trace replays on the document states from the initial
+    partition, but its events need not be those of refining the document
+    states directly."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
@@ -169,8 +167,8 @@ class RefinementTrace:
 
 
 def _refine(w, mode, initial, want_trace):
-    """Run the refinement loop on the states of ``w``; returns
-    (Partition, RefinementTrace | None)."""
+    """Run the refinement loop on the states of ``w`` (module docstring);
+    returns (Partition, RefinementTrace | None)."""
     n = w.state_count
     if initial is None:
         initial = Partition.single_block(n)
@@ -178,71 +176,13 @@ def _refine(w, mode, initial, want_trace):
         raise ValueError("initial partition is over a different state count")
     provider = Saturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
-    if mode == "strong":
-        return _refine_strong(w, initial, provider, trace), trace
-    sr = w.semiring
-
-    members = {}
-    block_of = [0] * n
-    heap = []
-    next_id = 0
-    for block in initial.blocks:
-        members[next_id] = list(block)
-        for x in block:
-            block_of[x] = next_id
-        heapq.heappush(heap, (block[0], next_id))
-        next_id += 1
-
-    splittable = sum(len(blk) > 1 for blk in members.values())  # blocks of 2+
-    step = 0
-    while heap and splittable:
-        _, cid = heapq.heappop(heap)
-        if cid not in members:
-            continue  # split away before its turn
-        C = tuple(members[cid])
-        if trace is not None:
-            trace.candidates_examined += 1
-        table = provider.table(C)
-        for label in w.labels:
-            support = table.support(label)
-            split_any = 0
-            for bid, inside in _touched(support, block_of).items():
-                blk = members[bid]
-                if len(blk) == 1:
-                    continue
-                groups, r, _ = _regroup(sr, blk, inside, support)
-                if len(groups) == 1:
-                    continue
-                split_any += 1
-                del members[bid]
-                splittable -= 1
-                for g in groups:
-                    if r in g:  # the stand-in brings the rest
-                        g = sorted({*g, *(x for x in blk if x not in support)})
-                    splittable += len(g) > 1
-                    members[next_id] = g
-                    for x in g:
-                        block_of[x] = next_id
-                    heapq.heappush(heap, (g[0], next_id))
-                    next_id += 1
-            if split_any:
-                step += 1
-                if trace is not None:
-                    trace.events.append(
-                        SplitEvent(step, label, C, split_any, len(members))
-                    )
-            if cid not in members or not splittable:
-                break  # the splitter class itself split, or nothing can split
-    return Partition(n, members.values()), trace
-
-
-def _refine_strong(w, initial, provider, trace):
-    """The strong loop of ``_refine``, with compound splitters (module
-    docstring); returns the Partition."""
     sr = w.semiring
     add, cancels, is_zero = sr.add, sr.cancels, sr.is_zero
-    members = [set(block) for block in initial.blocks]
-    block_of = [0] * w.state_count
+    compounds = mode == "strong"
+    examined = []  # the compound of every examined weak or delay block; stays empty
+    # only blocks of two or more are regrouped, so a block of one is never mutated
+    members = [set(block) if len(block) > 1 else block for block in initial.blocks]
+    block_of = [0] * n
     for bid, block in enumerate(initial.blocks):
         for x in block:
             block_of[x] = bid
@@ -260,7 +200,7 @@ def _refine_strong(w, initial, provider, trace):
                 cid, X[-1] = X[-1], cid
             if len(X) == 1:
                 todo.pop()
-        comp[cid] = [cid]
+        comp[cid] = [cid] if compounds else examined
         S = members[cid]
         if trace is not None:
             trace.candidates_examined += 1
@@ -305,13 +245,16 @@ def _refine_strong(w, initial, provider, trace):
                     zero_groups = (g for g in groups if is_zero(weights[g[0]]))
                     keep = next(zero_groups, None) or max(groups, key=len)
                 owner = comp[bid]
+                if owner is examined:  # every piece is examined whole again
+                    comp[bid] = owner = None
+                    pending.append(bid)
                 splittable -= 1
                 for g in groups:
                     if g is keep:
                         continue
                     blk.difference_update(g)
                     new = len(members)
-                    members.append(set(g))
+                    members.append(set(g) if len(g) > 1 else g)
                     comp.append(owner)
                     for x in g:
                         block_of[x] = new
@@ -322,7 +265,10 @@ def _refine_strong(w, initial, provider, trace):
                         owner.append(new)
                         if len(owner) == 2:
                             todo.append(owner)
-                splittable += len(blk) > 1
+                if len(blk) > 1:
+                    splittable += 1
+                else:  # a set keeps the table it had at its largest
+                    members[bid] = list(blk)
             if trace is not None:
                 events = trace.events
                 if split_s:
@@ -333,7 +279,7 @@ def _refine_strong(w, initial, provider, trace):
                     )
             if not splittable:
                 break
-    return Partition(w.state_count, members)
+    return Partition(n, members), trace
 
 
 def _lumps(w, mode):

@@ -25,6 +25,7 @@ from .bisim import refine_partition
 from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
+    _NAME_ESCAPES,
     ParseError,
     QuotientError,
     SemanticError,
@@ -212,15 +213,11 @@ def _cmd_minimize(args):
             }
             for e in trace.events
         ]
+        escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
         for e in trace.events:
             lines.append(
                 "split %d: label %s against {%s} -> %d block(s)"
-                % (
-                    e.step,
-                    e.label,
-                    ",".join(w.state_names[x] for x in e.splitter),
-                    e.block_count,
-                )
+                % (e.step, e.label, ",".join(escaped[x] for x in e.splitter), e.block_count)
             )
     if args.oracle:
         reference = brute_coarsest_partition(w, mode)

@@ -504,6 +504,21 @@ class TestMinimize:
         assert code == 0, err
         assert payload["blocks"] == [["a,b"], ["a", "b"]]
 
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_plain_trace_escapes_splitter_names(self, tmp_path, capsys, mode):
+        # unescaped, the splitter {a,b | c | a | b,c} would print {a,b,c,a,b,c}
+        doc = {
+            "semiring": "boolean",
+            "states": ["a,b", "c", "a", "b,c"],
+            "transitions": [{"from": "a,b", "label": "x", "to": "c", "weight": "true"}],
+        }
+        argv = ["minimize", write_doc(tmp_path, doc), "--equivalence", mode]
+        code, out, err = run(capsys, argv + ["--trace", "--format", "plain"])
+        assert code == 0, err
+        assert out.splitlines()[-1] == "split 1: label x against {a\\,b,c,a,b\\,c} -> 2 block(s)"
+        code, payload, err = run_json(capsys, argv + ["--trace"])
+        assert payload["trace"][0]["splitter"] == ["a,b", "c", "a", "b,c"]
+
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_saturation_grids_are_keyed_by_escaped_block_names(self, tmp_path, capsys, mode):
         # {a,b} and {"a,b"} would both be keyed "{a,b}" without escaping
