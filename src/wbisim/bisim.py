@@ -46,7 +46,19 @@ its group of weight zero or else its largest group, and only the other
 groups move out.
 
 The loop stops as soon as every block is a singleton, since no table can
-split one.
+split one.  For the same reason a splitter S gets no table when no state
+in a block of two or more, a live state, can carry weight into S: one
+step on any label (strong); silent steps, then at most one action step
+(delay); silent steps, then at most one action step followed by silent
+steps (weak).  Its support then lies in blocks of one, which the
+regroups pass over anyway.  The states live ones can carry weight into
+are flagged in a bytearray over state ids, every state at the start,
+and recomputed each time the live count has halved since the last
+computation, so at most log2(n) times.  Live states only become fewer,
+so stale flags are a superset of current ones and skip no splitter that
+could split.  A skipped splitter counts as examined as if its table had
+been computed (in strong mode it still leaves its compound), so the
+partition and every trace event are those of a run without the skip.
 
 Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
@@ -110,16 +122,42 @@ def split_block_sorted(sr, members, weights):
     return sorted(map(sorted, merged))
 
 
-def _touched(support, block_of):
-    """The members of ``support`` by block id."""
-    touched = {}
-    for x in support:
-        bid = block_of[x]
-        if bid in touched:
-            touched[bid].append(x)
-        else:
-            touched[bid] = [x]
-    return touched
+def _carried_into(w, mode, sources):
+    """A bytearray over state ids flagging every state that one of
+    ``sources`` can carry weight into under ``mode``: one step on any
+    label (strong); silent steps, then at most one action step (delay);
+    silent steps, then at most one action step followed by silent steps
+    (weak).  Edges are followed whatever their weight, so a table of a
+    class with no flagged member gives every source weight zero."""
+    flags = bytearray(w.state_count)
+    succ, tau = w._succ, w.tau  # per state: label -> successor row
+
+    def flag(seeds, silent):
+        """Flag the unflagged seeds and, if ``silent``, every state they
+        reach by silent steps; returns the states newly flagged."""
+        new = []
+        for x in seeds:
+            if not flags[x]:
+                flags[x] = 1
+                new.append(x)
+        if silent:
+            for x in new:  # grows while it is walked
+                for y in succ[x].get(tau, ()):
+                    if not flags[y]:
+                        flags[y] = 1
+                        new.append(y)
+        return new
+
+    if mode == "strong":
+        for x in sources:
+            for row in succ[x].values():
+                for y in row:
+                    flags[y] = 1
+    else:
+        reach = flag(sources, True)
+        steps = (y for x in reach for a, row in succ[x].items() if a != tau for y in row)
+        flag(steps, mode == "weak")
+    return flags
 
 
 def _regroup(sr, blk, inside, support):
@@ -150,7 +188,9 @@ class SplitEvent:
 class RefinementTrace:
     """The splits of one refinement run, in the loop's splitter order.
     ``candidates_examined`` counts the tables actually computed: none is
-    computed once every block is a singleton.  A run records, per splitter
+    computed once every block is a singleton, nor for a splitter that no
+    state in a block of two or more can carry weight into, which is
+    skipped and not counted.  A run records, per splitter
     S and label, one event for the regroup on the weight into S and, in
     strong mode when S was taken from a compound X, one for the regroup on
     the weight into the rest of X, whose splitter is the sorted states of
@@ -190,6 +230,9 @@ def _refine(w, mode, initial, want_trace):
     pending = list(reversed(range(len(members))))  # blocks to examine whole
     todo = []  # compounds of two or more blocks
     splittable = sum(len(blk) > 1 for blk in members)
+    live = sum(len(blk) for blk in members if len(blk) > 1)  # states in blocks of two or more
+    flags = bytearray(b"\1") * n  # a superset of the states live ones carry weight into
+    flagged_at = live  # the live count when the flags were last computed
     while splittable and (pending or todo):
         if pending:
             cid, X = pending.pop(), None
@@ -202,6 +245,11 @@ def _refine(w, mode, initial, want_trace):
                 todo.pop()
         comp[cid] = [cid] if compounds else examined
         S = members[cid]
+        if 2 * live <= flagged_at:
+            live_states = (x for blk in members if len(blk) > 1 for x in blk)
+            flags, flagged_at = _carried_into(w, mode, live_states), live
+        if not any(map(flags.__getitem__, S)):  # only blocks of one can be touched
+            continue
         if trace is not None:
             trace.candidates_examined += 1
             C = tuple(sorted(S))
@@ -212,10 +260,15 @@ def _refine(w, mode, initial, want_trace):
             support = table.support(label)
             count = len(members)  # after the regroups on the weight into S
             split_s = split_rest = 0
-            for bid, inside in _touched(support, block_of).items():
+            touched = {}
+            for x in support:
+                bid = block_of[x]
+                if bid in touched:
+                    touched[bid].append(x)
+                elif len(members[bid]) > 1:
+                    touched[bid] = [x]
+            for bid, inside in touched.items():
                 blk = members[bid]
-                if len(blk) == 1:
-                    continue
                 groups, r, weights = _regroup(sr, blk, inside, support)
                 if len(groups) > 1:
                     split_s += 1
@@ -258,7 +311,10 @@ def _refine(w, mode, initial, want_trace):
                     comp.append(owner)
                     for x in g:
                         block_of[x] = new
-                    splittable += len(g) > 1
+                    if len(g) > 1:
+                        splittable += 1
+                    else:
+                        live -= 1
                     if owner is None:
                         pending.append(new)
                     else:
@@ -268,6 +324,7 @@ def _refine(w, mode, initial, want_trace):
                 if len(blk) > 1:
                     splittable += 1
                 else:  # a set keeps the table it had at its largest
+                    live -= 1
                     members[bid] = list(blk)
             if trace is not None:
                 events = trace.events

@@ -115,6 +115,12 @@ def _emit(args, payload, plain_lines):
             print(line)
 
 
+def _escaped(names):
+    """Names for a plain line listing them by ", ": with ``\\``, ``,``,
+    ``{`` and ``}`` escaped, different lists print differently."""
+    return [name.translate(_NAME_ESCAPES) for name in names]
+
+
 def _mass_payload(report):
     return {
         "kind": report.kind,
@@ -154,7 +160,7 @@ def _cmd_validate(args):
         "semiring: %r" % w.semiring,
         "states: %d  transitions: %d  (dropped %d zero-weight edges)"
         % (w.state_count, w.transition_count, w.zero_transitions_dropped),
-        "terminal: %s" % (", ".join(payload["terminal_states"]) or "-"),
+        "terminal: %s" % (", ".join(_escaped(payload["terminal_states"])) or "-"),
     ]
     failed = False
     if w.semiring.name in ("real", "real-float"):
@@ -200,8 +206,8 @@ def _cmd_minimize(args):
         "blocks": blocks,
     }
     lines = ["%s partition: %d block(s)" % (mode, len(partition))]
-    for block in blocks:
-        lines.append("  {%s}" % ", ".join(block))
+    if args.format == "plain":  # only plain output prints these, and escaping a name is not free
+        lines += ["  {%s}" % ", ".join(_escaped(block)) for block in blocks]
     if trace is not None:
         payload["trace"] = [
             {
@@ -213,7 +219,7 @@ def _cmd_minimize(args):
             }
             for e in trace.events
         ]
-        escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
+        escaped = _escaped(w.state_names)
         for e in trace.events:
             lines.append(
                 "split %d: label %s against {%s} -> %d block(s)"

@@ -134,8 +134,9 @@ def _class_set(w, C):
     Cset = frozenset(C)
     if not Cset:
         raise ValueError("target class must be nonempty")
+    n = w.state_count
     for x in Cset:
-        if not (isinstance(x, int) and 0 <= x < w.state_count):
+        if not (isinstance(x, int) and 0 <= x < n):
             raise ValueError("state id %r out of range" % (x,))
     return Cset
 
@@ -144,12 +145,14 @@ def _action_rhs(sr, column, lands_on):
     """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
     summed over the action predecessors (``column``, by state id) of the
     states in ``lands_on`` (a mapping state -> weight; absent states weigh
-    zero)."""
-    add, mul = sr.add, sr.mul
+    zero).  A factor ``one`` is not multiplied by: the product is the other
+    factor."""
+    add, mul, one = sr.add, sr.mul, sr.one
     b = {}
     for y, v in lands_on.items():
+        unit = v == one
         for x, wt in column[y].items():
-            t = mul(wt, v)
+            t = wt if unit else v if wt == one else mul(wt, v)
             b[x] = add(b[x], t) if x in b else t
     return b
 
@@ -323,11 +326,11 @@ class Saturator:
             raise ValueError("mode must be strong, weak or delay")
         self.w = w
         self.mode = mode
+        self._n = n = w.state_count
         self._key = w.semiring.best_first_key
         self._columns = {label: w.predecessor_column(label) for label in w.labels}
         if mode == "strong":
             return
-        n = w.state_count
         if self._key is None:
             self._silent = [w.successors(x, w.tau) for x in range(n)]
             self._comp = _silent_components(self._silent)
@@ -364,7 +367,8 @@ class Saturator:
         of weight ``one``, the pinned ones among them, settle first, in
         FIFO order; over the booleans that is the whole search, breadth
         first.  Other tentative weights wait in buckets, one per key, with
-        the keys in a heap."""
+        the keys in a heap.  A product with a factor ``one`` is the other
+        factor and is not computed."""
         sr = self.w.semiring
         add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
         pred = self._columns[self.w.tau]
@@ -381,11 +385,12 @@ class Saturator:
         heapify(heap)
         level, batch = one, list(sol)
         while True:
+            unit = level == one
             for y in batch:  # grows while it is relaxed
                 for x, m in pred[y].items():
                     if x in sol:
                         continue
-                    t = mul(m, level)
+                    t = m if unit else level if m == one else mul(m, level)
                     if t == level:
                         sol[x] = t
                         batch.append(x)
@@ -514,7 +519,7 @@ class Saturator:
         w = self.w
         sr = w.semiring
         Cset = _class_set(w, C)
-        n, zero = w.state_count, sr.zero
+        n, zero = self._n, sr.zero
         if self.mode == "strong":
             supports = {}
             for label in w.labels:

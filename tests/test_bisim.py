@@ -1082,3 +1082,63 @@ def test_a_semiring_needs_no_order(mode):
         p = refine_partition(w, mode)[0]
         assert check_is_weak_bisimulation(w, p, mode).ok, w
         assert p == brute_coarsest_partition(w, mode=mode), w
+
+
+# -- splitters that cannot split ------------------------------------------------
+
+
+def _flag_every_state(w, mode, sources):
+    return bytearray(b"\1") * w.state_count
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypatch):
+    # A splitter that no state of a block of two or more can carry weight
+    # into computes no table.  Flagging every state turns the skip off:
+    # partitions and events must stay, and only fewer tables be computed.
+    # Shuffled copies end coarse, so real and arctic take the strong-quotient
+    # route, where the events are lifted; there a weight is INF one time in
+    # eight and silent self-loops have star INF.
+    make_base = _route_base(sr, gen, infinite=sr.name in ("real", "arctic"))
+    rng = random.Random("skipped splitters %s/%s" % (sr.name, mode))
+    skipped = routed = 0
+    for i in range(40):
+        if i % 4 == 3:  # larger and sparse, so it ends nearly discrete
+            w = helpers.random_wlts(rng, sr, rng.randint(15, 30), 2, rng.uniform(0.03, 0.08), gen)
+        else:
+            w = _shuffled_copies(rng, make_base(rng), rng.choice([1, 2, 3]), rng.choice([0, 1]))
+        initial = None
+        if i % 2:
+            initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
+        partition, trace = refine_partition(w, mode, initial, want_trace=True)
+        with monkeypatch.context() as m:
+            m.setattr(wb.bisim, "_carried_into", _flag_every_state)
+            expected, full = refine_partition(w, mode, initial, want_trace=True)
+        assert partition == expected, (w, initial)
+        assert trace.events == full.events, (w, initial)
+        assert trace.candidates_examined <= full.candidates_examined, (w, initial)
+        skipped += full.candidates_examined - trace.candidates_examined
+        if wb.bisim._lumps(w, mode):
+            routed += len(wb.bisim._refine(w, "strong", initial, False)[0]) < w.state_count
+    assert skipped > 0
+    assert routed >= 10 or not wb.bisim._lumps(w, mode), routed
+
+
+@pytest.mark.parametrize("mode", ["weak", "delay"])
+def test_fewer_tables_than_without_the_skip(mode, monkeypatch):
+    w = helpers.random_sparse_boolean(random.Random(61), 400, 3, 4)
+    tables = [0]
+    table = Saturator.table
+
+    def counting_table(self, C):
+        tables[0] += 1
+        return table(self, C)
+
+    monkeypatch.setattr(Saturator, "table", counting_table)
+    partition = refine_partition(w, mode)[0]
+    skipping = tables[0]
+    tables[0] = 0
+    monkeypatch.setattr(wb.bisim, "_carried_into", _flag_every_state)
+    assert refine_partition(w, mode)[0] == partition
+    assert skipping < tables[0]

@@ -72,6 +72,15 @@ class TestValidate:
         assert "states: 7" in out
         assert "terminal: x5, x6" in out
 
+    def test_plain_terminal_line_escapes_names(self, tmp_path, capsys):
+        printed = []
+        for states in (["a, b", "c"], ["a", "b, c"]):
+            doc = {"semiring": "boolean", "states": states, "transitions": []}
+            code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc), "--format", "plain"])
+            assert code == 0, err
+            printed += [line for line in out.splitlines() if line.startswith("terminal:")]
+        assert printed == ["terminal: a\\, b, c", "terminal: a, b\\, c"]
+
     def test_dot_renders_input(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["validate", figure_doc(tmp_path), "--format", "dot"])
         assert code == 0
@@ -518,6 +527,19 @@ class TestMinimize:
         assert out.splitlines()[-1] == "split 1: label x against {a\\,b,c,a,b\\,c} -> 2 block(s)"
         code, payload, err = run_json(capsys, argv + ["--trace"])
         assert payload["trace"][0]["splitter"] == ["a,b", "c", "a", "b,c"]
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_plain_blocks_escape_member_names(self, tmp_path, capsys, mode):
+        # with no transitions every state shares one block; unescaped, the
+        # first two partitions print {a, b, c}
+        printed = []
+        for states in (["a, b", "c"], ["a", "b, c"], ["{x}", "y\\"], ["p", "q"]):
+            doc = {"semiring": "boolean", "states": states, "transitions": []}
+            argv = ["minimize", write_doc(tmp_path, doc), "--equivalence", mode]
+            code, out, err = run(capsys, argv + ["--format", "plain"])
+            assert code == 0, err
+            printed.append(out.splitlines()[1])
+        assert printed == ["  {a\\, b, c}", "  {a, b\\, c}", "  {\\{x\\}, y\\\\}", "  {p, q}"]
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_saturation_grids_are_keyed_by_escaped_block_names(self, tmp_path, capsys, mode):

@@ -655,6 +655,32 @@ class TestSearchSaturation:
             assert seen["between"]
 
     @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
+    def test_no_product_has_a_factor_one(self, sr, gen, monkeypatch):
+        # By the identity law a product with a factor ``one`` is the other
+        # factor: neither the search nor an action right-hand side computes it.
+        rng = random.Random("unit factors %s" % sr.name)
+        cases = []
+        for _ in range(8):
+            w = _strongly_connected(rng, sr, rng.randint(2, 40), gen)
+            C = set(rng.sample(range(w.state_count), rng.randint(1, 3)))
+            w_tau = solve_least(build_tau_system(w, C))
+            expected = {
+                "weak": solve_least(build_action_system(w, C, "a", w_tau)),
+                "delay": solve_least(build_delay_system(w, C, "a")),
+            }
+            cases.append((w, C, w_tau, expected))
+        products = []
+        mul = sr.mul
+        monkeypatch.setattr(sr, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+        for w, C, w_tau, expected in cases:
+            for mode in ("weak", "delay"):
+                table = Saturator(w, mode).table(C)
+                assert table.vector(w.tau) == w_tau, (mode, C, w)
+                assert table.vector("a") == expected[mode], (mode, C, w)
+        assert not [p for p in products if sr.one in p]
+        assert bool(products) == (sr.name != "boolean")
+
+    @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
     def test_work_is_one_product_per_silent_edge(self, sr, gen, monkeypatch):
         # Each settled state relaxes its silent in-edges once, and nothing
         # is eliminated: a solve costs at most one product per silent edge
