@@ -229,11 +229,10 @@ def _refine(w, mode, initial, want_trace):
     comp = [None] * len(members)  # the compound of each block, None before its turn
     pending = list(reversed(range(len(members))))  # blocks to examine whole
     todo = []  # compounds of two or more blocks
-    splittable = sum(len(blk) > 1 for blk in members)
     live = sum(len(blk) for blk in members if len(blk) > 1)  # states in blocks of two or more
     flags = bytearray(b"\1") * n  # a superset of the states live ones carry weight into
     flagged_at = live  # the live count when the flags were last computed
-    while splittable and (pending or todo):
+    while live and (pending or todo):
         if pending:
             cid, X = pending.pop(), None
         else:
@@ -301,7 +300,6 @@ def _refine(w, mode, initial, want_trace):
                 if owner is examined:  # every piece is examined whole again
                     comp[bid] = owner = None
                     pending.append(bid)
-                splittable -= 1
                 for g in groups:
                     if g is keep:
                         continue
@@ -311,9 +309,7 @@ def _refine(w, mode, initial, want_trace):
                     comp.append(owner)
                     for x in g:
                         block_of[x] = new
-                    if len(g) > 1:
-                        splittable += 1
-                    else:
+                    if len(g) == 1:
                         live -= 1
                     if owner is None:
                         pending.append(new)
@@ -321,9 +317,7 @@ def _refine(w, mode, initial, want_trace):
                         owner.append(new)
                         if len(owner) == 2:
                             todo.append(owner)
-                if len(blk) > 1:
-                    splittable += 1
-                else:  # a set keeps the table it had at its largest
+                if len(blk) == 1:  # a set keeps the table it had at its largest
                     live -= 1
                     members[bid] = list(blk)
             if trace is not None:
@@ -334,7 +328,7 @@ def _refine(w, mode, initial, want_trace):
                     events.append(
                         SplitEvent(len(events) + 1, label, rest_of_X, split_rest, len(members))
                     )
-            if not splittable:
+            if not live:
                 break
     return Partition(n, members), trace
 
@@ -364,7 +358,8 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
             start = None
             if initial is not None:
                 start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
-            coarse, trace = _refine(_representative_quotient(w, strong), mode, start, want_trace)
+            quotient = _representative_quotient(w, strong, map(str, range(len(strong))))
+            coarse, trace = _refine(quotient, mode, start, want_trace)
 
             def lift(block):
                 return tuple(sorted(x for b in block for x in strong.blocks[b]))

@@ -25,10 +25,10 @@ from .bisim import refine_partition
 from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
-    _NAME_ESCAPES,
     ParseError,
     QuotientError,
     SemanticError,
+    _escaped,
     block_names,
     check_fully_probabilistic,
     check_reactive,
@@ -48,36 +48,32 @@ EXIT_NO_CONVERGENCE = 4
 # -- plumbing ----------------------------------------------------------------
 
 
-def _parse_params(pairs):
-    params = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise SemanticError("--param expects key=value, got %r" % pair)
-        key, _, value = pair.partition("=")
-        if key in params:
-            raise SemanticError("--param %s given more than once" % key)
-        if key == "k":
-            try:
-                params["k"] = int(value)
-            except ValueError:
-                raise SemanticError("k must be an integer, got %r" % value) from None
-        elif key == "epsilon":
-            try:
-                params["epsilon"] = float(value)
-            except ValueError:
-                raise SemanticError("epsilon must be a float, got %r" % value) from None
-        else:
-            raise SemanticError("unknown semiring parameter %r" % key)
-    return params
-
-
 def _semiring_from_args(args):
+    """The ``--semiring`` instance, each ``--param`` value converted to the
+    type its class declares; ``by_name`` rejects an unknown name or key."""
     if not args.semiring:
         if args.param:
             raise SemanticError("--param needs --semiring")
         return None
+    cls = _semiring.SEMIRING_CLASSES.get(args.semiring)
+    types = cls.parameters if cls else {}
+    params = {}
+    for pair in args.param or ():
+        key, eq, value = pair.partition("=")
+        if not eq:
+            raise SemanticError("--param expects key=value, got %r" % pair)
+        if key in params:
+            raise SemanticError("--param %s given more than once" % key)
+        kind = types.get(key, str)
+        try:
+            params[key] = kind(value)
+        except ValueError:
+            raise SemanticError(
+                "%s parameter %s: %r is not a valid %s"
+                % (args.semiring, key, value, kind.__name__)
+            ) from None
     try:
-        return _semiring.by_name(args.semiring, **_parse_params(args.param))
+        return _semiring.by_name(args.semiring, **params)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
 
@@ -113,12 +109,6 @@ def _emit(args, payload, plain_lines):
     else:
         for line in plain_lines:
             print(line)
-
-
-def _escaped(names):
-    """Names for a plain line listing them by ", ": with ``\\``, ``,``,
-    ``{`` and ``}`` escaped, different lists print differently."""
-    return [name.translate(_NAME_ESCAPES) for name in names]
 
 
 def _mass_payload(report):

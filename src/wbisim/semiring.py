@@ -89,6 +89,9 @@ class Semiring:
     refinement then skips work that the claim makes redundant.  It is
     False unless an instance overrides it.
 
+    ``parameters`` maps each constructor parameter of an instance to its
+    type; ``params()``, ``by_name`` and the CLI's ``--param`` all read it.
+
     An instance whose ``star`` is always ``one`` and whose ``add`` keeps
     the better of its operands under a total order defines
     ``best_first_key(v)``, smaller meaning better; saturation then solves
@@ -99,6 +102,7 @@ class Semiring:
     carrier_mode = None  # "boolean" | "exact-rational" | "float" | "bounded-integer"
     idempotent = False
     best_first_key = None
+    parameters = {}  # parameter name -> type, each stored as an attribute
     zero = None
     one = None
 
@@ -158,7 +162,7 @@ class Semiring:
 
     def params(self):
         """Instance parameters as a dict, for document round trips."""
-        return {}
+        return {key: getattr(self, key) for key in self.parameters}
 
     def describe(self):
         d = {"name": self.name}
@@ -297,6 +301,7 @@ class RealFloatSemiring(Semiring):
 
     name = "real-float"
     carrier_mode = "float"
+    parameters = {"epsilon": float}
     zero = 0.0
     one = 1.0
 
@@ -357,9 +362,6 @@ class RealFloatSemiring(Semiring):
 
     def sample_values(self):
         return [0.0, 0.5, 1.0, 2.0, math.inf]
-
-    def params(self):
-        return {"epsilon": self.epsilon}
 
 
 class TropicalSemiring(_RationalSemiring):
@@ -448,8 +450,9 @@ class TruncationSemiring(Semiring):
     name = "truncation"
     carrier_mode = "bounded-integer"
     idempotent = True
+    parameters = {"k": int}
 
-    def __init__(self, k):
+    def __init__(self, k=None):
         if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
             raise ValueError("truncation bound k must be a positive integer")
         self.k = k
@@ -487,9 +490,6 @@ class TruncationSemiring(Semiring):
         vals = [0, 1, self.k // 2, self.k - 1, self.k]
         return sorted(set(vals))
 
-    def params(self):
-        return {"k": self.k}
-
 
 class MaxTimesSemiring(_RationalSemiring):
     """([0,1], max, 0, *, 1): best-run probabilities."""
@@ -516,52 +516,39 @@ class MaxTimesSemiring(_RationalSemiring):
         return [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
 
 
-SEMIRING_NAMES = (
-    "boolean",
-    "real",
-    "real-float",
-    "tropical",
-    "arctic",
-    "truncation",
-    "maxtimes",
-)
+SEMIRING_CLASSES = {
+    cls.name: cls
+    for cls in (
+        BooleanSemiring,
+        RealSemiring,
+        RealFloatSemiring,
+        TropicalSemiring,
+        ArcticSemiring,
+        TruncationSemiring,
+        MaxTimesSemiring,
+    )
+}
+SEMIRING_NAMES = tuple(SEMIRING_CLASSES)
 
 
 def by_name(name, **params):
     """Instantiate a shipped semiring by name.
 
-    ``truncation`` requires ``k`` (positive int); ``real-float`` accepts
-    ``epsilon`` (default 1e-9).  Other instances take no parameters.
+    The parameters an instance takes, and their types, are declared in its
+    class's ``parameters``: ``truncation`` requires ``k`` (positive int),
+    ``real-float`` accepts ``epsilon`` (positive finite float, default
+    1e-9), and the others take none.  An undeclared parameter, and a value
+    the constructor rejects, raise ValueError.
     """
-    known = {
-        "boolean": BooleanSemiring,
-        "real": RealSemiring,
-        "real-float": RealFloatSemiring,
-        "tropical": TropicalSemiring,
-        "arctic": ArcticSemiring,
-        "truncation": TruncationSemiring,
-        "maxtimes": MaxTimesSemiring,
-    }
-    if name not in known:
+    cls = SEMIRING_CLASSES.get(name)
+    if cls is None:
         raise ValueError(
             "unknown semiring %r (known: %s)" % (name, ", ".join(SEMIRING_NAMES))
         )
-    cls = known[name]
-    if name == "truncation":
-        if "k" not in params:
-            raise ValueError("truncation semiring needs parameter k")
-        extra = set(params) - {"k"}
-        if extra:
-            raise ValueError("unexpected parameters %s for truncation" % sorted(extra))
-        return cls(params["k"])
-    if name == "real-float":
-        extra = set(params) - {"epsilon"}
-        if extra:
-            raise ValueError("unexpected parameters %s for real-float" % sorted(extra))
-        return cls(**params)
-    if params:
-        raise ValueError("semiring %r takes no parameters" % name)
-    return cls()
+    extra = set(params) - set(cls.parameters)
+    if extra:
+        raise ValueError("unexpected parameters %s for %s" % (sorted(extra), name))
+    return cls(**params)
 
 
 # -- axiom checking -------------------------------------------------------

@@ -322,44 +322,50 @@ class QuotientError(Exception):
 _NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
 
 
+def _escaped(names):
+    """Names for a line listing them by commas: with ``\\``, ``,``, ``{``
+    and ``}`` escaped, different lists print differently."""
+    return [name.translate(_NAME_ESCAPES) for name in names]
+
+
 def block_names(w, partition):
     """One name per block of ``partition``: ``{m1,m2,...}`` after its
     members, with ``\\``, ``,``, ``{`` and ``}`` escaped by a backslash, so
     distinct blocks get distinct names."""
-    escaped = [name.translate(_NAME_ESCAPES) for name in w.state_names]
+    escaped = _escaped(w.state_names)
     return ["{%s}" % ",".join(escaped[x] for x in block) for block in partition.blocks]
+
+
+def _block_row(w, partition, x):
+    """x's steps summed by (label, target block) of ``partition``."""
+    sr, block_of = w.semiring, partition._block_of
+    row = {}
+    for label, targets in w._succ[x].items():
+        for y, wt in targets.items():
+            key = (label, block_of[y])
+            row[key] = sr.add(row[key], wt) if key in row else wt
+    return row
 
 
 def emit_quotient(w, partition):
     """Quotient system of a strong partition.
 
-    Each member's successor rows are summed by target block in one pass;
-    the block's weights are read off its first member and every other
-    member must agree with them (equal rows at once, others label by
-    label), or QuotientError is raised.  Blocks are named by
-    ``block_names``.  Weak/delay classes do not induce well-defined
-    single-step weights, so the CLI only offers quotients for strong
-    partitions.
+    Every member's row is summed by target block (``_block_row``) and must
+    agree with the first member's (equal rows at once, others label by
+    label), or QuotientError is raised; the quotient is then built by
+    ``_representative_quotient``, its blocks named by ``block_names``.
+    Weak/delay classes do not induce well-defined single-step weights, so
+    the CLI only offers quotients for strong partitions.
     """
     if partition.n != w.state_count:
         raise ValueError("partition is over a different state count")
     sr = w.semiring
     names = block_names(w, partition)
     label_order = {label: i for i, label in enumerate(w.labels)}
-
-    def block_row(x):
-        row = {}
-        for label in w.labels:
-            for y, wt in w.successors(x, label).items():
-                key = (label, partition.block_index(y))
-                row[key] = sr.add(row[key], wt) if key in row else wt
-        return row
-
-    triples = []
     for bi, block in enumerate(partition.blocks):
-        rep_row = block_row(block[0])
+        rep_row = _block_row(w, partition, block[0])
         for other in block[1:]:
-            row = block_row(other)
+            row = _block_row(w, partition, other)
             if row == rep_row:
                 continue
             keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
@@ -370,28 +376,23 @@ def emit_quotient(w, partition):
                         "members %s and %s of %s disagree on %s into %s"
                         % (w.state_names[block[0]], w.state_names[other], names[bi], label, names[bj])
                     )
-        for (label, bj), wt in rep_row.items():
-            if not sr.is_zero(wt):
-                triples.append((bi, label, bj, wt))
-    return WLTS(sr, names, w.actions, w.tau, triples, _parsed=True)
+    return _representative_quotient(w, partition, names)
 
 
-def _representative_quotient(w, partition):
+def _representative_quotient(w, partition, names):
     """Quotient of a strong partition whose members are known to agree, as
-    the one ``refine_partition`` has just computed: each block's weights
-    are read off its first member alone and nothing is checked.  Its states
-    are named by their block index."""
+    the one ``refine_partition`` has just computed or one ``emit_quotient``
+    has checked: each block's weights are read off its first member alone
+    and nothing is checked.  Its states are ``names``, one per block in
+    order."""
     sr = w.semiring
-    block_of = partition._block_of
-    triples = []
-    for bi, block in enumerate(partition.blocks):
-        for label, targets in w._succ[block[0]].items():
-            row = {}
-            for y, wt in targets.items():
-                bj = block_of[y]
-                row[bj] = sr.add(row[bj], wt) if bj in row else wt
-            triples += [(bi, label, bj, wt) for bj, wt in row.items() if not sr.is_zero(wt)]
-    return WLTS(sr, map(str, range(len(partition))), w.actions, w.tau, triples, _parsed=True)
+    triples = [
+        (bi, label, bj, wt)
+        for bi, block in enumerate(partition.blocks)
+        for (label, bj), wt in _block_row(w, partition, block[0]).items()
+        if not sr.is_zero(wt)
+    ]
+    return WLTS(sr, names, w.actions, w.tau, triples, _parsed=True)
 
 
 def to_dot(w, graph_name="wlts"):

@@ -729,10 +729,19 @@ def _route_base(sr, gen, infinite=False):
 
 
 def _assert_route_quotient(w, strong):
-    """The route's quotient of the strong partition has the transitions
-    of ``emit_quotient``, which checks every member."""
-    quotient = wb.wlts._representative_quotient(w, strong)
-    assert list(quotient.transitions()) == list(wb.emit_quotient(w, strong).transitions()), w
+    """The route's quotient of the strong partition has, from each block
+    into each block on each label, the class weight of every member."""
+    sr = w.semiring
+    expected = []
+    for bi, block in enumerate(strong.blocks):
+        for label in w.labels:
+            for bj, target in enumerate(strong.blocks):
+                wt = w.class_weight(block[0], label, target)
+                assert all(w.class_weight(x, label, target) == wt for x in block), w
+                if not sr.is_zero(wt):
+                    expected.append((bi, label, bj, wt))
+    quotient = wb.wlts._representative_quotient(w, strong, map(str, range(len(strong))))
+    assert list(quotient.transitions()) == expected, w
 
 
 ROUTE_BASES = [(sr.name, _route_base(sr, gen)) for sr, gen in EXACT_WEIGHTS] + [
@@ -769,6 +778,18 @@ class TestStrongQuotientRoute:
             _assert_route_quotient(w, strong)
             routed += len(strong) < w.state_count
         assert routed >= 20, routed
+
+    @pytest.mark.parametrize("sr,gen", EXACT_WEIGHTS, ids=[sr.name for sr, _ in EXACT_WEIGHTS])
+    def test_quotient_sums_the_steps_into_one_block(self, sr, gen):
+        # x steps on a to y1 and to y2, which are strongly bisimilar, so
+        # its quotient weight into their block sums the two steps
+        rng = random.Random("sums into one block %s" % sr.name)
+        for _ in range(10):
+            base = helpers.make_wlts(
+                sr, ["x", "y1", "y2"], [("x", "a", "y1", gen(rng)), ("x", "a", "y2", gen(rng))]
+            )
+            w = _shuffled_copies(rng, base, 2)
+            _assert_route_quotient(w, wb.bisim._refine(w, "strong", None, False)[0])
 
     @pytest.mark.parametrize("name", ["real", "arctic"])
     def test_differential_catches_a_broken_strong_pass(self, name, monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -190,8 +191,19 @@ class TestErrorCodes:
     def test_bad_param_exits_2(self, capsys):
         assert main(["axioms", "--semiring", "truncation", "--param", "k=two"]) == 2
         assert main(["axioms", "--semiring", "truncation", "--param", "k"]) == 2
-        assert main(["axioms", "--semiring", "boolean", "--param", "zeta=1"]) == 2
         capsys.readouterr()
+        # An undeclared key, a value not of the declared type, and a missing
+        # k: the message names the parameter and the semiring.
+        for name in wb.SEMIRING_NAMES:
+            for param in ("zeta=1", "k=1.5", "epsilon=abc"):
+                code, out, err = run(capsys, ["axioms", "--semiring", name, "--param", param])
+                assert code == 2, (name, param)
+                assert out == "", (name, param)
+                key = param.split("=")[0]
+                assert re.search(r"\b%s\b" % key, err) and name in err, (name, param, err)
+        code, _, err = run(capsys, ["axioms", "--semiring", "truncation"])
+        assert code == 2
+        assert re.search(r"\bk\b", err) and "truncation" in err
 
     def test_infinite_epsilon_exits_2(self, tmp_path, capsys):
         # p has an a-step of weight 0.5 and q has none: with an infinite

@@ -237,6 +237,11 @@ class TestRegistry:
             assert d["name"] == sr.name
         assert by_name("truncation", k=10).describe()["k"] == 10
 
+    def test_params_rebuild_the_instance(self):
+        for sr in ALL_INSTANCES + [by_name("real-float", epsilon=0.25)]:
+            assert by_name(sr.name, **sr.params()).describe() == sr.describe()
+            assert set(sr.params()) == set(type(sr).parameters)
+
 
 BASE_LAWS = [
     "add-associative",
