@@ -29,17 +29,7 @@ from .wlts import (
     serialize,
     to_dot,
 )
-from .solver import (
-    ConvergenceError,
-    LinearSystem,
-    SaturationTable,
-    Saturator,
-    build_action_system,
-    build_delay_system,
-    build_tau_system,
-    saturate,
-    solve_least,
-)
+from .solver import ConvergenceError, SaturationTable, Saturator
 from .bisim import (
     RefinementTrace,
     bisimilar,
@@ -80,14 +70,8 @@ __all__ = [
     "load",
     "serialize",
     "ConvergenceError",
-    "LinearSystem",
     "SaturationTable",
     "Saturator",
-    "build_action_system",
-    "build_delay_system",
-    "build_tau_system",
-    "saturate",
-    "solve_least",
     "RefinementTrace",
     "bisimilar",
     "check_is_weak_bisimulation",

@@ -399,12 +399,10 @@ def check_is_weak_bisimulation(w, partition, mode="weak"):
     members must carry equal saturated weights into C; each failure is
     reported with the offending weights.
     """
-    if mode not in ("strong", "weak", "delay"):
-        raise ValueError("mode must be strong, weak or delay")
+    provider = Saturator(w, mode)
     if partition.n != w.state_count:
         raise ValueError("partition is over a different state count")
     sr = w.semiring
-    provider = Saturator(w, mode)
     violations = []
     for C in partition.blocks:
         table = provider.table(C)

@@ -4,12 +4,12 @@ Saturated weights (weight of reaching a target class through silent
 steps, with at most one observable action) are least solutions of linear
 equation systems whose matrix is the silent-step adjacency.
 
-The reference route builds each system over all n states
-(``build_tau_system``, ``build_action_system``, ``build_delay_system``)
-and solves it with ``solve_least``: a star elimination over sparse rows
-gives the closure of M, which is then applied to b.  The engine route,
-``Saturator``, solves only where the solution can be nonzero and never
-builds a closure.  On a semiring whose star is always ``one`` and whose
+``Saturator`` solves only where the solution can be nonzero and never
+builds a closure.  The reference route it is tested against, which
+builds each system over all n states and solves it by star elimination,
+lives in ``tests/helpers.py``, apart from its two closure functions
+``star_closure`` and ``closure_apply``, which stay here for the
+benchmark's tracer.  On a semiring whose star is always ``one`` and whose
 sum keeps the better of its operands (it sets ``best_first_key``), the
 least solution is a best-path weight, found by one best-first search
 backwards along silent steps (Knuth, "A generalization of Dijkstra's
@@ -36,37 +36,9 @@ class ConvergenceError(Exception):
     """A float-mode solution failed its residual check."""
 
 
-class LinearSystem:
-    """x = M*x + b with sparse rows (absent entry means semiring zero)."""
-
-    __slots__ = ("semiring", "n", "rows", "b")
-
-    def __init__(self, sr, rows, b):
-        if len(rows) != len(b):
-            raise ValueError("matrix/vector size mismatch")
-        self.semiring = sr
-        self.n = len(b)
-        self.rows = rows
-        self.b = b
-
-    def apply(self, x):
-        """One operator application F(x) = M*x + b."""
-        sr = self.semiring
-        out = []
-        for i in range(self.n):
-            acc = self.b[i]
-            for j, m in self.rows[i].items():
-                acc = sr.add(acc, sr.mul(m, x[j]))
-            out.append(acc)
-        return out
-
-    def is_fixpoint(self, x):
-        sr = self.semiring
-        return all(sr.values_equal(a, b) for a, b in zip(self.apply(x), x))
-
-    def __repr__(self):
-        nnz = sum(len(r) for r in self.rows)
-        return "LinearSystem(%s, n=%d, nnz=%d)" % (self.semiring.name, self.n, nnz)
+# Only the test-side reference solver calls star_closure and
+# closure_apply.  They stay in this module because perfbench's tracer
+# wraps them by name here, and its tests assert on them.
 
 
 def star_closure(sr, rows, n):
@@ -121,15 +93,6 @@ def closure_apply(sr, closure_rows, b):
     return out
 
 
-def solve_least(system):
-    """Least vector with x = M*x + b, computed as M* b by star elimination."""
-    closure = star_closure(system.semiring, system.rows, system.n)
-    return closure_apply(system.semiring, closure, system.b)
-
-
-# -- the three equation families --------------------------------------------
-
-
 def _class_set(w, C):
     Cset = frozenset(C)
     if not Cset:
@@ -155,48 +118,6 @@ def _action_rhs(sr, column, lands_on):
             t = wt if unit else v if wt == one else mul(wt, v)
             b[x] = add(b[x], t) if x in b else t
     return b
-
-
-def _action_system(w, action, lands_on):
-    """The silent adjacency over all states, with the action right-hand side."""
-    if action not in w.actions:
-        raise ValueError("unknown action %r" % (action,))
-    b = _action_rhs(w.semiring, w.predecessor_column(action), lands_on)
-    n, zero = w.state_count, w.semiring.zero
-    rows = [dict(w.successors(x, w.tau)) for x in range(n)]
-    return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
-
-
-def build_tau_system(w, C):
-    """Silent-reach weights into C: x in C is pinned to one; elsewhere
-    the row is the silent-step distribution."""
-    Cset = _class_set(w, C)
-    sr = w.semiring
-    rows = []
-    b = []
-    for x in range(w.state_count):
-        if x in Cset:
-            rows.append({})
-            b.append(sr.one)
-        else:
-            rows.append(dict(w.successors(x, w.tau)))
-            b.append(sr.zero)
-    return LinearSystem(sr, rows, b)
-
-
-def build_action_system(w, C, action, w_tau):
-    """One observable step anywhere along silent runs: the action step
-    lands on the already-solved silent-reach vector ``w_tau`` of C."""
-    _class_set(w, C)
-    zero = w.semiring.zero
-    return _action_system(w, action, {y: v for y, v in enumerate(w_tau) if v != zero})
-
-
-def build_delay_system(w, C, action):
-    """Delay variant: silent steps may only precede the action, which must
-    land in C directly."""
-    Cset = _class_set(w, C)
-    return _action_system(w, action, dict.fromkeys(Cset, w.semiring.one))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -280,7 +201,6 @@ def _silent_components(succ):
 
 
 _NO_PINS = frozenset()
-_EMPTY_ROW = {}
 
 
 class Saturator:
@@ -497,23 +417,22 @@ class Saturator:
 
     def _check_residual(self, b, pinned, support, label):
         """Raise ConvergenceError unless ``support`` solves the system of
-        ``_solve``.  Only the rows of the states that reach the support of b
-        or of the solution by silent steps are built: every other state has
-        no silent step into them, so both sides of its row are zero."""
+        ``_solve``, row by row.  Only the rows of the states that reach the
+        support of b or of the solution by silent steps are checked: every
+        other state has no silent step into them, so both sides of its row
+        are zero.  States outside the support weigh zero and add nothing."""
         sr = self.w.semiring
-        zero = sr.zero
-        region = self._silent_reach(list(b) + list(support))
-        index = {x: i for i, x in enumerate(region)}
-        rows = [
-            _EMPTY_ROW if x in pinned
-            else {index[y]: m for y, m in self._silent[x].items() if y in index}
-            for x in region
-        ]
-        system = LinearSystem(sr, rows, [b.get(x, zero) for x in region])
-        if not system.is_fixpoint([support.get(x, zero) for x in region]):
-            raise ConvergenceError(
-                "float solution for label %r failed its residual check" % (label,)
-            )
+        add, mul, zero = sr.add, sr.mul, sr.zero
+        for x in self._silent_reach(list(b) + list(support)):
+            acc = b.get(x, zero)
+            if x not in pinned:
+                for y, m in self._silent[x].items():
+                    if y in support:
+                        acc = add(acc, mul(m, support[y]))
+            if not sr.values_equal(acc, support.get(x, zero)):
+                raise ConvergenceError(
+                    "float solution for label %r failed its residual check" % (label,)
+                )
 
     def table(self, C):
         w = self.w
@@ -544,11 +463,3 @@ class Saturator:
                 self._check_residual(b, _NO_PINS, x_a, a)
             supports[a] = x_a
         return SaturationTable(self.mode, n, zero, supports)
-
-
-def saturate(w, C, mode="weak"):
-    """Saturation table for one class: the silent-reach weights, then one
-    right-hand side and one targeted solve per action."""
-    if mode not in ("weak", "delay"):
-        raise ValueError("saturation mode must be weak or delay")
-    return Saturator(w, mode).table(C)

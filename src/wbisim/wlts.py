@@ -120,15 +120,11 @@ class WLTS:
         """Mapping target_id -> weight for the stored (nonzero) steps."""
         return self._succ[x].get(label, _EMPTY)
 
-    def predecessors(self, y, label):
-        """Mapping source_id -> weight for the stored steps into y."""
-        col = self.predecessor_column(label)
-        return _EMPTY if col is None else col[y]
-
     def predecessor_column(self, label):
-        """``predecessors(y, label)`` for every state y, as a list indexed by
-        y; None for a label the system does not have.  The list and its
-        mappings are the system's own, not copies: read them only.
+        """For every state y, the mapping source_id -> weight of the stored
+        ``label`` steps into y, as a list indexed by y; None for a label the
+        system does not have.  The list and its mappings are the system's
+        own, not copies: read them only.
 
         The index is built on the first call, in time proportional to the
         transition count, and kept for the life of the system.
@@ -207,6 +203,8 @@ def _semiring_from_field(value):
     if isinstance(value, dict):
         if "name" not in value:
             raise ParseError("semiring object needs a 'name' field")
+        if not isinstance(value["name"], str):
+            raise ParseError("semiring name must be a string")
         params = {k: v for k, v in value.items() if k != "name"}
         try:
             return _semiring.by_name(value["name"], **params)

@@ -1,10 +1,12 @@
-"""Shared builders for the test suite: small named systems and random
-system generators (all deterministic given an explicit rng)."""
+"""Shared builders for the test suite: small named systems, random system
+generators (all deterministic given an explicit rng) and the reference
+solver that the engine is compared against."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import wbisim as wb
+from wbisim.solver import _action_rhs, _class_set, closure_apply, star_closure
 
 
 def make_wlts(sr, states, edges, tau="tau", actions=None):
@@ -105,18 +107,20 @@ def float_residual_system():
 def corrupt_eliminations(monkeypatch, corrupt):
     """Make every elimination return a corrupted solution: one weight
     doubled ("scaled"), one state dropped ("dropped"), or a spurious weight
-    on the state ``z`` that reaches nothing ("spurious")."""
+    on the state ``z`` ("spurious").  An empty solution has no weight to
+    double or drop and is left as it is."""
     eliminate = wb.Saturator._eliminate
 
     def corrupted(self, b, pinned):
         sol = dict(eliminate(self, b, pinned))
-        x = min(sol)
-        if corrupt == "scaled":
-            sol[x] *= 2
-        elif corrupt == "dropped":
-            del sol[x]
-        else:
+        if corrupt == "spurious":
             sol[self.w.index("z")] = 1.0
+        elif sol:
+            x = min(sol)
+            if corrupt == "scaled":
+                sol[x] *= 2
+            else:
+                del sol[x]
         return sol
 
     monkeypatch.setattr(wb.Saturator, "_eliminate", corrupted)
@@ -207,7 +211,7 @@ def random_linear_system(rng, sr, n, density, entry_gen, b_gen=None):
         for _ in range(n)
     ]
     b = [b_gen(rng) if rng.random() < 0.7 else sr.zero for _ in range(n)]
-    return wb.LinearSystem(sr, rows, b)
+    return LinearSystem(sr, rows, b)
 
 
 def random_contractive_system(rng, sr, n, density):
@@ -229,7 +233,7 @@ def random_contractive_system(rng, sr, n, density):
         sr.coerce(Fraction(rng.randint(0, 8), rng.randint(1, 4)))
         for _ in range(n)
     ]
-    return wb.LinearSystem(sr, rows, b)
+    return LinearSystem(sr, rows, b)
 
 
 def acyclic_rows(rng, n, density, entry_gen):
@@ -271,6 +275,93 @@ SEMIRING_WEIGHTS = [
 
 def semiring_ids():
     return [sr.name for sr, _ in SEMIRING_WEIGHTS]
+
+
+# -- reference solver ---------------------------------------------------------
+#
+# The route the engine is checked against: each system is built over
+# all n states and solved through the closure of M.
+
+
+class LinearSystem:
+    """x = M*x + b with sparse rows (absent entry means semiring zero)."""
+
+    __slots__ = ("semiring", "n", "rows", "b")
+
+    def __init__(self, sr, rows, b):
+        if len(rows) != len(b):
+            raise ValueError("matrix/vector size mismatch")
+        self.semiring = sr
+        self.n = len(b)
+        self.rows = rows
+        self.b = b
+
+    def apply(self, x):
+        """One operator application F(x) = M*x + b."""
+        sr = self.semiring
+        out = []
+        for i in range(self.n):
+            acc = self.b[i]
+            for j, m in self.rows[i].items():
+                acc = sr.add(acc, sr.mul(m, x[j]))
+            out.append(acc)
+        return out
+
+    def is_fixpoint(self, x):
+        sr = self.semiring
+        return all(sr.values_equal(a, b) for a, b in zip(self.apply(x), x))
+
+    def __repr__(self):
+        nnz = sum(len(r) for r in self.rows)
+        return "LinearSystem(%s, n=%d, nnz=%d)" % (self.semiring.name, self.n, nnz)
+
+
+def solve_least(system):
+    """Least vector with x = M*x + b, computed as M* b by star elimination."""
+    closure = star_closure(system.semiring, system.rows, system.n)
+    return closure_apply(system.semiring, closure, system.b)
+
+
+def _action_system(w, action, lands_on):
+    """The silent adjacency over all states, with the action right-hand side."""
+    if action not in w.actions:
+        raise ValueError("unknown action %r" % (action,))
+    b = _action_rhs(w.semiring, w.predecessor_column(action), lands_on)
+    n, zero = w.state_count, w.semiring.zero
+    rows = [dict(w.successors(x, w.tau)) for x in range(n)]
+    return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
+
+
+def build_tau_system(w, C):
+    """Silent-reach weights into C: x in C is pinned to one; elsewhere
+    the row is the silent-step distribution."""
+    Cset = _class_set(w, C)
+    sr = w.semiring
+    rows = []
+    b = []
+    for x in range(w.state_count):
+        if x in Cset:
+            rows.append({})
+            b.append(sr.one)
+        else:
+            rows.append(dict(w.successors(x, w.tau)))
+            b.append(sr.zero)
+    return LinearSystem(sr, rows, b)
+
+
+def build_action_system(w, C, action, w_tau):
+    """One observable step anywhere along silent runs: the action step
+    lands on the already-solved silent-reach vector ``w_tau`` of C."""
+    _class_set(w, C)
+    zero = w.semiring.zero
+    return _action_system(w, action, {y: v for y, v in enumerate(w_tau) if v != zero})
+
+
+def build_delay_system(w, C, action):
+    """Delay variant: silent steps may only precede the action, which must
+    land in C directly."""
+    Cset = _class_set(w, C)
+    return _action_system(w, action, dict.fromkeys(Cset, w.semiring.one))
 
 
 # -- Kleene iteration ---------------------------------------------------------

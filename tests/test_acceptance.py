@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import wbisim as wb
 from wbisim import (
-    LinearSystem,
     Partition,
+    Saturator,
     TraceSelector,
     brute_coarsest_partition,
     brute_weight,
@@ -21,13 +21,11 @@ from wbisim import (
     enumerate_admissible,
     milner_weak_oracle,
     refine_partition,
-    saturate,
-    solve_least,
 )
 from wbisim.oracle import FinitePath
 
 import helpers
-from helpers import kleene_iterate
+from helpers import LinearSystem, kleene_iterate, solve_least
 
 
 def _announce(capsys, message):
@@ -65,7 +63,7 @@ def test_criterion_2_weak_partition_matches_brute_force_on_probabilistic(capsys)
         runs += 1
 
     golden = helpers.golden_cyclic_system()
-    table = saturate(golden, [golden.index("c")], mode="weak")
+    table = Saturator(golden, "weak").table([golden.index("c")])
     assert table.weight(golden.index("x"), "tau") == Fraction(1)
     assert refine_partition(golden, "weak")[0] == brute_coarsest_partition(golden, mode="weak")
     _announce(
@@ -179,7 +177,7 @@ def test_criterion_5_saturation_matches_path_enumeration_on_acyclic(capsys):
         w = helpers.random_dag_wlts(rng, sr, n, rng.randint(1, 2), 0.4, gen)
         C = sorted(rng.sample(range(n), rng.randint(1, n)))
         for mode in ("weak", "delay"):
-            table = saturate(w, C, mode=mode)
+            table = Saturator(w, mode).table(C)
             for x in range(n):
                 selectors = [(w.tau, TraceSelector.tau_star())] + [
                     (a, TraceSelector.weak(a) if mode == "weak" else TraceSelector.delay(a))
@@ -227,7 +225,7 @@ def test_criterion_6_worked_example_golden_file(capsys):
     ) * Fraction(1, 8)
     assert value == helpers.FIGURE_WEIGHT  # frozen: 197/960
 
-    table = saturate(w, C, mode="weak")
+    table = Saturator(w, "weak").table(C)
     assert table.weight(x, "a") == helpers.FIGURE_WEIGHT
     _announce(
         capsys,

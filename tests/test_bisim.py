@@ -248,6 +248,9 @@ class TestEngineInvariants:
             refine_partition(w, "branching")[0]
         with pytest.raises(ValueError):
             check_is_weak_bisimulation(w, Partition.single_block(7), mode="eta")
+        # A bad mode is reported before a partition of the wrong size.
+        with pytest.raises(ValueError, match="mode must be strong, weak or delay"):
+            check_is_weak_bisimulation(w, Partition.single_block(3), mode="eta")
 
     def test_transition_order_does_not_matter(self):
         rng = random.Random(55)

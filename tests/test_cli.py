@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import wbisim as wb
-from wbisim import LinearSystem, load, serialize
+from wbisim import load, serialize
 from wbisim.cli import emit_quotient, main, to_dot
 
 import helpers
@@ -171,6 +171,13 @@ class TestErrorCodes:
         code, _, _ = run(capsys, ["validate", path])
         assert code == 3
 
+    @pytest.mark.parametrize("name", [["real"], {"name": "real"}])
+    def test_semiring_name_that_is_not_a_string_exits_3(self, name, tmp_path, capsys):
+        doc = {"semiring": {"name": name}, "states": [], "transitions": []}
+        code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert "semiring name must be a string" in err
+
     def test_semantic_problem_exits_2(self, tmp_path, capsys):
         doc = {
             "semiring": "real",
@@ -298,7 +305,7 @@ class TestErrorCodes:
             ],
         }
         path = write_doc(tmp_path, doc)
-        monkeypatch.setattr(LinearSystem, "is_fixpoint", lambda self, x: False)
+        helpers.corrupt_eliminations(monkeypatch, "scaled")
         code, _, err = run(capsys, ["minimize", path, "--equivalence", "weak"])
         assert code == 4
         assert "converge" in err

@@ -8,20 +8,17 @@ from fractions import Fraction
 import pytest
 
 import wbisim as wb
-from wbisim import (
-    ConvergenceError,
+from wbisim import ConvergenceError, Saturator, by_name
+
+import helpers
+from helpers import (
     LinearSystem,
-    Saturator,
     build_action_system,
     build_delay_system,
     build_tau_system,
-    by_name,
-    saturate,
+    kleene_iterate,
     solve_least,
 )
-
-import helpers
-from helpers import kleene_iterate
 
 
 class TestLinearSystem:
@@ -282,7 +279,7 @@ class TestSaturation:
         w = helpers.figure_system()
         C = [w.index(s) for s in helpers.FIGURE_CLASS]
         for mode in ("weak", "delay"):
-            table = saturate(w, C, mode=mode)
+            table = Saturator(w, mode).table(C)
             assert table.mode == mode
             for x in C:
                 assert table.weight(x, w.tau) == w.semiring.one
@@ -302,7 +299,7 @@ class TestSaturation:
             )
             C = [0, 2]
             for mode in ("weak", "delay"):
-                table = saturate(w, C, mode=mode)
+                table = Saturator(w, mode).table(C)
                 for x in range(w.state_count):
                     for a in w.actions:
                         assert table.weight(x, a) == w.class_weight(x, a, set(C))
@@ -314,22 +311,20 @@ class TestSaturation:
         # families solve to the same values.
         w = helpers.figure_system()
         C = [w.index(s) for s in helpers.FIGURE_CLASS]
-        weak = saturate(w, C, mode="weak")
-        delay = saturate(w, C, mode="delay")
+        weak = Saturator(w, "weak").table(C)
+        delay = Saturator(w, "delay").table(C)
         for label in w.labels:
             assert weak.vector(label) == delay.vector(label)
 
     def test_table_vector_matches_pointwise(self):
         w = helpers.figure_system()
-        table = saturate(w, [w.index("x5")])
+        table = Saturator(w, "weak").table([w.index("x5")])
         for label in w.labels:
             vec = table.vector(label)
             assert [table.weight(x, label) for x in range(w.state_count)] == vec
 
     def test_mode_validation(self):
         w = helpers.golden_cyclic_system()
-        with pytest.raises(ValueError):
-            saturate(w, [0], mode="strong")
         with pytest.raises(ValueError):
             Saturator(w, mode="weird")
 
@@ -346,9 +341,9 @@ class TestSaturation:
         w = helpers.make_wlts(
             sr, doc_states, [("u", "tau", "v", 0.5), ("u", "a", "v", 0.25)]
         )
-        monkeypatch.setattr(LinearSystem, "is_fixpoint", lambda self, x: False)
+        helpers.corrupt_eliminations(monkeypatch, "scaled")
         with pytest.raises(ConvergenceError):
-            saturate(w, [1])
+            Saturator(w, "weak").table([1])
 
 
 class TestFloatResidualCheck:
@@ -367,6 +362,49 @@ class TestFloatResidualCheck:
         for mode in ("weak", "delay"):
             with pytest.raises(ConvergenceError):
                 Saturator(w, mode).table([w.index("v")])
+
+
+    @pytest.mark.parametrize("corrupt", [None, "scaled", "dropped", "spurious"])
+    def test_check_agrees_with_the_full_system(self, corrupt, monkeypatch):
+        # The row-by-row check over the silent reach of b and the solution
+        # raises exactly when the solution is no fixpoint of the system
+        # over all n states.
+        sr, gen = next(pair for pair in helpers.SEMIRING_WEIGHTS if pair[0].name == "real-float")
+        if corrupt:
+            helpers.corrupt_eliminations(monkeypatch, corrupt)
+        rng = random.Random("residual check %s" % corrupt)
+        verdicts = set()
+
+        def agree(sat, b, pinned, support, system):
+            try:
+                sat._check_residual(b, pinned, support, "label")
+                passed = True
+            except ConvergenceError:
+                passed = False
+            vector = [support.get(x, sr.zero) for x in range(system.n)]
+            assert passed == system.is_fixpoint(vector), (b, support)
+            verdicts.add(passed)
+
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.1, 0.4), gen)
+            w = wb.WLTS(sr, w.state_names[:-1] + ("z",), w.actions, w.tau, list(w.transitions()))
+            C = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            for mode in ("weak", "delay"):
+                sat = Saturator(w, mode)
+                in_class = dict.fromkeys(C, sr.one)
+                w_tau = sat._solve(in_class, frozenset(C))
+                agree(sat, in_class, frozenset(C), w_tau, build_tau_system(w, C))
+                lands_on = w_tau if mode == "weak" else in_class
+                for a in w.actions:
+                    b = wb.solver._action_rhs(sr, w.predecessor_column(a), lands_on)
+                    if mode == "weak":
+                        vector = [w_tau.get(x, sr.zero) for x in range(n)]
+                        system = build_action_system(w, C, a, vector)
+                    else:
+                        system = build_delay_system(w, C, a)
+                    agree(sat, b, frozenset(), sat._solve(b), system)
+        assert verdicts == ({True} if corrupt is None else {True, False})
 
 
 class TestSharedRightHandSide:
@@ -698,7 +736,7 @@ class TestSearchSaturation:
             products.clear()
             sol = solve(self, b, pinned)
             region = self._silent_reach(x for x, v in b.items() if v != sr.zero)
-            edges = sum(len(w.predecessors(y, w.tau)) for y in region)
+            edges = sum(len(w.predecessor_column(w.tau)[y]) for y in region)
             solves.append((len(products), edges))
             return sol
 
