@@ -15,7 +15,11 @@ weight into the splitter.  Only blocks holding such a state can split,
 and only on their members in the support: the members outside it all
 weigh zero, so one of them stands in for the rest while the block is
 regrouped, and the rest then joins that member's group.  Every other
-block is left alone because its members all weigh zero.
+block is left alone because its members all weigh zero.  When every
+support member of a touched block carries the same weight object, as
+it almost always does, the groups are built directly, with no weight
+keyed or sorted (``_regroup``); only blocks with distinct weights go
+through ``split_block_sorted``.
 
 Splitter scheduling: the blocks of the initial partition, and their
 pieces before their turn, are examined whole, last queued first (the
@@ -160,19 +164,52 @@ def _carried_into(w, mode, sources):
     return flags
 
 
+class _ZeroDefault:
+    """A support read as a weight mapping: states outside it weigh zero."""
+
+    __slots__ = ("support", "zero")
+
+    def __init__(self, support, zero):
+        self.support = support
+        self.zero = zero
+
+    def __getitem__(self, x):
+        return self.support.get(x, self.zero)
+
+
 def _regroup(sr, blk, inside, support):
     """Group block ``blk`` by weight into a splitter, from its members in
     the support, ``inside``, and one member outside it, if any, standing in
     for all of those: they weigh zero, so they share a group.  Returns the
-    groups, the stand-in (None without one) and the weights grouped on."""
-    if len(inside) == len(blk):
-        return split_block_sorted(sr, inside, support), None, support
-    for r in blk:
-        if r not in support:
+    groups, as ``split_block_sorted`` orders them, the group that keeps the
+    block if it is known here (None to choose it by weight), and the
+    stand-in (None without one).
+
+    When every member in the support carries the same weight object, as
+    it almost always does, the groups are built directly: one group
+    without a stand-in or when that weight is zero, else the sorted
+    members and the stand-in's group, which keeps the block.  Otherwise
+    ``split_block_sorted`` groups them on their weights, the stand-in's
+    read as zero since it is not in the support.  ``inside`` may be
+    sorted in place."""
+    r = None
+    if len(inside) < len(blk):
+        for r in blk:
+            if r not in support:
+                break
+    v = support[inside[0]]
+    for x in inside:
+        if support[x] is not v:
             break
-    weights = {x: support[x] for x in inside}
-    weights[r] = sr.zero
-    return split_block_sorted(sr, inside + [r], weights), r, weights
+    else:
+        if r is not None and not sr.is_zero(v):
+            inside.sort()
+            keep = [r]
+            return ([inside, keep] if inside[0] < r else [keep, inside]), keep, r
+        group = sorted(inside if r is None else inside + [r])
+        return [group], group, r
+    members = inside if r is None else inside + [r]
+    return split_block_sorted(sr, members, _ZeroDefault(support, sr.zero)), None, r
 
 
 @dataclass
@@ -217,7 +254,7 @@ def _refine(w, mode, initial, want_trace):
     provider = Saturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
     sr = w.semiring
-    add, cancels, is_zero = sr.add, sr.cancels, sr.is_zero
+    add, cancels, is_zero, zero = sr.add, sr.cancels, sr.is_zero, sr.zero
     compounds = mode == "strong"
     examined = []  # the compound of every examined weak or delay block; stays empty
     # only blocks of two or more are regrouped, so a block of one is never mutated
@@ -268,14 +305,14 @@ def _refine(w, mode, initial, want_trace):
                     touched[bid] = [x]
             for bid, inside in touched.items():
                 blk = members[bid]
-                groups, r, weights = _regroup(sr, blk, inside, support)
+                groups, keep, r = _regroup(sr, blk, inside, support)
                 if len(groups) > 1:
                     split_s += 1
                     count += len(groups) - 1
                 if X is not None:
                     regrouped = []
                     for g in groups:
-                        if len(g) == 1 or cancels(weights[g[0]]):
+                        if len(g) == 1 or cancels(support.get(g[0], zero)):
                             regrouped.append(g)
                             continue
                         into_rest = {}
@@ -284,18 +321,22 @@ def _refine(w, mode, initial, want_trace):
                             for y, v in w.successors(x, label).items():
                                 if comp[block_of[y]] is X:
                                     t = v if t is None else add(t, v)
-                            into_rest[x] = sr.zero if t is None else t
+                            into_rest[x] = zero if t is None else t
                         pieces = split_block_sorted(sr, g, into_rest)
-                        split_rest += len(pieces) > 1
+                        if len(pieces) > 1:
+                            split_rest += 1
+                            if g is keep:
+                                keep = None
                         regrouped += pieces
                     groups = regrouped
                 if len(groups) == 1:
                     continue
-                if r is not None:
-                    keep = next(g for g in groups if r in g)
-                else:
-                    zero_groups = (g for g in groups if is_zero(weights[g[0]]))
-                    keep = next(zero_groups, None) or max(groups, key=len)
+                if keep is None:
+                    if r is not None:
+                        keep = next(g for g in groups if r in g)
+                    else:
+                        zero_groups = (g for g in groups if is_zero(support.get(g[0], zero)))
+                        keep = next(zero_groups, None) or max(groups, key=len)
                 owner = comp[bid]
                 if owner is examined:  # every piece is examined whole again
                     comp[bid] = owner = None

@@ -332,9 +332,12 @@ class RealFloatSemiring(Semiring):
         return a <= b + self.epsilon
 
     def values_equal(self, a, b):
+        """Equal within ``epsilon``, scaled by the larger magnitude once it
+        passes 1: far from 1 an absolute tolerance is below one rounding
+        step, and a solution right to the last bit would fail its check."""
         if a == math.inf or b == math.inf:
             return a == b
-        return abs(a - b) <= self.epsilon
+        return abs(a - b) <= self.epsilon * max(1.0, abs(a), abs(b))
 
     def coerce(self, v):
         if isinstance(v, bool):

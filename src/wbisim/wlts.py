@@ -41,6 +41,7 @@ class SemanticError(DocumentError):
 
 
 _EMPTY = {}
+_UNPARSED = object()
 
 
 class WLTS:
@@ -52,49 +53,59 @@ class WLTS:
     duplicates are combined with the semiring sum and zero-weight entries
     are dropped (counted in ``zero_transitions_dropped``).
 
-    ``_parsed`` is for ``load`` and the quotient builders only, which build
-    their triples from checked ids, declared labels and coerced nonzero
-    weights, dropping the zero ones themselves: under it the
-    per-transition checks and the zero test are skipped, while the names
-    and actions are still checked.
+    ``labels`` holds every label in canonical order: the silent one first,
+    then the actions.
     """
 
-    def __init__(self, sr, state_names, actions=(), tau="tau", transitions=(), *, _parsed=False):
+    def __init__(self, sr, state_names, actions=(), tau="tau", transitions=()):
         names = tuple(state_names)
-        if len(set(names)) != len(names):
+        index = {s: i for i, s in enumerate(names)}
+        if len(index) != len(names):
             raise SemanticError("duplicate state names")
         acts = tuple(actions)
         if len(set(acts)) != len(acts):
             raise SemanticError("duplicate action names")
         if tau in acts:
             raise SemanticError("silent label %r also declared as an action" % tau)
+        succ = [{} for _ in names]
+        labels = {tau, *acts}
+        dropped = 0
+        for x, label, y, w in transitions:
+            if not (isinstance(x, int) and 0 <= x < len(names)):
+                raise SemanticError("bad source state id %r" % (x,))
+            if not (isinstance(y, int) and 0 <= y < len(names)):
+                raise SemanticError("bad target state id %r" % (y,))
+            if label not in labels:
+                raise SemanticError("undeclared label %r" % (label,))
+            try:
+                w = sr.coerce(w)
+            except ValueError as exc:
+                raise SemanticError(str(exc)) from None
+            if sr.is_zero(w):
+                dropped += 1
+                continue
+            row = succ[x].setdefault(label, {})
+            row[y] = sr.add(row[y], w) if y in row else w
+        self._adopt(sr, names, acts, tau, index, succ, dropped)
+
+    @classmethod
+    def _of_rows(cls, sr, names, actions, tau, index, succ, dropped=0):
+        """A system over finished successor rows, for ``load`` and the
+        quotient builder, which build them from checked ids, declared
+        labels and coerced nonzero weights: nothing is checked again.
+        ``names`` and ``actions`` are tuples, ``index`` maps each name to
+        its id and ``succ[x]`` maps label -> target id -> weight."""
+        w = cls.__new__(cls)
+        w._adopt(sr, names, actions, tau, index, succ, dropped)
+        return w
+
+    def _adopt(self, sr, names, actions, tau, index, succ, dropped):
         self.semiring = sr
         self.tau = tau
         self.state_names = names
-        self.actions = acts
-        self._index = {s: i for i, s in enumerate(names)}
-        succ = [dict() for _ in names]
-        labels = None if _parsed else {tau, *acts}
-        dropped = 0
-        for x, label, y, w in transitions:
-            if not _parsed:
-                if not (isinstance(x, int) and 0 <= x < len(names)):
-                    raise SemanticError("bad source state id %r" % (x,))
-                if not (isinstance(y, int) and 0 <= y < len(names)):
-                    raise SemanticError("bad target state id %r" % (y,))
-                if label not in labels:
-                    raise SemanticError("undeclared label %r" % (label,))
-                try:
-                    w = sr.coerce(w)
-                except ValueError as exc:
-                    raise SemanticError(str(exc)) from None
-                if sr.is_zero(w):
-                    dropped += 1
-                    continue
-            row = succ[x].setdefault(label, {})
-            if y in row:
-                w = sr.add(row[y], w)
-            row[y] = w
+        self.actions = actions
+        self.labels = (tau,) + actions
+        self._index = index
         self._succ = succ
         self._pred = None
         self.zero_transitions_dropped = dropped
@@ -104,11 +115,6 @@ class WLTS:
     @property
     def state_count(self):
         return len(self.state_names)
-
-    @property
-    def labels(self):
-        """All labels in canonical order: the silent one first."""
-        return (self.tau,) + self.actions
 
     def index(self, name):
         try:
@@ -223,8 +229,9 @@ def load(doc, sr=None):
     Each distinct literal text is parsed and tested for zero once per call,
     and its value shared by every edge that repeats it (the carriers'
     values are immutable); a bad literal is reported at its first
-    occurrence.  Every edge is checked and zero edges are dropped here, so
-    the system is built with ``_parsed`` and not checked again.
+    occurrence.  The loop that checks each edge also adds it to its
+    source's successor row, so the system is made from those rows
+    (``WLTS._of_rows``) and no edge is visited twice.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -249,22 +256,25 @@ def load(doc, sr=None):
     declared = doc.get("actions", [])
     if not isinstance(declared, list) or not all(isinstance(a, str) for a in declared):
         raise ParseError("'actions' must be a list of names")
-    actions = list(dict.fromkeys(declared))
+    labels = dict.fromkeys([tau, *declared])  # the silent label, then the actions
     index = {}
     for i, s in enumerate(states):
         if s in index:
             raise SemanticError("duplicate state name %r" % s)
         index[s] = i
 
-    triples = []
-    weights = {}  # literal text -> (parsed weight, whether it is zero)
+    succ = [{} for _ in states]
+    add = sr.add
+    weights = {}  # literal text -> parsed weight, None if it is zero
+    dropped = 0
     for e in raw_edges:
         if not isinstance(e, dict):
             raise ParseError("each transition must be an object")
-        for key in ("from", "label", "to", "weight"):
-            if key not in e:
-                raise ParseError("transition lacks %r: %r" % (key, e))
-        src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
+        try:
+            src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
+        except KeyError:
+            key = next(k for k in ("from", "label", "to", "weight") if k not in e)
+            raise ParseError("transition lacks %r: %r" % (key, e)) from None
         if not (type(src) is type(label) is type(dst) is type(wtext) is str) and not all(
             isinstance(v, str) for v in (src, label, dst, wtext)
         ):
@@ -275,21 +285,31 @@ def load(doc, sr=None):
         y = index.get(dst)
         if y is None:
             raise SemanticError("transition to unknown state %r" % dst)
-        if label != tau and label not in actions:
-            actions.append(label)
-        parsed = weights.get(wtext)
-        if parsed is None:
+        if label not in labels:
+            labels[label] = None
+        wt = weights.get(wtext, _UNPARSED)
+        if wt is _UNPARSED:
             try:
-                w = sr.parse(wtext)
+                wt = sr.parse(wtext)
             except ValueError as exc:
                 raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
-            parsed = weights[wtext] = (w, sr.is_zero(w))
-        if not parsed[1]:
-            triples.append((x, label, y, parsed[0]))
+            if sr.is_zero(wt):
+                wt = None
+            weights[wtext] = wt
+        if wt is None:
+            dropped += 1
+            continue
+        rows = succ[x]
+        row = rows.get(label)
+        if row is None:
+            rows[label] = {y: wt}
+        else:
+            row[y] = add(row[y], wt) if y in row else wt
 
-    w = WLTS(sr, states, actions, tau, triples, _parsed=True)
-    w.zero_transitions_dropped = len(raw_edges) - len(triples)
-    return w
+    if tau in declared:
+        raise SemanticError("silent label %r also declared as an action" % tau)
+    actions = tuple(labels)[1:]
+    return WLTS._of_rows(sr, tuple(states), actions, tau, index, succ, dropped)
 
 
 def serialize(w):
@@ -384,13 +404,16 @@ def _representative_quotient(w, partition, names):
     and nothing is checked.  Its states are ``names``, one per block in
     order."""
     sr = w.semiring
-    triples = [
-        (bi, label, bj, wt)
-        for bi, block in enumerate(partition.blocks)
-        for (label, bj), wt in _block_row(w, partition, block[0]).items()
-        if not sr.is_zero(wt)
-    ]
-    return WLTS(sr, names, w.actions, w.tau, triples, _parsed=True)
+    names = tuple(names)
+    succ = []
+    for block in partition.blocks:
+        rows = {}
+        for (label, bj), wt in _block_row(w, partition, block[0]).items():
+            if not sr.is_zero(wt):
+                rows.setdefault(label, {})[bj] = wt
+        succ.append(rows)
+    index = {name: i for i, name in enumerate(names)}
+    return WLTS._of_rows(sr, names, w.actions, w.tau, index, succ)
 
 
 def to_dot(w, graph_name="wlts"):

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -104,6 +105,55 @@ class TestSplitting:
                 else:
                     expected.append([x])
             assert split_block_sorted(sr, members, weights) == expected, (members, weights)
+
+
+def reference_regroup(sr, blk, inside, support):
+    """The regroup of ``_regroup`` done the general way: every support
+    member of ``blk`` and the stand-in (its first member outside the
+    support) passed to ``split_block_sorted``, and the group that keeps the
+    block chosen as the engine chooses it: the stand-in's, or without one
+    the group of weight zero, else the largest.  Returns (groups, kept)."""
+    r = next((x for x in blk if x not in support), None)
+    members = list(inside) + ([] if r is None else [r])
+    weights = {x: support.get(x, sr.zero) for x in blk}
+    groups = split_block_sorted(sr, members, weights)
+    if r is not None:
+        return groups, next(g for g in groups if r in g)
+    zero_groups = (g for g in groups if sr.is_zero(weights[g[0]]))
+    return groups, next(zero_groups, None) or max(groups, key=len)
+
+
+class TestSingleWeightRegroup:
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_matches_split_block_sorted(self, sr, gen):
+        # Each support member of a block carries one weight object v, or
+        # sometimes v rebuilt as a distinct but equal object, zero (listed
+        # explicitly), or in float mode v moved within epsilon.
+        rng = random.Random("single weight %s" % sr.name)
+        direct = 0
+        for _ in range(400):
+            blk = set(rng.sample(range(30), rng.randint(2, 10)))
+            inside = rng.sample(sorted(blk), rng.randint(1, len(blk)))
+            v = sr.zero if rng.random() < 0.2 else gen(rng)
+            if sr.carrier_mode == "float" and rng.random() < 0.2:
+                v = rng.choice([0.4e-9, 0.9e-9, 1.1e-9])  # near zero, within epsilon or not
+            pool = [v]
+            if rng.random() < 0.5:
+                pool += [pickle.loads(pickle.dumps(v)), sr.zero]
+                if sr.carrier_mode == "float" and v != math.inf:
+                    pool += [v + 0.4e-9, v + 0.8e-9]
+            support = {x: rng.choice(pool) for x in inside}
+            support.update((x, gen(rng)) for x in range(30, 30 + rng.randint(0, 3)))
+            expected_groups, expected_keep = reference_regroup(sr, blk, inside, support)
+            groups, keep, r = wb.bisim._regroup(sr, blk, list(inside), support)
+            assert groups == expected_groups, (blk, inside, support)
+            assert r == next((x for x in blk if x not in support), None)
+            if keep is not None:
+                direct += 1
+                assert any(g is keep for g in groups)
+                if len(groups) > 1:
+                    assert keep == expected_keep, (blk, inside, support)
+        assert direct > 150
 
 
 class TestChains:
@@ -483,6 +533,35 @@ def assert_matches_full_scan(w, mode):
     return partition
 
 
+def watch_regroups(monkeypatch, seen):
+    """Call ``seen(members, groups)`` once for every regroup the engine
+    makes, on either route: a ``_regroup`` on the weight into a splitter,
+    with the support members and the stand-in it groups, whether it groups
+    them directly or through ``split_block_sorted``, and a
+    ``split_block_sorted`` on the weight into the rest of a compound."""
+    regroup = wb.bisim._regroup
+    nested = [False]
+
+    def watched_regroup(sr, blk, inside, support):
+        passed = len(inside) + (len(inside) < len(blk))
+        nested[0] = True
+        try:
+            result = regroup(sr, blk, inside, support)
+        finally:
+            nested[0] = False
+        seen(passed, result[0])
+        return result
+
+    def watched_split(sr, members, weights):
+        groups = split_block_sorted(sr, members, weights)
+        if not nested[0]:
+            seen(len(members), groups)
+        return groups
+
+    monkeypatch.setattr(wb.bisim, "_regroup", watched_regroup)
+    monkeypatch.setattr(wb.bisim, "split_block_sorted", watched_split)
+
+
 class TestPredecessorDrivenEngine:
     @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
@@ -519,10 +598,6 @@ class TestPredecessorDrivenEngine:
         supports = [0]
         table = Saturator.table
 
-        def counting(sr, members, weights):
-            calls.append(len(members))
-            return split_block_sorted(sr, members, weights)
-
         def measured_table(self, C):
             t = table(self, C)
             supports[0] += sum(len(t.support(label)) for label in self.w.labels)
@@ -531,11 +606,11 @@ class TestPredecessorDrivenEngine:
         def forbidden(*args):
             raise AssertionError("class_weight called by the strong engine")
 
-        monkeypatch.setattr(wb.bisim, "split_block_sorted", counting)
+        watch_regroups(monkeypatch, lambda members, groups: calls.append(members))
         monkeypatch.setattr(Saturator, "table", measured_table)
         monkeypatch.setattr(wb.WLTS, "class_weight", forbidden)
         p, _ = refine_partition(w, "strong")
-        assert len(calls) <= 2 * supports[0] <= 4 * w.transition_count
+        assert 0 < len(calls) <= 2 * supports[0] <= 4 * w.transition_count
         monkeypatch.undo()
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
 
@@ -566,14 +641,12 @@ class TestPredecessorDrivenEngine:
             tables[0] += 1
             return table(self, C)
 
-        def noting_split(sr, members, weights):
-            groups = split_block_sorted(sr, members, weights)
+        def noting_split(members, groups):
             if len(groups) > 1:
                 last_split[0] = tables[0]
-            return groups
 
         monkeypatch.setattr(Saturator, "table", counting_table)
-        monkeypatch.setattr(wb.bisim, "split_block_sorted", noting_split)
+        watch_regroups(monkeypatch, noting_split)
         p, trace = refine_partition(w, "strong", want_trace=True)
         assert p == Partition.discrete(w.state_count)
         assert tables[0] == last_split[0] == trace.candidates_examined
@@ -597,14 +670,13 @@ class TestPredecessorDrivenEngine:
                 log.append([len(support), 0, 0])
                 return support
 
-        def counting_split(sr, members, weights):
-            log[-1][1] += len(members)
+        def counting_split(members, groups):
+            log[-1][1] += members
             log[-1][2] += 1
-            return split_block_sorted(sr, members, weights)
 
         table = Saturator.table
         monkeypatch.setattr(Saturator, "table", lambda self, C: Recording(table(self, C)))
-        monkeypatch.setattr(wb.bisim, "split_block_sorted", counting_split)
+        watch_regroups(monkeypatch, counting_split)
         refine_partition(w, mode)
         assert sum(calls for _, _, calls in log) > 0
         rounds = 2 if mode == "strong" else 1
@@ -868,23 +940,27 @@ def test_exact_real_splitting_never_hashes_a_fraction(mode, monkeypatch):
     rng = random.Random("no fraction hash")
     w = _shuffled_copies(rng, helpers.random_wlts(rng, sr, 8, 2, 0.3, gen), 4, 1)
     expected = wb.bisim._refine(w, mode, None, False)[0]
-    inside, hashes, splits = [False], [0], [0]
+    depth, hashes, splits = [0], [0], [0]  # depth: groupings under way
     fraction_hash = Fraction.__hash__
 
     def counting_hash(self):
-        hashes[0] += inside[0]
+        hashes[0] += depth[0] > 0
         return fraction_hash(self)
 
-    def watched_split(sr, members, weights):
-        inside[0] = True
-        splits[0] += 1
-        try:
-            return split_block_sorted(sr, members, weights)
-        finally:
-            inside[0] = False
+    def watched(group):
+        def grouping(*args):
+            depth[0] += 1
+            splits[0] += 1
+            try:
+                return group(*args)
+            finally:
+                depth[0] -= 1
+
+        return grouping
 
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
-    monkeypatch.setattr(wb.bisim, "split_block_sorted", watched_split)
+    monkeypatch.setattr(wb.bisim, "_regroup", watched(wb.bisim._regroup))
+    monkeypatch.setattr(wb.bisim, "split_block_sorted", watched(split_block_sorted))
     assert refine_partition(w, mode)[0] == expected
     assert splits[0] > 0 and hashes[0] == 0
 

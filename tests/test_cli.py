@@ -311,6 +311,31 @@ class TestErrorCodes:
         assert "converge" in err
 
 
+    def test_large_float_solutions_pass_their_residual_check(self, tmp_path, capsys):
+        # Silent weights near 1 give s1 a saturated weight near 2.5e9, whose
+        # row sums to one ulp more: an absolute tolerance of 1e-9 failed
+        # minimize and saturate into s1, s3 and s4 with exit 4.
+        edges = [
+            ("s0", "a", "s0", "0.99999999"), ("s0", "a", "s4", "0.99999999"),
+            ("s1", "tau", "s4", "0.99999999"), ("s1", "tau", "s3", "0.9999999"),
+            ("s2", "tau", "s0", "0.5"), ("s2", "a", "s1", "0.99999999"),
+            ("s3", "tau", "s3", "0.99999999"), ("s3", "a", "s4", "0.5"),
+            ("s4", "a", "s1", "0.5"), ("s4", "tau", "s1", "0.5"),
+        ]
+        doc = {
+            "semiring": "real-float",
+            "states": ["s0", "s1", "s2", "s3", "s4"],
+            "transitions": [
+                {"from": x, "label": label, "to": y, "weight": wt} for x, label, y, wt in edges
+            ],
+        }
+        path = write_doc(tmp_path, doc)
+        code, _, err = run(capsys, ["minimize", path, "--equivalence", "weak"])
+        assert (code, err) == (0, "")
+        for state in doc["states"]:
+            code, _, err = run(capsys, ["saturate", path, "--class", state])
+            assert (code, err) == (0, ""), state
+
     def test_corrupted_solution_exits_4(self, tmp_path, capsys, monkeypatch):
         path = write_doc(tmp_path, serialize(helpers.float_residual_system()))
         helpers.corrupt_eliminations(monkeypatch, "spurious")

@@ -112,6 +112,14 @@ class TestRealFloat:
         assert self.sr.values_equal(float("inf"), float("inf"))
         assert not self.sr.values_equal(float("inf"), 1e300)
 
+    def test_tolerance_scales_with_magnitude_above_one(self):
+        # one ulp at 2.5e9 is 4.8e-7, far above an absolute 1e-9
+        big = 2499998544.399567
+        assert self.sr.values_equal(big, big + 4.8e-7)
+        assert self.sr.values_equal(big + 4.8e-7, big)
+        assert self.sr.values_equal(big, big + 2) and not self.sr.values_equal(big, big + 3)
+        assert not self.sr.values_equal(1e-10, 2e-9)
+
     def test_star(self):
         assert self.sr.star(0.5) == 2.0
         assert self.sr.star(1.0) == float("inf")

@@ -152,6 +152,77 @@ class TestLoad:
         }
         assert load(boolean_doc).weight(0, "l", 0) is True
 
+    def test_predecessor_index_is_not_built_by_load(self):
+        # building it while the document is alive raised the peak heap of
+        # a minimize by about a quarter
+        w = load(doc_chain())
+        assert w._pred is None
+        assert w.predecessor_column("a")[1] == {0: Fraction(1, 2)}
+
+    def test_add_runs_once_per_duplicate_edge_in_document_order(self, monkeypatch):
+        doc = doc_chain()
+        doc["transitions"] += [
+            {"from": "s0", "label": "a", "to": "s1", "weight": "1/3"},
+            {"from": "s0", "label": "a", "to": "s2", "weight": "1/5"},
+            {"from": "s0", "label": "a", "to": "s1", "weight": "1/7"},
+        ]
+        sr = by_name("real")
+        calls = []
+        add = type(sr).add
+
+        def recording(self, a, b):
+            calls.append((a, b))
+            return add(self, a, b)
+
+        monkeypatch.setattr(type(sr), "add", recording)
+        w = load(doc)
+        half, third, seventh = Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)
+        assert calls == [(half, third), (half + third, seventh)]
+        assert w.weight(0, "a", 1) == half + third + seventh
+
+    def test_label_seen_only_on_zero_edges_is_declared(self):
+        doc = doc_chain()
+        del doc["actions"]
+        doc["transitions"].append({"from": "s2", "label": "b", "to": "s0", "weight": "0"})
+        w = load(doc)
+        assert w.actions == ("a", "b")
+        assert w.labels == ("tau", "a", "b")
+        assert w.predecessor_column("b") == [{}, {}, {}]
+        assert w.zero_transitions_dropped == 1
+
+    @pytest.mark.parametrize(
+        "edges,error,message",
+        [
+            (
+                [{"from": "s0", "to": "s1"}, {"from": "s0", "label": "a", "to": "s1", "weight": "x"}],
+                ParseError,
+                "transition lacks 'label': {'from': 's0', 'to': 's1'}",
+            ),
+            (
+                [{"from": "s0", "label": "a", "to": "s1", "weight": "x"}, {"from": "s0"}],
+                SemanticError,
+                "bad weight 'x': expected a rational literal 'p/q' or 'n', got 'x'",
+            ),
+            (
+                [{"from": "s0", "label": "a", "to": "zz"}, ["s0", "a", "s1", "1"]],
+                ParseError,
+                "transition lacks 'weight': {'from': 's0', 'label': 'a', 'to': 'zz'}",
+            ),
+            (
+                [["s0", "a", "s1", "1"], {"from": "s0"}],
+                ParseError,
+                "each transition must be an object",
+            ),
+        ],
+        ids=["missing-fields-first", "bad-weight-first", "missing-weight-first", "non-object-first"],
+    )
+    def test_first_malformed_edge_wins(self, edges, error, message):
+        doc = {"semiring": "real", "states": ["s0", "s1"], "transitions": edges}
+        with pytest.raises(DocumentError) as exc:
+            load(doc)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
     def test_parse_errors(self):
         for broken in [
             [],
