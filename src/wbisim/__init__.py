@@ -29,7 +29,7 @@ from .wlts import (
     serialize,
     to_dot,
 )
-from .solver import ConvergenceError, SaturationTable, Saturator
+from .solver import ConvergenceError, Saturator
 from .bisim import (
     RefinementTrace,
     bisimilar,
@@ -70,7 +70,6 @@ __all__ = [
     "load",
     "serialize",
     "ConvergenceError",
-    "SaturationTable",
     "Saturator",
     "RefinementTrace",
     "bisimilar",

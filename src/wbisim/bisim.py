@@ -10,9 +10,10 @@ one observable step, in delay mode they may only precede it.
 Splitting is driven by predecessors, after Paige and Tarjan ("Three
 partition refinement algorithms", 1987) in the weighted form of Valmari
 and Franceschinis ("Simple O(m log n) time Markov chain lumping", 2010).
-A saturation table lists, per label, only the states with a nonzero
-weight into the splitter.  Only blocks holding such a state can split,
-and only on their members in the support: the members outside it all
+A saturation table maps each label to a support: the states with a
+nonzero weight into the splitter, each mapped to its weight, and every
+state it lacks weighs zero.  Only blocks holding a state of the support
+can split, and only on their members in it: the members outside it all
 weigh zero, so one of them stands in for the rest while the block is
 regrouped, and the rest then joins that member's group.  Every other
 block is left alone because its members all weigh zero.  When every
@@ -93,7 +94,8 @@ from .wlts import Partition, _representative_quotient
 
 def split_block_sorted(sr, members, weights):
     """Group members by equal weight: each group in ascending id order,
-    the groups in order of their first member.
+    the groups in order of their first member.  ``weights`` is a support,
+    a mapping state -> weight; a member it lacks weighs ``sr.zero``.
 
     Exact carriers group on the weights as dict keys, so they need only
     ``==`` and ``hash``; ``"exact-rational"`` ones key a ``Fraction`` by its
@@ -105,8 +107,9 @@ def split_block_sorted(sr, members, weights):
     """
     by_value = {}
     pairs = sr.carrier_mode == "exact-rational"
+    zero = sr.zero
     for x in sorted(members):
-        wx = weights[x]
+        wx = weights.get(x, zero)
         if pairs and type(wx) is Fraction:
             wx = wx.as_integer_ratio()
         group = by_value.get(wx)
@@ -164,19 +167,6 @@ def _carried_into(w, mode, sources):
     return flags
 
 
-class _ZeroDefault:
-    """A support read as a weight mapping: states outside it weigh zero."""
-
-    __slots__ = ("support", "zero")
-
-    def __init__(self, support, zero):
-        self.support = support
-        self.zero = zero
-
-    def __getitem__(self, x):
-        return self.support.get(x, self.zero)
-
-
 def _regroup(sr, blk, inside, support):
     """Group block ``blk`` by weight into a splitter, from its members in
     the support, ``inside``, and one member outside it, if any, standing in
@@ -189,9 +179,8 @@ def _regroup(sr, blk, inside, support):
     it almost always does, the groups are built directly: one group
     without a stand-in or when that weight is zero, else the sorted
     members and the stand-in's group, which keeps the block.  Otherwise
-    ``split_block_sorted`` groups them on their weights, the stand-in's
-    read as zero since it is not in the support.  ``inside`` may be
-    sorted in place."""
+    ``split_block_sorted`` groups them on the support, which lacks the
+    stand-in, so it weighs zero.  ``inside`` may be sorted in place."""
     r = None
     if len(inside) < len(blk):
         for r in blk:
@@ -209,7 +198,7 @@ def _regroup(sr, blk, inside, support):
         group = sorted(inside if r is None else inside + [r])
         return [group], group, r
     members = inside if r is None else inside + [r]
-    return split_block_sorted(sr, members, _ZeroDefault(support, sr.zero)), None, r
+    return split_block_sorted(sr, members, support), None, r
 
 
 @dataclass
@@ -293,7 +282,7 @@ def _refine(w, mode, initial, want_trace):
                 rest_of_X = tuple(sorted(x for b in X for x in members[b]))
         table = provider.table(S)
         for label in w.labels:
-            support = table.support(label)
+            support = table[label]
             count = len(members)  # after the regroups on the weight into S
             split_s = split_rest = 0
             touched = {}
@@ -315,13 +304,14 @@ def _refine(w, mode, initial, want_trace):
                         if len(g) == 1 or cancels(support.get(g[0], zero)):
                             regrouped.append(g)
                             continue
-                        into_rest = {}
+                        into_rest = {}  # a member with no step into X weighs zero
                         for x in g:
                             t = None
                             for y, v in w.successors(x, label).items():
                                 if comp[block_of[y]] is X:
                                     t = v if t is None else add(t, v)
-                            into_rest[x] = zero if t is None else t
+                            if t is not None:
+                                into_rest[x] = t
                         pieces = split_block_sorted(sr, g, into_rest)
                         if len(pieces) > 1:
                             split_rest += 1
@@ -438,29 +428,34 @@ def check_is_weak_bisimulation(w, partition, mode="weak"):
 
     For every class C of the partition, every label and every block,
     members must carry equal saturated weights into C; each failure is
-    reported with the offending weights.
+    reported with the offending weights.  Only the blocks that a support
+    touches are compared: the members of any other all weigh zero.
     """
     provider = Saturator(w, mode)
     if partition.n != w.state_count:
         raise ValueError("partition is over a different state count")
     sr = w.semiring
+    zero, values_equal = sr.zero, sr.values_equal
+    blocks, block_of = partition.blocks, partition._block_of
     violations = []
-    for C in partition.blocks:
+    for C in blocks:
         table = provider.table(C)
         for label in w.labels:
-            weights = table.vector(label)
-            for block in partition.blocks:
+            support = table[label]
+            for bid in sorted({block_of[x] for x in support}):
+                block = blocks[bid]
                 if len(block) == 1:
                     continue
-                rep = weights[block[0]]
-                if all(sr.values_equal(weights[x], rep) for x in block[1:]):
+                weights = [support.get(x, zero) for x in block]
+                rep = weights[0]
+                if all(values_equal(v, rep) for v in weights[1:]):
                     continue
                 violations.append(
                     Violation(
                         label,
                         C,
                         block,
-                        {w.state_names[x]: sr.format(weights[x]) for x in block},
+                        {w.state_names[x]: sr.format(v) for x, v in zip(block, weights)},
                     )
                 )
     return BisimulationReport(mode, not violations, violations)

@@ -122,10 +122,9 @@ def _mass_payload(report):
 
 
 def _saturation_grid(w, table):
+    sr = w.semiring
     return {
-        w.state_names[x]: {
-            label: w.semiring.format(table.weight(x, label)) for label in w.labels
-        }
+        w.state_names[x]: {label: sr.format(table[label].get(x, sr.zero)) for label in w.labels}
         for x in range(w.state_count)
     }
 

@@ -325,11 +325,7 @@ class RealFloatSemiring(Semiring):
         return 1.0 / (1.0 - a)
 
     def natural_leq(self, a, b):
-        if b == math.inf:
-            return True
-        if a == math.inf:
-            return False
-        return a <= b + self.epsilon
+        return a <= b or self.values_equal(a, b)
 
     def values_equal(self, a, b):
         """Equal within ``epsilon``, scaled by the larger magnitude once it

@@ -5,9 +5,12 @@ steps, with at most one observable action) are least solutions of linear
 equation systems whose matrix is the silent-step adjacency.
 
 ``Saturator`` solves only where the solution can be nonzero and never
-builds a closure.  The reference route it is tested against, which
-builds each system over all n states and solves it by star elimination,
-lives in ``tests/helpers.py``, apart from its two closure functions
+builds a closure.  A table it returns maps each label to the support of
+the weights into the class: a mapping state -> weight that holds at least
+every state of nonzero weight; a state the support lacks weighs zero.
+The reference route it is tested against, which builds each system over
+all n states and solves it by star elimination, lives in
+``tests/helpers.py``, apart from its two closure functions
 ``star_closure`` and ``closure_apply``, which stay here for the
 benchmark's tracer.  On a semiring whose star is always ``one`` and whose
 sum keeps the better of its operands (it sets ``best_first_key``), the
@@ -123,35 +126,6 @@ def _action_rhs(sr, column, lands_on):
 # -- saturation ---------------------------------------------------------------
 
 
-class SaturationTable:
-    """Solved weights for one target class: states x (silent + actions).
-
-    Each label's weights are stored as its support: a mapping state ->
-    weight that holds at least every state whose weight is not the
-    semiring zero.  States outside it weigh zero.
-    """
-
-    __slots__ = ("mode", "n", "zero", "supports")
-
-    def __init__(self, mode, n, zero, supports):
-        self.mode = mode
-        self.n = n
-        self.zero = zero
-        self.supports = supports
-
-    def support(self, label):
-        """Mapping state -> weight holding every state of nonzero weight."""
-        return self.supports[label]
-
-    def weight(self, x, label):
-        return self.supports[label].get(x, self.zero)
-
-    def vector(self, label):
-        """The weights of all states, in state order."""
-        support, zero = self.supports[label], self.zero
-        return [support.get(x, zero) for x in range(self.n)]
-
-
 def _silent_components(succ):
     """Strongly connected components of the graph x -> succ[x], sinks first.
 
@@ -246,7 +220,7 @@ class Saturator:
             raise ValueError("mode must be strong, weak or delay")
         self.w = w
         self.mode = mode
-        self._n = n = w.state_count
+        n = w.state_count
         self._key = w.semiring.best_first_key
         self._columns = {label: w.predecessor_column(label) for label in w.labels}
         if mode == "strong":
@@ -435,31 +409,33 @@ class Saturator:
                 )
 
     def table(self, C):
+        """Saturated weights into class ``C``: a dict label -> support, in
+        ``w.labels`` order.  A support maps at least every state of nonzero
+        weight to its weight; a state it lacks weighs zero."""
         w = self.w
         sr = w.semiring
         Cset = _class_set(w, C)
-        n, zero = self._n, sr.zero
         if self.mode == "strong":
-            supports = {}
+            table = {}
             for label in w.labels:
                 column = self._columns[label]
                 support = {}
                 for y in Cset:
                     for x, wt in column[y].items():
                         support[x] = sr.add(support[x], wt) if x in support else wt
-                supports[label] = support
-            return SaturationTable("strong", n, zero, supports)
+                table[label] = support
+            return table
         float_mode = sr.carrier_mode == "float"
         in_class = dict.fromkeys(Cset, sr.one)
         w_tau = self._solve(in_class, Cset)
         if float_mode:
             self._check_residual(in_class, Cset, w_tau, w.tau)
         lands_on = w_tau if self.mode == "weak" else in_class
-        supports = {w.tau: w_tau}
+        table = {w.tau: w_tau}
         for a in w.actions:
             b = _action_rhs(sr, self._columns[a], lands_on)
             x_a = self._solve(b)
             if float_mode:
                 self._check_residual(b, _NO_PINS, x_a, a)
-            supports[a] = x_a
-        return SaturationTable(self.mode, n, zero, supports)
+            table[a] = x_a
+        return table

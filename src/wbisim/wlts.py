@@ -256,7 +256,11 @@ def load(doc, sr=None):
     declared = doc.get("actions", [])
     if not isinstance(declared, list) or not all(isinstance(a, str) for a in declared):
         raise ParseError("'actions' must be a list of names")
-    labels = dict.fromkeys([tau, *declared])  # the silent label, then the actions
+    labels = {tau: None}  # the silent label, then the actions
+    for a in declared:
+        if a in labels and a != tau:
+            raise SemanticError("duplicate action name %r" % a)
+        labels[a] = None
     index = {}
     for i, s in enumerate(states):
         if s in index:

@@ -364,6 +364,40 @@ def build_delay_system(w, C, action):
     return _action_system(w, action, dict.fromkeys(Cset, w.semiring.one))
 
 
+def vector(w, table, label):
+    """The weights of every state in a table of ``Saturator.table``, on
+    ``label``, in state order: a state the support lacks weighs zero."""
+    support, zero = table[label], w.semiring.zero
+    return [support.get(x, zero) for x in range(w.state_count)]
+
+
+def reference_check(w, partition, mode="weak"):
+    """``check_is_weak_bisimulation`` over full weight vectors: every block
+    compared for every class and label, the blocks the supports miss too."""
+    provider = wb.Saturator(w, mode)
+    sr = w.semiring
+    violations = []
+    for C in partition.blocks:
+        table = provider.table(C)
+        for label in w.labels:
+            weights = vector(w, table, label)
+            for block in partition.blocks:
+                if len(block) == 1:
+                    continue
+                rep = weights[block[0]]
+                if all(sr.values_equal(weights[x], rep) for x in block[1:]):
+                    continue
+                violations.append(
+                    wb.bisim.Violation(
+                        label,
+                        C,
+                        block,
+                        {w.state_names[x]: sr.format(weights[x]) for x in block},
+                    )
+                )
+    return wb.bisim.BisimulationReport(mode, not violations, violations)
+
+
 # -- Kleene iteration ---------------------------------------------------------
 
 

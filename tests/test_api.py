@@ -29,3 +29,15 @@ def test_reference_solver_is_not_exported(name):
 
 def test_wlts_has_no_predecessors_method():
     assert not hasattr(wb.WLTS, "predecessors")
+
+
+def test_saturation_tables_are_plain_supports():
+    assert not hasattr(wb, "SaturationTable")
+    assert not hasattr(wb.solver, "SaturationTable")
+    assert not hasattr(wb.bisim, "_ZeroDefault")
+    sr = wb.by_name("real")
+    w = wb.WLTS(sr, ["p", "q"], ["a"], "tau", [(0, "tau", 1, sr.one), (0, "a", 1, sr.one)])
+    for mode in ("strong", "weak", "delay"):
+        table = wb.Saturator(w, mode).table([1])
+        assert type(table) is dict
+        assert list(table) == list(w.labels)

@@ -27,7 +27,7 @@ import helpers
 class TestSplitting:
     def test_groups_come_in_first_member_order(self):
         sr = by_name("real")
-        weights = [Fraction(3), Fraction(1), Fraction(3), wb.INF, Fraction(1)]
+        weights = {0: Fraction(3), 1: Fraction(1), 2: Fraction(3), 3: wb.INF, 4: Fraction(1)}
         groups = split_block_sorted(sr, [0, 1, 2, 3, 4], weights)
         assert groups == [[0, 2], [1, 4], [3]]
 
@@ -51,25 +51,35 @@ class TestSplitting:
 
     def test_float_tolerance_group_comes_back_in_id_order(self):
         sr = by_name("real-float", epsilon=1e-9)
-        weights = [1.0 + 4e-10, 1.0, 0.0, 1.0 + 2e-10]
+        weights = {0: 1.0 + 4e-10, 1: 1.0, 2: 0.0, 3: 1.0 + 2e-10}
         assert split_block_sorted(sr, [0, 1, 2, 3], weights) == [[0, 1, 3], [2]]
 
     def test_float_groups_split_at_tolerance_gaps(self):
         sr = by_name("real-float", epsilon=1e-9)
-        weights = [0.0, 4e-10, 1.0, 1.0 + 2e-10, 2.0]
+        weights = {0: 0.0, 1: 4e-10, 2: 1.0, 3: 1.0 + 2e-10, 4: 2.0}
         groups = split_block_sorted(sr, [0, 1, 2, 3, 4], weights)
         assert groups == [[0, 1], [2, 3], [4]]
 
     def test_float_groups_span_at_most_the_tolerance(self):
         # neighbours are within tolerance, the first and the last are not
         sr = by_name("real-float", epsilon=1e-9)
-        weights = [0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9]
+        weights = {0: 0.5, 1: 0.5 + 0.6e-9, 2: 0.5 + 1.2e-9}
         assert split_block_sorted(sr, [0, 1, 2], weights) == [[0, 1], [2]]
 
     def test_singleton_and_empty(self):
         sr = by_name("boolean")
-        assert split_block_sorted(sr, [2], [True, True, False]) == [[2]]
-        assert split_block_sorted(sr, [], []) == []
+        assert split_block_sorted(sr, [2], {0: True, 1: True}) == [[2]]
+        assert split_block_sorted(sr, [], {}) == []
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_members_the_support_lacks_weigh_zero(self, sr, gen):
+        rng = random.Random("absent %s" % sr.name)
+        v = gen(rng)
+        while sr.is_zero(v):
+            v = gen(rng)
+        support = {1: v, 3: sr.zero, 4: v}
+        expected = split_block_sorted(sr, range(6), {x: support.get(x, sr.zero) for x in range(6)})
+        assert split_block_sorted(sr, range(6), support) == expected == [[0, 2, 3, 5], [1, 4]]
 
     # Values in different representations of one weight: unreduced
     # constructions that Fraction reduces, and extremes built afresh.
@@ -323,6 +333,57 @@ class TestEngineInvariants:
         assert [e.__dict__ for e in t1.events] == [e.__dict__ for e in t2.events]
 
 
+def _violations(report):
+    return [(v.label, v.target_class, v.block, list(v.weights.items())) for v in report.violations]
+
+
+class TestChecker:
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_matches_the_vector_reference(self, sr, gen, mode):
+        # The engine's partition, that partition with two blocks merged, and
+        # the one-block partition, checked against the reference that
+        # compares every block, the ones no support touches too.
+        rng = random.Random("checker %s/%s" % (sr.name, mode))
+        reported = 0
+        for _ in range(25):
+            w = helpers.random_wlts(rng, sr, rng.randint(2, 9), 2, rng.uniform(0.1, 0.4), gen)
+            w = _disjoint_union(w) if rng.random() < 0.5 else w
+            p = refine_partition(w, mode)[0]
+            candidates = [p, Partition.single_block(w.state_count)]
+            if len(p) > 1:
+                blocks = list(p.blocks)
+                i, j = sorted(rng.sample(range(len(blocks)), 2))
+                merged = blocks[:i] + blocks[i + 1:j] + blocks[j + 1:] + [blocks[i] + blocks[j]]
+                candidates.append(Partition(w.state_count, merged))
+            for q in candidates:
+                expected = helpers.reference_check(w, q, mode)
+                report = check_is_weak_bisimulation(w, q, mode)
+                assert (report.mode, report.ok) == (expected.mode, expected.ok), (w, q)
+                assert _violations(report) == _violations(expected), (w, q)
+                reported += len(expected.violations)
+        assert reported
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_compares_only_the_blocks_a_support_touches(self, mode, monkeypatch):
+        # k pairs {a_i, b_i}, each state with an a-loop of weight 1/(i+2):
+        # k blocks of two.  Into a class only its own block weighs nonzero,
+        # so each class and label compares at most one block; comparing
+        # every block would make 2k^2 comparisons.
+        k = 200
+        sr = by_name("real")
+        names = ["%s%d" % (c, i) for i in range(k) for c in "ab"]
+        edges = [(x, "a", x, Fraction(1, x // 2 + 2)) for x in range(2 * k)]
+        w = wb.WLTS(sr, names, ["a"], "tau", edges)
+        p = refine_partition(w, mode)[0]
+        assert len(p) == k
+        calls = []
+        values_equal = sr.values_equal
+        monkeypatch.setattr(sr, "values_equal", lambda a, b: calls.append(None) or values_equal(a, b))
+        assert check_is_weak_bisimulation(w, p, mode).ok
+        assert 0 < len(calls) <= len(w.labels) * k
+
+
 class TestTrace:
     def test_trace_structure(self):
         w = helpers.chains_system()
@@ -399,7 +460,7 @@ def test_float_partition_matches_exact_when_weights_sit_apart(mode, monkeypatch)
         gaps = []
         for C in classes:
             for label in w.labels:
-                values = sorted(set(map(_as_float, saturator.table(C).vector(label))))
+                values = sorted(set(map(_as_float, helpers.vector(w, saturator.table(C), label))))
                 gaps += [b - a for a, b in zip(values, values[1:])]
         if any(gap <= 10 * approx.epsilon for gap in gaps):
             continue
@@ -488,17 +549,16 @@ def full_scan_refine(w, mode, initial=None):
             continue
         C = tuple(members[cid])
         if mode == "strong":
-            vectors = {
-                label: [w.class_weight(x, label, frozenset(C)) for x in range(n)]
+            table = {
+                label: {x: w.class_weight(x, label, frozenset(C)) for x in range(n)}
                 for label in w.labels
             }
         else:
             table = saturator.table(C)
-            vectors = {label: table.vector(label) for label in w.labels}
         for label in w.labels:
             split_any = 0
             for bid in list(members):
-                groups = split_block_sorted(sr, members[bid], vectors[label])
+                groups = split_block_sorted(sr, members[bid], table[label])
                 if len(groups) == 1:
                     continue
                 split_any += 1
@@ -600,7 +660,7 @@ class TestPredecessorDrivenEngine:
 
         def measured_table(self, C):
             t = table(self, C)
-            supports[0] += sum(len(t.support(label)) for label in self.w.labels)
+            supports[0] += sum(len(t[label]) for label in self.w.labels)
             return t
 
         def forbidden(*args):
@@ -665,8 +725,8 @@ class TestPredecessorDrivenEngine:
             def __init__(self, table):
                 self.table = table
 
-            def support(self, label):
-                support = self.table.support(label)
+            def __getitem__(self, label):
+                support = self.table[label]
                 log.append([len(support), 0, 0])
                 return support
 
@@ -694,7 +754,7 @@ class TestPredecessorDrivenEngine:
         def padded(self, C):
             t = table(self, C)
             for label in self.w.labels:
-                support = t.support(label)
+                support = t[label]
                 for x in range(self.w.state_count):
                     if x not in support and (x + len(C)) % 3 == 0:
                         support[x] = sr.zero
@@ -975,7 +1035,7 @@ def _replay(w, mode, trace, initial=None):
         initial = Partition.single_block(w.state_count)
     blocks = [list(block) for block in initial.blocks]
     for e in trace.events:
-        weights = saturator.table(e.splitter).vector(e.label)
+        weights = saturator.table(e.splitter)[e.label]
         regrouped = [split_block_sorted(w.semiring, block, weights) for block in blocks]
         blocks = [group for groups in regrouped for group in groups]
         assert (sum(len(groups) > 1 for groups in regrouped), len(blocks)) == (

@@ -189,6 +189,12 @@ class TestErrorCodes:
         code, _, _ = run(capsys, ["validate", write_doc(tmp_path, doc)])
         assert code == 2
 
+    def test_duplicate_action_exits_2(self, tmp_path, capsys):
+        doc = {"semiring": "real", "states": ["s"], "actions": ["a", "b", "a"], "transitions": []}
+        code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "duplicate action name 'a'" in err
+
     def test_unknown_semiring_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, ["validate", chains_doc(tmp_path), "--semiring", "modal"]

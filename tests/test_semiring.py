@@ -120,6 +120,19 @@ class TestRealFloat:
         assert self.sr.values_equal(big, big + 2) and not self.sr.values_equal(big, big + 3)
         assert not self.sr.values_equal(1e-10, 2e-9)
 
+    def test_equal_values_are_ordered_both_ways(self):
+        big = 2499998544.399567
+        pairs = [(big, big + 2), (big, big + 4.8e-7), (0.3, 0.3 + 1e-12), (0.0, 1e-10)]
+        pairs += [(1e7 * (1 + k * 1e-10), 1e7) for k in range(-5, 6)]
+        inf = float("inf")
+        pairs += [(inf, inf)]
+        for a, b in pairs:
+            assert self.sr.values_equal(a, b), (a, b)
+            assert self.sr.natural_leq(a, b) and self.sr.natural_leq(b, a), (a, b)
+        assert not self.sr.natural_leq(big + 3, big)
+        assert self.sr.natural_leq(big, big + 3)
+        assert self.sr.natural_leq(big, inf) and not self.sr.natural_leq(inf, big)
+
     def test_star(self):
         assert self.sr.star(0.5) == 2.0
         assert self.sr.star(1.0) == float("inf")

@@ -252,11 +252,14 @@ class TestLoad:
         bad_dst = dict(base, transitions=[dict(base["transitions"][0], to="zz")])
         bad_weight = dict(base, transitions=[dict(base["transitions"][0], weight="-1")])
         dup_states = dict(base, states=["s0", "s0", "s2"])
+        dup_actions = dict(base, actions=["a", "a"])
         unknown_sr = dict(base, semiring="modal")
         missing_k = dict(base, semiring={"name": "truncation"})
-        for broken in [bad_src, bad_dst, bad_weight, dup_states, unknown_sr, missing_k]:
+        for broken in [bad_src, bad_dst, bad_weight, dup_states, dup_actions, unknown_sr, missing_k]:
             with pytest.raises(SemanticError):
                 load(broken)
+        with pytest.raises(SemanticError, match="duplicate action name 'a'"):
+            load(dup_actions)
 
     def test_infinite_epsilon_is_a_semantic_error(self):
         doc = dict(doc_chain(), semiring={"name": "real-float", "epsilon": 1e-6})
@@ -291,7 +294,7 @@ class TestLoad:
         for _ in range(45):
             n = rng.randint(1, 6)
             states = ["s%d" % i for i in range(n)]
-            declared = rng.choice([[], ["b"], ["b", "a", "b"]])
+            declared = rng.choice([[], ["b"], ["b", "a"]])
             edges = []
             for _ in range(rng.randint(0, 16)):
                 if edges and rng.random() < 0.25:
