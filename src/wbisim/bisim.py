@@ -65,6 +65,19 @@ could split.  A skipped splitter counts as examined as if its table had
 been computed (in strong mode it still leaves its compound), so the
 partition and every trace event are those of a run without the skip.
 
+In weak and delay mode the flags tell two regions apart: R1, the states
+live ones reach by silent steps, and R2, the others they reach once the
+action step is taken.  On the semirings with a ``best_first_key`` the
+flags also bound the searches of every table (``Saturator._restrict``,
+handed the flags each time they are recomputed): the engine reads a
+table only at live states, which lie in R1, and a weak action table
+reads the silent one only in R1 or R2.  Both regions are closed under
+silent successors where they are searched, so the weights found there
+are exact, and stale flags, a superset, are exact too.  A support then
+lacks only states outside every block of two or more and lists the
+others in the same order, so partitions and trace events stay those of
+unbounded tables.
+
 Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
 delay class is a union of strong blocks.  Into such a union each Kleene
@@ -135,23 +148,30 @@ def _carried_into(w, mode, sources):
     label (strong); silent steps, then at most one action step (delay);
     silent steps, then at most one action step followed by silent steps
     (weak).  Edges are followed whatever their weight, so a table of a
-    class with no flagged member gives every source weight zero."""
+    class with no flagged member gives every source weight zero.
+
+    Outside strong mode the flag tells two regions apart: 1 marks R1, the
+    states the sources reach by silent steps alone, and 2 marks R2, the
+    other states they reach once the action step is taken.  Both R1 and,
+    in weak mode, R1 plus R2 are closed under silent successors, so
+    ``Saturator._restrict`` can bound the searches of a table to them."""
     flags = bytearray(w.state_count)
     succ, tau = w._succ, w.tau  # per state: label -> successor row
 
-    def flag(seeds, silent):
-        """Flag the unflagged seeds and, if ``silent``, every state they
-        reach by silent steps; returns the states newly flagged."""
+    def flag(seeds, silent, level):
+        """Flag the unflagged seeds with ``level`` and, if ``silent``,
+        every state they reach by silent steps; returns the states newly
+        flagged."""
         new = []
         for x in seeds:
             if not flags[x]:
-                flags[x] = 1
+                flags[x] = level
                 new.append(x)
         if silent:
             for x in new:  # grows while it is walked
                 for y in succ[x].get(tau, ()):
                     if not flags[y]:
-                        flags[y] = 1
+                        flags[y] = level
                         new.append(y)
         return new
 
@@ -161,9 +181,9 @@ def _carried_into(w, mode, sources):
                 for y in row:
                     flags[y] = 1
     else:
-        reach = flag(sources, True)
+        reach = flag(sources, True, 1)
         steps = (y for x in reach for a, row in succ[x].items() if a != tau for y in row)
-        flag(steps, mode == "weak")
+        flag(steps, mode == "weak", 2)
     return flags
 
 
@@ -273,6 +293,7 @@ def _refine(w, mode, initial, want_trace):
         if 2 * live <= flagged_at:
             live_states = (x for blk in members if len(blk) > 1 for x in blk)
             flags, flagged_at = _carried_into(w, mode, live_states), live
+            provider._restrict(flags)
         if not any(map(flags.__getitem__, S)):  # only blocks of one can be touched
             continue
         if trace is not None:
@@ -361,7 +382,7 @@ def _refine(w, mode, initial, want_trace):
                     )
             if not live:
                 break
-    return Partition(n, members), trace
+    return Partition._trusted(n, members), trace
 
 
 def _lumps(w, mode):
@@ -398,7 +419,7 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
             if trace is not None:
                 for e in trace.events:
                     e.splitter = lift(e.splitter)
-            return Partition(w.state_count, map(lift, coarse.blocks)), trace
+            return Partition._trusted(w.state_count, map(lift, coarse.blocks)), trace
     return _refine(w, mode, initial, want_trace)
 
 

@@ -103,9 +103,34 @@ def _load_system(args):
     return load(_read_document(args.input), _semiring_from_args(args))
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+    ``indent`` makes ``json`` use its pure-Python encoder, so lists and
+    string-keyed dicts are laid out here, strings go through ``json``'s own
+    quoting and every other value through ``json.dumps``.  ``newline`` is a
+    line break followed by the indentation of the current level."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(args, payload, plain_lines):
     if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in plain_lines:
             print(line)

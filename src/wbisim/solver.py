@@ -14,10 +14,11 @@ all n states and solves it by star elimination, lives in
 ``star_closure`` and ``closure_apply``, which stay here for the
 benchmark's tracer.  On a semiring whose star is always ``one`` and whose
 sum keeps the better of its operands (it sets ``best_first_key``), the
-least solution is a best-path weight, found by one best-first search
-backwards along silent steps (Knuth, "A generalization of Dijkstra's
-algorithm", 1977; Mohri, "Semiring frameworks and algorithms for
-shortest-distance problems", 2002).  On the others it solves one silent
+least solution is a best-path weight, found by one search backwards
+along silent steps, breadth first over the weight ``one`` and best first
+below it (Knuth, "A generalization of Dijkstra's algorithm", 1977;
+Mohri, "Semiring frameworks and algorithms for shortest-distance
+problems", 2002).  On the others it solves one silent
 strongly connected component at a time, sinks first (Tarjan, "A unified
 approach to path problems", 1981).  A component that the solve leaves
 whole is factored once, by an elimination that keeps its multipliers,
@@ -32,7 +33,7 @@ class itself (delay).
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 
 class ConvergenceError(Exception):
@@ -107,17 +108,22 @@ def _class_set(w, C):
     return Cset
 
 
-def _action_rhs(sr, column, lands_on):
+def _action_rhs(sr, column, lands_on, within=None):
     """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
     summed over the action predecessors (``column``, by state id) of the
     states in ``lands_on`` (a mapping state -> weight; absent states weigh
-    zero).  A factor ``one`` is not multiplied by: the product is the other
-    factor."""
+    zero).  With ``within``, a bytearray over state ids, only the states it
+    marks are kept.  A factor ``one`` is not multiplied by: the product is
+    the other factor."""
     add, mul, one = sr.add, sr.mul, sr.one
+    if within is None:
+        within = bytearray(b"\1") * len(column)
     b = {}
     for y, v in lands_on.items():
         unit = v == one
         for x, wt in column[y].items():
+            if not within[x]:
+                continue
             t = wt if unit else v if wt == one else mul(wt, v)
             b[x] = add(b[x], t) if x in b else t
     return b
@@ -175,6 +181,7 @@ def _silent_components(succ):
 
 
 _NO_PINS = frozenset()
+_FIRST_REGION = bytes.maketrans(b"\2", b"\0")  # keeps the states flagged 1
 
 
 class Saturator:
@@ -188,9 +195,24 @@ class Saturator:
     On a semiring with a ``best_first_key`` (star always ``one``, sums keep
     the better operand) one search backwards along silent steps from the
     support of b solves the system: the class states stay at their weight,
-    states of weight ``one`` settle at once in FIFO order, the others
-    settle best first from a heap, and each settled state relaxes its
-    silent in-edges once.  Over the booleans that is a breadth-first search.
+    the states of weight ``one`` settle first, breadth first, and only
+    when a weight other than ``one`` turns up, in b or on a silent edge,
+    are tentative weights and a heap of their keys built, from which the
+    others settle best first.  Each settled state relaxes its silent
+    in-edges once.  Over the booleans the search is breadth first
+    throughout and builds no heap.
+
+    The refinement engine bounds these searches (``_restrict``) to the
+    states where it reads the tables: R1, the states its live states
+    reach by silent steps, and R2, the others they reach after the action
+    step (``bisim._carried_into``).  The silent search keeps to R1 and R2
+    in weak mode, to R1 in delay mode, and each action's right-hand side
+    and search keep to R1.  R1, and in weak mode R1 plus R2, are closed
+    under silent successors, so every silent path from a state of a
+    region stays in it and every weight found there is exact; an action
+    right-hand side at a state of R1 reads the silent table only at its
+    action successors, which lie in R1 or R2.  The tables of every other
+    caller are full.
 
     On the other semirings the states that reach the support of b are
     solved one silent strongly connected component at a time, sinks first,
@@ -230,14 +252,32 @@ class Saturator:
             self._comp = _silent_components(self._silent)
             self._size = Counter(self._comp)
             self._factors = {}  # component -> factor, for components left whole
+        # the states the silent and the action searches may settle
+        self._silent_within = self._action_within = bytearray(b"\1") * n
 
-    def _solve(self, b, pinned=_NO_PINS):
+    def _restrict(self, flags):
+        """Bound the later weak and delay tables of a best-first carrier to
+        the states where the refinement engine reads them.  ``flags`` is
+        ``bisim._carried_into``'s bytearray: 1 on R1, the states that live
+        states reach by silent steps, and 2 on R2, the other states they
+        reach after the action step.  The silent search then settles states
+        of R1 or R2 in weak mode and of R1 in delay mode, and each action's
+        right-hand side and search keep to R1.  Strong mode and the other
+        carriers ignore it."""
+        if self.mode != "strong" and self._key is not None:
+            first = flags.translate(_FIRST_REGION)
+            self._action_within = first
+            self._silent_within = flags if self.mode == "weak" else first
+
+    def _solve(self, b, pinned=_NO_PINS, within=None):
         """Support of the least x with x = M*x + b, where M is the silent
         adjacency with the rows of ``pinned`` emptied and b maps states to
         weights (absent states weigh zero).  Pinned states must carry
-        weight ``one`` in b; they keep it."""
+        weight ``one`` in b; they keep it.  A best-first search settles
+        only the states that ``within``, a bytearray over state ids, marks
+        (every state by default); elimination ignores it."""
         if self._key is not None:
-            return self._search(b)
+            return self._search(b, within)
         return self._eliminate(b, pinned)
 
     def _silent_reach(self, seeds):
@@ -253,63 +293,92 @@ class Saturator:
                     region.append(x)
         return region
 
-    def _search(self, b):
-        """``_solve`` by best-first search.  With star always ``one``, a
-        weight times anything is no better than the weight itself, so the
-        best tentative weight is final, and a state that reaches it while
-        the states of that weight are relaxed settles at once.  The states
-        of weight ``one``, the pinned ones among them, settle first, in
-        FIFO order; over the booleans that is the whole search, breadth
-        first.  Other tentative weights wait in buckets, one per key, with
-        the keys in a heap.  A product with a factor ``one`` is the other
-        factor and is not computed."""
+    def _search(self, b, within=None):
+        """``_solve`` by best-first search over the states ``within``
+        marks.  With star always ``one``, a weight times anything is no
+        better than the weight itself, so the best tentative weight is
+        final, and a state that reaches it while the states of that weight
+        are relaxed settles at once.  The states of weight ``one``, the
+        pinned ones among them, settle first, breadth first in FIFO order;
+        over the booleans that is the whole search.  Only the weights other
+        than ``one`` met on the way, in b or on a silent edge, go on to
+        ``_best_first``."""
         sr = self.w.semiring
-        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
+        zero, one = sr.zero, sr.one
         pred = self._columns[self.w.tau]
+        if within is None:
+            within = bytearray(b"\1") * self.w.state_count
         sol = {}  # settled weights
-        best = {}  # tentative weights
-        waiting = {}  # key -> states whose tentative weight has that key
+        offers = []  # (state, tentative weight other than zero and one)
         for x, v in b.items():
+            if not within[x]:
+                continue
             if v == one:
                 sol[x] = v
             elif v != zero:
-                best[x] = v
-                waiting.setdefault(key(v), []).append(x)
-        heap = list(waiting)
-        heapify(heap)
-        level, batch = one, list(sol)
+                offers.append((x, v))
+        batch = list(sol)
+        for y in batch:  # grows while it is relaxed
+            for x, m in pred[y].items():
+                if x in sol or not within[x]:
+                    continue
+                if m == one:
+                    sol[x] = m
+                    batch.append(x)
+                elif m != zero:
+                    offers.append((x, m))
+        if offers:
+            self._best_first(sol, offers, within)
+        return sol
+
+    def _best_first(self, sol, offers, within):
+        """Finish ``_search``: add to ``sol`` the states below weight
+        ``one``, best first, from the tentative weights ``offers``.  They
+        wait in buckets, one per key, with the keys in a heap; the best
+        bucket settles next, with every state that reaches its weight while
+        it is relaxed.  A product with a factor ``one`` is the other factor
+        and is not computed."""
+        sr = self.w.semiring
+        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
+        pred = self._columns[self.w.tau]
+        best = {}  # tentative weights
+        waiting = {}  # key -> states whose tentative weight has that key
+        heap = []
         while True:
-            unit = level == one
+            for x, t in offers:
+                if x in sol:
+                    continue
+                cur = best.get(x)
+                if cur is not None:
+                    t = add(cur, t)
+                    if t == cur:
+                        continue
+                best[x] = t
+                k = key(t)
+                if k in waiting:
+                    waiting[k].append(x)
+                else:
+                    waiting[k] = [x]
+                    heappush(heap, k)
+            if not heap:
+                return
+            offers = []
+            batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
+            if not batch:
+                continue
+            level = best[batch[0]]  # equal keys mean equal weights
+            for x in batch:
+                sol[x] = level
             for y in batch:  # grows while it is relaxed
                 for x, m in pred[y].items():
-                    if x in sol:
+                    if x in sol or not within[x]:
                         continue
-                    t = m if unit else level if m == one else mul(m, level)
+                    t = level if m == one else mul(m, level)
                     if t == level:
                         sol[x] = t
                         batch.append(x)
-                        continue
-                    cur = best.get(x)
-                    if cur is not None:
-                        t = add(cur, t)
-                        if t == cur:
-                            continue
-                    elif t == zero:
-                        continue
-                    best[x] = t
-                    k = key(t)
-                    if k in waiting:
-                        waiting[k].append(x)
-                    else:
-                        waiting[k] = [x]
-                        heappush(heap, k)
-            if not heap:
-                return sol
-            batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
-            if batch:  # equal keys mean equal weights
-                level = best[batch[0]]
-                for x in batch:
-                    sol[x] = level
+                    elif t != zero:
+                        offers.append((x, t))
 
     def _eliminate(self, b, pinned):
         """``_solve`` by elimination, one silent component at a time."""
@@ -427,14 +496,14 @@ class Saturator:
             return table
         float_mode = sr.carrier_mode == "float"
         in_class = dict.fromkeys(Cset, sr.one)
-        w_tau = self._solve(in_class, Cset)
+        w_tau = self._solve(in_class, Cset, self._silent_within)
         if float_mode:
             self._check_residual(in_class, Cset, w_tau, w.tau)
         lands_on = w_tau if self.mode == "weak" else in_class
         table = {w.tau: w_tau}
         for a in w.actions:
-            b = _action_rhs(sr, self._columns[a], lands_on)
-            x_a = self._solve(b)
+            b = _action_rhs(sr, self._columns[a], lands_on, self._action_within)
+            x_a = self._solve(b, _NO_PINS, self._action_within)
             if float_mode:
                 self._check_residual(b, _NO_PINS, x_a, a)
             table[a] = x_a

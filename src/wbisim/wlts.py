@@ -529,7 +529,20 @@ class Partition:
         if not all(seen):
             missing = [i for i, s in enumerate(seen) if not s]
             raise ValueError("states %s not covered" % missing)
-        canon.sort(key=lambda b: b[0])
+        self._canonical(n, canon)
+
+    @classmethod
+    def _trusted(cls, n, blocks):
+        """The partition of ``blocks``, which must be nonempty, disjoint,
+        cover {0..n-1} and hold only ids in range: put in canonical form,
+        unchecked."""
+        p = cls.__new__(cls)
+        p._canonical(n, [tuple(sorted(block)) for block in blocks])
+        return p
+
+    def _canonical(self, n, canon):
+        """Set the fields from disjoint, covering blocks of ascending ids."""
+        canon.sort()  # disjoint blocks compare by their least member
         self.n = n
         self.blocks = tuple(canon)
         assign = [0] * n

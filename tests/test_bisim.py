@@ -1255,8 +1255,10 @@ def _flag_every_state(w, mode, sources):
 @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
 def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypatch):
     # A splitter that no state of a block of two or more can carry weight
-    # into computes no table.  Flagging every state turns the skip off:
-    # partitions and events must stay, and only fewer tables be computed.
+    # into computes no table, and on the best-first semirings the tables
+    # search only where those states reach.  Flagging every state turns
+    # both off: partitions and events must stay, and only fewer tables be
+    # computed.
     # Shuffled copies end coarse, so real and arctic take the strong-quotient
     # route, where the events are lifted; there a weight is INF one time in
     # eight and silent self-loops have star INF.
@@ -1283,6 +1285,56 @@ def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypa
             routed += len(wb.bisim._refine(w, "strong", initial, False)[0]) < w.state_count
     assert skipped > 0
     assert routed >= 10 or not wb.bisim._lumps(w, mode), routed
+
+
+@pytest.mark.parametrize("mode", ["weak", "delay"])
+def test_unreached_silent_chain_is_left_out_of_the_supports(mode, monkeypatch):
+    # A silent chain that feeds state 0 but that no live state reaches:
+    # once the flags are recomputed without it, no table the engine
+    # computes searches it, though the full tables of the same classes
+    # hold it.
+    base = helpers.random_sparse_boolean(random.Random(61), 400, 3, 4)
+    n, length = base.state_count, 60
+    chain = range(n, n + length)
+    edges = list(base.transitions())
+    edges += [(x, "tau", x + 1 if x + 1 < n + length else 0, True) for x in chain]
+    w = wb.WLTS(
+        base.semiring, [*base.state_names, *("t%d" % i for i in range(length))],
+        base.actions, base.tau, edges,
+    )
+    # the chain states start as blocks of one, so they are never live
+    initial = Partition(w.state_count, [range(n)] + [[x] for x in chain])
+    latest = [None]
+    carried_into = wb.bisim._carried_into
+
+    def recording(w, mode, sources):
+        latest[0] = carried_into(w, mode, sources)
+        return latest[0]
+
+    tables = []
+    table = Saturator.table
+
+    def recorded(self, C):
+        tables.append((C, latest[0], table(self, C)))
+        return tables[-1][2]
+
+    monkeypatch.setattr(wb.bisim, "_carried_into", recording)
+    monkeypatch.setattr(Saturator, "table", recorded)
+    partition = refine_partition(w, mode, initial)[0]
+    monkeypatch.undo()
+    assert partition == refine_partition(w, mode, initial)[0]
+    full = Saturator(w, mode)
+    fed = kept = 0
+    for C, flags, supports in tables:
+        if flags is None:  # before the first recomputation every state is flagged
+            continue
+        assert not any(flags[x] for x in chain)
+        wide = full.table(C)
+        for label in w.labels:
+            kept += sum(x in supports[label] for x in chain)
+            fed += sum(x in wide[label] for x in chain)
+    assert kept == 0
+    assert fed >= length  # the full tables hold the chain
 
 
 @pytest.mark.parametrize("mode", ["weak", "delay"])

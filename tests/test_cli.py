@@ -800,6 +800,77 @@ class TestAxioms:
         assert code == 2
 
 
+class TestStructuredOutput:
+    """Structured output is laid out by ``cli._dumps``, which must print
+    exactly what ``json.dumps(payload, indent=2, sort_keys=True)`` does."""
+
+    ODD_NAMES = ['q"uote', "back\\slash", "ctl\x01\x1f\n\t", "caf\xe9 \u4e2d", "\u2028", "\ud800"]
+
+    @staticmethod
+    def assert_like_json(value):
+        assert wb.cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_leaves_and_nesting(self):
+        for value in (
+            {},
+            [],
+            (),
+            {"a": [], "b": {}, "c": [[], {}], "d": ({"e": ()},)},
+            {name: [name, {name: name}] for name in self.ODD_NAMES},
+            [None, True, False, 0, -7, 2**80, 0.1, -0.0, 1e300, float("inf"), float("nan")],
+            {"epsilon": 1e-9, "k": 10, "nested": {"z": 1, "a": {"y": [1.5, "x"]}}},
+            {1: "int key", 2.5: "float key", 0: ["zero"]},  # not str-keyed: json lays it out
+            [{3: [1, {"a": 2}]}, "after"],
+            "top-level string",
+            42,
+        ):
+            self.assert_like_json(value)
+
+    def test_every_command_prints_what_json_prints(self, tmp_path, capsys, monkeypatch):
+        payloads = []
+        emit = wb.cli._emit
+        monkeypatch.setattr(wb.cli, "_emit", lambda args, p, lines: payloads.append(p) or emit(args, p, lines))
+        names = self.ODD_NAMES
+        odd = write_doc(
+            tmp_path,
+            {
+                "semiring": "real",
+                "states": names,
+                "transitions": [
+                    {"from": names[0], "label": "tau", "to": names[1], "weight": "1/2"},
+                    {"from": names[2], "label": "a", "to": names[3], "weight": "1/3"},
+                    {"from": names[4], "label": "a", "to": names[3], "weight": "1/3"},
+                    {"from": names[1], "label": "a", "to": names[5], "weight": "1"},
+                ],
+            },
+            "odd.json",
+        )
+        empty = write_doc(
+            tmp_path, {"semiring": "boolean", "states": ["only"], "transitions": []}, "empty.json"
+        )
+        figure = write_doc(tmp_path, serialize(helpers.figure_system()), "figure.json")
+        chains = write_doc(tmp_path, serialize(helpers.chains_system()), "chains.json")
+        argvs = [
+            ["validate", odd],
+            ["validate", figure, "--constraint", "fully-probabilistic"],
+            ["validate", empty],
+            ["minimize", odd, "--equivalence", "weak", "--trace"],
+            ["minimize", odd, "--equivalence", "strong", "--emit-quotient"],
+            ["minimize", chains, "--equivalence", "weak", "--emit-quotient"],
+            ["minimize", empty, "--equivalence", "delay", "--trace"],
+            ["check", odd, "--left", names[2], "--right", names[4], "--equivalence", "weak"],
+            ["saturate", odd, "--class", names[4], "--mode", "weak"],
+            ["axioms", "--semiring", "real-float", "--param", "epsilon=1e-6"],
+            ["axioms", "--semiring", "truncation", "--param", "k=10"],
+        ]
+        for argv in argvs:
+            payloads.clear()
+            main(argv)
+            out, err = capsys.readouterr()
+            assert len(payloads) == 1, (argv, err)
+            assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n", argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -724,9 +724,9 @@ class TestSearchSaturation:
         solve = Saturator._solve
         solves = []
 
-        def counted(self, b, pinned=frozenset()):
+        def counted(self, b, pinned=frozenset(), within=None):
             products.clear()
-            sol = solve(self, b, pinned)
+            sol = solve(self, b, pinned, within)
             region = self._silent_reach(x for x, v in b.items() if v != sr.zero)
             edges = sum(len(w.predecessor_column(w.tau)[y]) for y in region)
             solves.append((len(products), edges))
@@ -741,6 +741,57 @@ class TestSearchSaturation:
                 assert all(p <= e for p, e in solves), (mode, solves)
                 if sr.name != "truncation":  # truncation clamps long paths to zero
                     assert len(table[w.tau]) == n
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
+    def test_restricted_tables_agree_where_the_engine_reads_them(self, sr, gen, mode):
+        # Restricted to the regions of a random live set, a table keeps to
+        # them and agrees with the full table on every live state; the
+        # weak silent table, which the action right-hand sides read after
+        # the action step, agrees on all of R1 and R2.
+        rng = random.Random("restricted tables %s/%s" % (sr.name, mode))
+        pruned = 0
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.03, 0.12), gen)
+            live = rng.sample(range(n), rng.randint(1, n))
+            flags = wb.bisim._carried_into(w, mode, live)
+            first = {x for x in range(n) if flags[x] == 1}
+            both = {x for x in range(n) if flags[x]}
+            assert set(live) <= first
+            restricted = Saturator(w, mode)
+            restricted._restrict(flags)
+            full = Saturator(w, mode)
+            for C in ([rng.randrange(n)], rng.sample(range(n), rng.randint(1, n))):
+                narrow, wide = restricted.table(C), full.table(C)
+                for label in w.labels:
+                    within = both if label == w.tau and mode == "weak" else first
+                    assert set(narrow[label]) <= within, (label, C, w)
+                    for x in within:
+                        assert narrow[label].get(x, sr.zero) == wide[label].get(x, sr.zero), (x, label, C, w)
+                    pruned += len(wide[label]) - len(narrow[label])
+        assert pruned > 0
+
+    def test_boolean_tables_build_no_heap(self, monkeypatch):
+        # Over the booleans every weight is ``one``, so a search is one
+        # breadth-first pass: no heap is built and no key is computed.
+        sr = by_name("boolean")
+        w = helpers.random_sparse_boolean(random.Random(5), 200, 3, 4)
+
+        def forbidden(*args):
+            raise AssertionError("no heap on the booleans")
+
+        monkeypatch.setattr(wb.solver, "heappush", forbidden)
+        monkeypatch.setattr(wb.solver, "heappop", forbidden)
+        monkeypatch.setattr(Saturator, "_best_first", forbidden)
+        monkeypatch.setattr(type(sr), "best_first_key", lambda self, v: forbidden())
+        for mode in ("weak", "delay"):
+            saturator = Saturator(w, mode)
+            for C in ([0], list(range(0, 200, 7)), list(range(200))):
+                table = saturator.table(C)
+                assert len(table[w.tau]) >= len(C)
+            partition = wb.refine_partition(w, mode)[0]  # restricted tables
+            assert wb.check_is_weak_bisimulation(w, partition, mode).ok
 
     def test_arctic_positive_cycle_is_infinite_by_elimination(self, monkeypatch):
         sr = by_name("arctic")

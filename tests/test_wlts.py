@@ -593,6 +593,21 @@ class TestPartition:
         assert p == Partition(4, [(0, 2), (1, 3)])
         assert hash(p) == hash(Partition(4, [[1, 3], [0, 2]]))
 
+    def test_trusted_blocks_take_the_same_canonical_form(self):
+        # The engine hands over its own disjoint, covering blocks as sets
+        # and lists in any order; they skip the checks, not the sorting.
+        rng = random.Random("trusted partitions")
+        for _ in range(50):
+            n = rng.randint(1, 20)
+            assign = [rng.randrange(4) for _ in range(n)]
+            blocks = [{x for x in range(n) if assign[x] == b} for b in set(assign)]
+            rng.shuffle(blocks)
+            mixed = [set(b) if rng.random() < 0.5 else rng.sample(sorted(b), len(b)) for b in blocks]
+            trusted = Partition._trusted(n, mixed)
+            checked = Partition(n, blocks)
+            assert trusted == checked
+            assert trusted._block_of == checked._block_of
+
     def test_accessors(self):
         p = Partition(4, [[0, 2], [1, 3]])
         assert p.block_of(2) == (0, 2)
