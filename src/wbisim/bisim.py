@@ -76,7 +76,8 @@ silent successors where they are searched, so the weights found there
 are exact, and stale flags, a superset, are exact too.  A support then
 lacks only states outside every block of two or more and lists the
 others in the same order, so partitions and trace events stay those of
-unbounded tables.
+unbounded tables.  The engine's Saturator (``solver._EngineSaturator``)
+takes its blocks as they are, unchecked.
 
 Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
@@ -101,7 +102,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .solver import Saturator, _class_set
+from .solver import Saturator, _EngineSaturator, _class_set
 from .wlts import Partition, _representative_quotient
 
 
@@ -245,7 +246,10 @@ class RefinementTrace:
     to the sorted states of its strong blocks; the strong pre-pass is not
     traced.  Such a trace replays on the document states from the initial
     partition, but its events need not be those of refining the document
-    states directly."""
+    states directly.  The splitter order follows the order of the states
+    in each table's supports, which the solver does not fix, so the
+    events and ``candidates_examined`` may differ between versions on
+    the same system; the partition does not."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
@@ -257,10 +261,10 @@ def _refine(w, mode, initial, want_trace):
     returns (Partition, RefinementTrace | None)."""
     n = w.state_count
     if initial is None:
-        initial = Partition.single_block(n)
+        initial = Partition._trusted(n, [range(n)] if n else [])
     elif initial.n != n:
         raise ValueError("initial partition is over a different state count")
-    provider = Saturator(w, mode)
+    provider = _EngineSaturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
     sr = w.semiring
     add, cancels, is_zero, zero = sr.add, sr.cancels, sr.is_zero, sr.zero

@@ -97,6 +97,8 @@ def _read_document(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
 
 
 def _load_system(args):

@@ -339,7 +339,10 @@ class RealFloatSemiring(Semiring):
         if isinstance(v, bool):
             raise ValueError("bool is not a float weight")
         if isinstance(v, (int, float, Fraction)):
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:
+                raise ValueError("weight too large for a float") from None
             if math.isnan(v) or v < 0:
                 raise ValueError("weight %r outside the non-negative carrier" % v)
             return v
@@ -352,9 +355,12 @@ class RealFloatSemiring(Semiring):
         if _RATIONAL_RE.match(t):
             return self.coerce(_parse_fraction(t))
         try:
-            return self.coerce(float(t))
-        except (ValueError, OverflowError):
+            v = self.coerce(float(t))
+        except ValueError:
             raise ValueError("malformed float literal %r" % text) from None
+        if v == math.inf and "inf" not in t.lower():  # "1e400" rounds to inf
+            raise ValueError("float literal %r too large for a float" % text)
+        return v
 
     def format(self, v):
         return "inf" if v == math.inf else repr(v)

@@ -18,7 +18,7 @@ least solution is a best-path weight, found by one search backwards
 along silent steps, breadth first over the weight ``one`` and best first
 below it (Knuth, "A generalization of Dijkstra's algorithm", 1977;
 Mohri, "Semiring frameworks and algorithms for shortest-distance
-problems", 2002).  On the others it solves one silent
+problems", 2002), one per label.  On the others it solves one silent
 strongly connected component at a time, sinks first (Tarjan, "A unified
 approach to path problems", 1981).  A component that the solve leaves
 whole is factored once, by an elimination that keeps its multipliers,
@@ -27,7 +27,9 @@ closure", 1977), and every later b applies that factor by forward and
 back-substitution; a component that the class cuts is eliminated for the
 one b at hand.  Weak and delay saturation differ only in b: one action
 step that lands on the class's silent-reach weights (weak) or on the
-class itself (delay).
+class itself (delay).  ``Saturator.table`` checks the class it is given,
+except in the refinement engine's ``_EngineSaturator``, which passes its
+own blocks unchecked.
 """
 
 from __future__ import annotations
@@ -108,22 +110,17 @@ def _class_set(w, C):
     return Cset
 
 
-def _action_rhs(sr, column, lands_on, within=None):
+def _action_rhs(sr, column, lands_on):
     """b[x] = sum over y of weight(x, action, y) * lands_on[y], as a mapping
     summed over the action predecessors (``column``, by state id) of the
     states in ``lands_on`` (a mapping state -> weight; absent states weigh
-    zero).  With ``within``, a bytearray over state ids, only the states it
-    marks are kept.  A factor ``one`` is not multiplied by: the product is
-    the other factor."""
+    zero).  A factor ``one`` is not multiplied by: the product is the
+    other factor."""
     add, mul, one = sr.add, sr.mul, sr.one
-    if within is None:
-        within = bytearray(b"\1") * len(column)
     b = {}
     for y, v in lands_on.items():
         unit = v == one
         for x, wt in column[y].items():
-            if not within[x]:
-                continue
             t = wt if unit else v if wt == one else mul(wt, v)
             b[x] = add(b[x], t) if x in b else t
     return b
@@ -193,26 +190,31 @@ class Saturator:
     the support of b by silent steps can carry weight.
 
     On a semiring with a ``best_first_key`` (star always ``one``, sums keep
-    the better operand) one search backwards along silent steps from the
-    support of b solves the system: the class states stay at their weight,
-    the states of weight ``one`` settle first, breadth first, and only
-    when a weight other than ``one`` turns up, in b or on a silent edge,
-    are tentative weights and a heap of their keys built, from which the
-    others settle best first.  Each settled state relaxes its silent
-    in-edges once.  Over the booleans the search is breadth first
-    throughout and builds no heap.
+    the better operand) a table is one search per label backwards along
+    silent steps (``_searched``), from the class states at ``one`` for the
+    silent label.  An action's search starts from the action steps into
+    the states it lands on, with no right-hand side built: a step whose
+    product is ``one`` settles its source at once, since ``one + a ==
+    one``, and any other product waits as a tentative weight.  The states
+    of weight ``one`` settle first, breadth first; only when a weight
+    other than ``one`` turns up are tentative weights merged by the sum
+    and a heap of their keys built, from which the others settle best
+    first.  Each settled state relaxes its silent in-edges once.  Over the
+    booleans no heap is built.
 
     The refinement engine bounds these searches (``_restrict``) to the
     states where it reads the tables: R1, the states its live states
     reach by silent steps, and R2, the others they reach after the action
     step (``bisim._carried_into``).  The silent search keeps to R1 and R2
-    in weak mode, to R1 in delay mode, and each action's right-hand side
-    and search keep to R1.  R1, and in weak mode R1 plus R2, are closed
-    under silent successors, so every silent path from a state of a
-    region stays in it and every weight found there is exact; an action
-    right-hand side at a state of R1 reads the silent table only at its
-    action successors, which lie in R1 or R2.  The tables of every other
-    caller are full.
+    in weak mode, to R1 in delay mode, and each action's walk and search
+    keep to R1.  R1, and in weak mode R1 plus R2, are closed under silent
+    successors, so every silent path from a state of a region stays in it
+    and every weight found there is exact; an action step from a state of
+    R1 reads the silent table only at its action successors, which lie in
+    R1 or R2.  The engine's ``_EngineSaturator`` takes its own blocks
+    unchecked; every other caller (``check``, ``saturate``,
+    ``--emit-quotient``, the checker) has its class checked by ``table``
+    and gets full tables.
 
     On the other semirings the states that reach the support of b are
     solved one silent strongly connected component at a time, sinks first,
@@ -229,12 +231,11 @@ class Saturator:
     the system's own list indexed by state id (``predecessor_column``,
     read only, not copied), and every table indexes those columns: the
     silent one for the searches and silent reach, the action ones for the
-    action right-hand sides, summed over the predecessors of the
-    silent-reach support (weak) or of the class (delay).  Mode "strong"
-    degenerates to single-step class weights and is what the strong
-    refinement engine runs on; they are summed over the predecessors of the
-    class, so a table costs the in-degree of the class rather than a pass
-    over every state.
+    action steps into the silent-reach support (weak) or into the class
+    (delay).  Mode "strong" degenerates to single-step class weights and
+    is what the strong refinement engine runs on; they are summed over the
+    predecessors of the class, so a table costs the in-degree of the class
+    rather than a pass over every state.
     """
 
     def __init__(self, w, mode="weak"):
@@ -252,8 +253,8 @@ class Saturator:
             self._comp = _silent_components(self._silent)
             self._size = Counter(self._comp)
             self._factors = {}  # component -> factor, for components left whole
-        # the states the silent and the action searches may settle
-        self._silent_within = self._action_within = bytearray(b"\1") * n
+        else:  # the states the silent and the action searches may settle
+            self._silent_within = self._action_within = bytearray(b"\1") * n
 
     def _restrict(self, flags):
         """Bound the later weak and delay tables of a best-first carrier to
@@ -262,23 +263,12 @@ class Saturator:
         states reach by silent steps, and 2 on R2, the other states they
         reach after the action step.  The silent search then settles states
         of R1 or R2 in weak mode and of R1 in delay mode, and each action's
-        right-hand side and search keep to R1.  Strong mode and the other
-        carriers ignore it."""
+        walk and search keep to R1.  Strong mode and the other carriers
+        ignore it."""
         if self.mode != "strong" and self._key is not None:
             first = flags.translate(_FIRST_REGION)
             self._action_within = first
             self._silent_within = flags if self.mode == "weak" else first
-
-    def _solve(self, b, pinned=_NO_PINS, within=None):
-        """Support of the least x with x = M*x + b, where M is the silent
-        adjacency with the rows of ``pinned`` emptied and b maps states to
-        weights (absent states weigh zero).  Pinned states must carry
-        weight ``one`` in b; they keep it.  A best-first search settles
-        only the states that ``within``, a bytearray over state ids, marks
-        (every state by default); elimination ignores it."""
-        if self._key is not None:
-            return self._search(b, within)
-        return self._eliminate(b, pinned)
 
     def _silent_reach(self, seeds):
         """The states that reach one of ``seeds`` by silent steps, seeds
@@ -293,51 +283,62 @@ class Saturator:
                     region.append(x)
         return region
 
-    def _search(self, b, within=None):
-        """``_solve`` by best-first search over the states ``within``
-        marks.  With star always ``one``, a weight times anything is no
-        better than the weight itself, so the best tentative weight is
-        final, and a state that reaches it while the states of that weight
-        are relaxed settles at once.  The states of weight ``one``, the
-        pinned ones among them, settle first, breadth first in FIFO order;
-        over the booleans that is the whole search.  Only the weights other
-        than ``one`` met on the way, in b or on a silent edge, go on to
-        ``_best_first``."""
-        sr = self.w.semiring
-        zero, one = sr.zero, sr.one
-        pred = self._columns[self.w.tau]
-        if within is None:
-            within = bytearray(b"\1") * self.w.state_count
-        sol = {}  # settled weights
-        offers = []  # (state, tentative weight other than zero and one)
-        for x, v in b.items():
-            if not within[x]:
-                continue
-            if v == one:
-                sol[x] = v
-            elif v != zero:
-                offers.append((x, v))
-        batch = list(sol)
-        for y in batch:  # grows while it is relaxed
-            for x, m in pred[y].items():
-                if x in sol or not within[x]:
-                    continue
-                if m == one:
-                    sol[x] = m
-                    batch.append(x)
-                elif m != zero:
-                    offers.append((x, m))
-        if offers:
-            self._best_first(sol, offers, within)
-        return sol
+    def _searched(self, C):
+        """The weak or delay table of class ``C`` on a best-first carrier:
+        one search per label, the silent label first (class docstring).
+        The states of weight ``one`` settle breadth first in FIFO order;
+        only the other weights met on the way, on an action step or on a
+        silent edge, go on to ``_best_first``.  A product with a factor
+        ``one`` is the other factor and is not computed."""
+        w = self.w
+        sr = w.semiring
+        mul, zero, one = sr.mul, sr.zero, sr.one
+        pred = self._columns[w.tau]
+        table = {}
+        lands_on = None
+        for label in w.labels:
+            offers = []  # (state, tentative weight other than zero and one)
+            if lands_on is None:
+                within = self._silent_within
+                sol = {x: one for x in C if within[x]}  # settled weights
+            else:
+                within = self._action_within
+                column = self._columns[label]
+                sol = {}
+                for y, v in lands_on.items():
+                    unit = v == one
+                    for x, wt in column[y].items():
+                        if x in sol or not within[x]:
+                            continue
+                        t = wt if unit else v if wt == one else mul(wt, v)
+                        if t == one:
+                            sol[x] = t
+                        elif t != zero:
+                            offers.append((x, t))
+            batch = list(sol)
+            for y in batch:  # grows while it is relaxed
+                for x, m in pred[y].items():
+                    if x in sol or not within[x]:
+                        continue
+                    if m == one:
+                        sol[x] = m
+                        batch.append(x)
+                    elif m != zero:
+                        offers.append((x, m))
+            if offers:
+                self._best_first(sol, offers, within)
+            table[label] = sol
+            if lands_on is None:
+                lands_on = sol if self.mode == "weak" else dict.fromkeys(C, one)
+        return table
 
     def _best_first(self, sol, offers, within):
-        """Finish ``_search``: add to ``sol`` the states below weight
-        ``one``, best first, from the tentative weights ``offers``.  They
-        wait in buckets, one per key, with the keys in a heap; the best
-        bucket settles next, with every state that reaches its weight while
-        it is relaxed.  A product with a factor ``one`` is the other factor
-        and is not computed."""
+        """Finish a search of ``_searched``: add to ``sol`` the states
+        below weight ``one``, best first, from the tentative weights
+        ``offers``.  They wait in buckets, one per key, with the keys in a
+        heap; the best bucket settles next, with every state that reaches
+        its weight while it is relaxed.  A product with a factor ``one`` is
+        the other factor and is not computed."""
         sr = self.w.semiring
         add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
         pred = self._columns[self.w.tau]
@@ -381,7 +382,11 @@ class Saturator:
                         offers.append((x, t))
 
     def _eliminate(self, b, pinned):
-        """``_solve`` by elimination, one silent component at a time."""
+        """Support of the least x with x = M*x + b, where M is the silent
+        adjacency with the rows of ``pinned`` emptied and b maps states to
+        weights (absent states weigh zero), solved one silent component at
+        a time.  Pinned states must carry weight ``one`` in b; they keep
+        it."""
         sr = self.w.semiring
         add, mul, zero = sr.add, sr.mul, sr.zero
         silent, comp, size, factors = self._silent, self._comp, self._size, self._factors
@@ -460,10 +465,11 @@ class Saturator:
 
     def _check_residual(self, b, pinned, support, label):
         """Raise ConvergenceError unless ``support`` solves the system of
-        ``_solve``, row by row.  Only the rows of the states that reach the
-        support of b or of the solution by silent steps are checked: every
-        other state has no silent step into them, so both sides of its row
-        are zero.  States outside the support weigh zero and add nothing."""
+        ``_eliminate``, row by row.  Only the rows of the states that reach
+        the support of b or of the solution by silent steps are checked:
+        every other state has no silent step into them, so both sides of its
+        row are zero.  States outside the support weigh zero and add
+        nothing."""
         sr = self.w.semiring
         add, mul, zero = sr.add, sr.mul, sr.zero
         for x in self._silent_reach(list(b) + list(support)):
@@ -477,34 +483,52 @@ class Saturator:
                     "float solution for label %r failed its residual check" % (label,)
                 )
 
+    def _class(self, C):
+        """The class ``table`` works on: ``C`` checked, nonempty and every
+        member a state id in range."""
+        return _class_set(self.w, C)
+
     def table(self, C):
         """Saturated weights into class ``C``: a dict label -> support, in
         ``w.labels`` order.  A support maps at least every state of nonzero
-        weight to its weight; a state it lacks weighs zero."""
+        weight to its weight; a state it lacks weighs zero.  ``C`` is
+        checked first (``_class``): nonempty, and every member a state id
+        in range."""
         w = self.w
         sr = w.semiring
-        Cset = _class_set(w, C)
+        C = self._class(C)
         if self.mode == "strong":
             table = {}
             for label in w.labels:
                 column = self._columns[label]
                 support = {}
-                for y in Cset:
+                for y in C:
                     for x, wt in column[y].items():
                         support[x] = sr.add(support[x], wt) if x in support else wt
                 table[label] = support
             return table
+        if self._key is not None:
+            return self._searched(C)
         float_mode = sr.carrier_mode == "float"
-        in_class = dict.fromkeys(Cset, sr.one)
-        w_tau = self._solve(in_class, Cset, self._silent_within)
+        in_class = dict.fromkeys(C, sr.one)
+        w_tau = self._eliminate(in_class, in_class)
         if float_mode:
-            self._check_residual(in_class, Cset, w_tau, w.tau)
+            self._check_residual(in_class, in_class, w_tau, w.tau)
         lands_on = w_tau if self.mode == "weak" else in_class
         table = {w.tau: w_tau}
         for a in w.actions:
-            b = _action_rhs(sr, self._columns[a], lands_on, self._action_within)
-            x_a = self._solve(b, _NO_PINS, self._action_within)
+            b = _action_rhs(sr, self._columns[a], lands_on)
+            x_a = self._eliminate(b, _NO_PINS)
             if float_mode:
                 self._check_residual(b, _NO_PINS, x_a, a)
             table[a] = x_a
         return table
+
+
+class _EngineSaturator(Saturator):
+    """The refinement engine's Saturator.  It asks ``table`` for the
+    tables of its own blocks (a set, or a sequence of one state), which
+    are taken as they are, unchecked."""
+
+    def _class(self, C):
+        return C

@@ -162,6 +162,32 @@ class TestErrorCodes:
         assert code == 3
         assert "parse error" in err
 
+    def test_deeply_nested_json_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (3, "")
+        assert "parse error: not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "literal", ["1" + "0" * 400, "1" + "0" * 400 + "/7", "1e400"], ids=["integer", "fraction", "decimal"]
+    )
+    def test_float_literal_too_large_exits_2(self, literal, tmp_path, capsys):
+        doc = {
+            "semiring": "real-float",
+            "states": ["p", "q"],
+            "transitions": [{"from": "p", "label": "a", "to": "q", "weight": literal}],
+        }
+        path = write_doc(tmp_path, doc)
+        for argv in (["validate", path], ["check", path, "--left", "p", "--right", "q"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert "bad weight" in err
+        doc["transitions"][0]["weight"] = "inf"
+        code, payload, _ = run_json(capsys, ["saturate", write_doc(tmp_path, doc, "inf.json"), "--class", "q"])
+        assert code == 0
+        assert payload["table"]["p"]["a"] == "inf"
+
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run(capsys, ["validate", "/nonexistent/no.json"])
         assert code == 3

@@ -9,6 +9,7 @@ import pytest
 
 import wbisim as wb
 from wbisim import ConvergenceError, Saturator, by_name
+from wbisim.solver import _EngineSaturator
 
 import helpers
 from helpers import (
@@ -385,7 +386,7 @@ class TestFloatResidualCheck:
             for mode in ("weak", "delay"):
                 sat = Saturator(w, mode)
                 in_class = dict.fromkeys(C, sr.one)
-                w_tau = sat._solve(in_class, frozenset(C))
+                w_tau = sat._eliminate(in_class, frozenset(C))
                 agree(sat, in_class, frozenset(C), w_tau, build_tau_system(w, C))
                 lands_on = w_tau if mode == "weak" else in_class
                 for a in w.actions:
@@ -395,7 +396,7 @@ class TestFloatResidualCheck:
                         system = build_action_system(w, C, a, vector)
                     else:
                         system = build_delay_system(w, C, a)
-                    agree(sat, b, frozenset(), sat._solve(b), system)
+                    agree(sat, b, frozenset(), sat._eliminate(b, frozenset()), system)
         assert verdicts == ({True} if corrupt is None else {True, False})
 
 
@@ -713,32 +714,51 @@ class TestSearchSaturation:
     @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
     def test_work_is_one_product_per_silent_edge(self, sr, gen, monkeypatch):
         # Each settled state relaxes its silent in-edges once, and nothing
-        # is eliminated: a solve costs at most one product per silent edge
-        # into the states that reach its right-hand side.
+        # is eliminated.  Per label, the search costs at most one product
+        # per silent edge into the states that reach its seeds by silent
+        # steps, and the walk of an action step one product per step whose
+        # factors both differ from one.  The seeds are the class for the
+        # silent label and, for an action, the states with a nonzero step
+        # into the states it lands on.  Each action's search reads its
+        # predecessor column once, before its walk, so the product count
+        # at those reads splits the products of a table by label.
         n = 2000
         w = _strongly_connected(random.Random(2000), sr, n, gen)
         _forbid_elimination(monkeypatch)
         products = []
-        mul = sr.mul
+        mul, one, zero = sr.mul, sr.one, sr.zero
         monkeypatch.setattr(sr, "mul", lambda a, b: products.append(None) or mul(a, b))
-        solve = Saturator._solve
-        solves = []
+        silent = w.predecessor_column(w.tau)
+        marks = []  # the product count at each read of an action's column
 
-        def counted(self, b, pinned=frozenset(), within=None):
-            products.clear()
-            sol = solve(self, b, pinned, within)
-            region = self._silent_reach(x for x, v in b.items() if v != sr.zero)
-            edges = sum(len(w.predecessor_column(w.tau)[y]) for y in region)
-            solves.append((len(products), edges))
-            return sol
+        class MarkedColumns(dict):
+            def __getitem__(self, label):
+                if label != w.tau:
+                    marks.append(len(products))
+                return dict.__getitem__(self, label)
 
-        monkeypatch.setattr(Saturator, "_solve", counted)
+        def bound(saturator, C, lands_on, label):
+            seeds, walked = C, 0
+            if label != w.tau:
+                column = w.predecessor_column(label)
+                steps = [(x, wt, v) for y, v in lands_on.items() for x, wt in column[y].items()]
+                seeds = [x for x, wt, v in steps if mul(wt, v) != zero]
+                walked = sum(wt != one and v != one for _, wt, v in steps)
+            return walked + sum(len(silent[y]) for y in saturator._silent_reach(seeds))
+
         for C in ([0], sorted(random.Random(7).sample(range(n), 50))):
             for mode in ("weak", "delay"):
-                solves.clear()
-                table = Saturator(w, mode).table(C)
-                assert len(solves) == 2
-                assert all(p <= e for p, e in solves), (mode, solves)
+                saturator = Saturator(w, mode)
+                saturator._columns = MarkedColumns(saturator._columns)
+                products.clear()
+                marks.clear()
+                table = saturator.table(C)
+                assert list(table) == [w.tau, "a"] and len(marks) == 1
+                cuts = [0, *marks, len(products)]
+                counts = [end - start for start, end in zip(cuts, cuts[1:])]
+                lands_on = table[w.tau] if mode == "weak" else dict.fromkeys(C, one)
+                bounds = [bound(saturator, C, lands_on, label) for label in table]
+                assert all(p <= e for p, e in zip(counts, bounds)), (mode, counts, bounds)
                 if sr.name != "truncation":  # truncation clamps long paths to zero
                     assert len(table[w.tau]) == n
 
@@ -747,8 +767,8 @@ class TestSearchSaturation:
     def test_restricted_tables_agree_where_the_engine_reads_them(self, sr, gen, mode):
         # Restricted to the regions of a random live set, a table keeps to
         # them and agrees with the full table on every live state; the
-        # weak silent table, which the action right-hand sides read after
-        # the action step, agrees on all of R1 and R2.
+        # weak silent table, which the action steps land on, agrees on all
+        # of R1 and R2.
         rng = random.Random("restricted tables %s/%s" % (sr.name, mode))
         pruned = 0
         for _ in range(40):
@@ -771,6 +791,82 @@ class TestSearchSaturation:
                         assert narrow[label].get(x, sr.zero) == wide[label].get(x, sr.zero), (x, label, C, w)
                     pruned += len(wide[label]) - len(narrow[label])
         assert pruned > 0
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", ZERO_CLOSED, ids=[sr.name for sr, _ in ZERO_CLOSED])
+    def test_folded_action_step_matches_the_reference(self, sr, gen, mode):
+        # The action step is walked inside each search, with no right-hand
+        # side built: every support must hold exactly the states of nonzero
+        # reference weight, at that weight.  The systems are chains of
+        # silent rings, of weights other than one, with silent chords to
+        # later rings and parallel action steps anywhere, whose products
+        # tie at one, fall below it or, on truncation, clamp to zero, as
+        # silent steps into states of nonzero weight do too.
+        # Tables restricted to the regions of a random live set are
+        # compared where the engine reads them, as above.
+        zero, one = sr.zero, sr.one
+        rng = random.Random("folded action step %s/%s" % (sr.name, mode))
+        seen = dict.fromkeys(["tie", "below", "clamped", "silent", "restricted"], 0)
+        for _ in range(30):
+            n = rng.randint(3, 30)
+            edges = {}
+            start = 0
+            while start < n:
+                end = min(n, start + rng.randint(1, 6))
+                for x in range(start, end):
+                    edges[(x, "tau", x + 1 if x + 1 < end else start)] = gen(rng)
+                    if end < n and rng.random() < 0.3:
+                        edges[(x, "tau", rng.randrange(end, n))] = gen(rng)
+                start = end
+            for x in range(n):
+                for label, most in (("a", 3), ("b", 1)):
+                    for y in rng.sample(range(n), rng.randint(0, most)):
+                        edges[(x, label, y)] = gen(rng)
+            w = wb.WLTS(
+                sr, ["s%d" % x for x in range(n)], ["a", "b"], "tau",
+                [(x, label, y, v) for (x, label, y), v in sorted(edges.items())],
+            )
+            seen["silent"] += sum(v != one for (_, label, _), v in edges.items() if label == "tau")
+            silent = w.predecessor_column(w.tau)
+            live = rng.sample(range(n), rng.randint(1, n // 3))
+            flags = wb.bisim._carried_into(w, mode, live)
+            first = {x for x in range(n) if flags[x] == 1}
+            both = {x for x in range(n) if flags[x]}
+            restricted = _EngineSaturator(w, mode)
+            restricted._restrict(flags)
+            full = Saturator(w, mode)
+            for C in ({rng.randrange(n)}, set(rng.sample(range(n), rng.randint(1, n)))):
+                w_tau = solve_least(build_tau_system(w, C))
+                lands_on = w_tau if mode == "weak" else [one if y in C else zero for y in range(n)]
+                expected = {w.tau: w_tau}
+                for a in w.actions:
+                    if mode == "weak":
+                        expected[a] = solve_least(build_action_system(w, C, a, w_tau))
+                    else:
+                        expected[a] = solve_least(build_delay_system(w, C, a))
+                    for x in range(n):
+                        products = [
+                            sr.mul(wt, lands_on[y])
+                            for y, wt in w.successors(x, a).items()
+                            if lands_on[y] != zero
+                        ]
+                        seen["tie"] += products.count(one) >= 2
+                        seen["below"] += any(p not in (zero, one) for p in products)
+                        seen["clamped"] += zero in products
+                wide, narrow = full.table(C), restricted.table(C)
+                for label in w.labels:
+                    nonzero = {x: v for x, v in enumerate(expected[label]) if v != zero}
+                    seen["clamped"] += any(
+                        sr.mul(m, v) == zero for y, v in nonzero.items() for m in silent[y].values()
+                    )
+                    assert wide[label] == nonzero, (mode, label, C, w)
+                    within = both if label == w.tau and mode == "weak" else first
+                    kept = {x: v for x, v in nonzero.items() if x in within}
+                    assert narrow[label] == kept, (mode, label, C, w)
+                    seen["restricted"] += len(nonzero) - len(kept)
+        assert seen["tie"] and seen["restricted"]
+        assert bool(seen["below"]) == bool(seen["silent"]) == (sr.name != "boolean")
+        assert bool(seen["clamped"]) == (sr.name == "truncation")
 
     def test_boolean_tables_build_no_heap(self, monkeypatch):
         # Over the booleans every weight is ``one``, so a search is one

@@ -505,6 +505,35 @@ class TestLoad:
             assert str(exc.value) == message
 
 
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "literal",
+        [HUGE, HUGE + "/3", "-" + HUGE, "1e400", "2.5E+308"],
+        ids=["integer", "fraction", "negative", "decimal", "exponent"],
+    )
+    def test_real_float_literal_too_large_for_a_float_is_a_bad_weight(self, literal):
+        doc = dict(doc_chain(), semiring="real-float")
+        doc["transitions"][0]["weight"] = literal
+        with pytest.raises(SemanticError, match="bad weight"):
+            load(doc)
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+    def test_real_float_weight_too_large_for_a_float_is_rejected(self, value):
+        sr = by_name("real-float")
+        with pytest.raises(SemanticError, match="too large for a float"):
+            WLTS(sr, ["u", "v"], ["a"], "tau", [(0, "a", 1, value)])
+
+    @pytest.mark.parametrize("literal", ["inf", " inf", "Infinity", "1e308"])
+    def test_real_float_literals_in_range_still_load(self, literal):
+        sr = by_name("real-float")
+        doc = dict(doc_chain(), semiring="real-float")
+        doc["transitions"][0]["weight"] = literal
+        (_, _, _, wt), *_ = load(doc).transitions()
+        assert wt == sr.parse(literal) == float(literal)
+        assert sr.format(sr.parse("inf")) == "inf"
+
+
 class TestWLTSQueries:
     def test_class_weight_matches_direct_sum(self):
         w = helpers.figure_system()
@@ -657,6 +686,8 @@ class TestPartition:
             Partition(3, [[0, 1, 2], []])  # empty block
         with pytest.raises(ValueError):
             Partition(3, [[0, 1, 5]])  # out of range
+        with pytest.raises(ValueError):
+            Partition.single_block(-1)  # one empty block
 
     def test_to_names(self):
         w = helpers.chains_system()
