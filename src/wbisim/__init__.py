@@ -19,21 +19,21 @@ from .wlts import (
     DocumentError,
     ParseError,
     Partition,
-    QuotientError,
     SemanticError,
     WLTS,
     check_fully_probabilistic,
     check_reactive,
-    emit_quotient,
     load,
     serialize,
     to_dot,
 )
 from .solver import ConvergenceError, Saturator
 from .bisim import (
+    QuotientError,
     RefinementTrace,
     bisimilar,
     check_is_weak_bisimulation,
+    emit_quotient,
     refine_partition,
     split_block_sorted,
 )

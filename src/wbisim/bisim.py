@@ -65,18 +65,9 @@ could split.  A skipped splitter counts as examined as if its table had
 been computed (in strong mode it still leaves its compound), so the
 partition and every trace event are those of a run without the skip.
 
-In weak and delay mode the flags tell two regions apart: R1, the states
-live ones reach by silent steps, and R2, the others they reach once the
-action step is taken.  On the semirings with a ``best_first_key`` the
-flags also bound the searches of every table (``Saturator._restrict``,
-handed the flags each time they are recomputed): the engine reads a
-table only at live states, which lie in R1, and a weak action table
-reads the silent one only in R1 or R2.  Both regions are closed under
-silent successors where they are searched, so the weights found there
-are exact, and stale flags, a superset, are exact too.  A support then
-lacks only states outside every block of two or more and lists the
-others in the same order, so partitions and trace events stay those of
-unbounded tables.  The engine's Saturator (``solver._EngineSaturator``)
+On the semirings with a ``best_first_key`` the flags also bound the
+searches of every weak and delay table, by the region rule stated at
+``_carried_into``.  The engine's Saturator (``solver._EngineSaturator``)
 takes its blocks as they are, unchecked.
 
 Weak and delay mode on the strong quotient (``refine_partition``):
@@ -103,7 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .solver import Saturator, _EngineSaturator, _class_set
-from .wlts import Partition, _representative_quotient
+from .wlts import WLTS, Partition, _escaped, block_names
 
 
 def split_block_sorted(sr, members, weights):
@@ -153,9 +144,20 @@ def _carried_into(w, mode, sources):
 
     Outside strong mode the flag tells two regions apart: 1 marks R1, the
     states the sources reach by silent steps alone, and 2 marks R2, the
-    other states they reach once the action step is taken.  Both R1 and,
-    in weak mode, R1 plus R2 are closed under silent successors, so
-    ``Saturator._restrict`` can bound the searches of a table to them."""
+    other states they reach once the action step is taken.  On the
+    semirings with a ``best_first_key`` the engine hands the flags to
+    ``Saturator._restrict`` each time it computes them, and the searches
+    of every later table keep to the regions: the silent search to R1 and
+    R2 in weak mode and to R1 in delay mode, each action's walk and search
+    to R1.  The engine reads a table only at live states, which lie in R1,
+    and a weak action table reads the silent one only at the action
+    successors of R1, which lie in R1 or R2.  R1, and in weak mode R1 plus
+    R2, are closed under silent successors, so every silent path from a
+    state of a region stays in it and every weight found there is exact;
+    stale flags, a superset, are exact too.  A support then lacks only
+    states outside every block of two or more and lists the others in the
+    same order, so partitions and trace events stay those of unbounded
+    tables."""
     flags = bytearray(w.state_count)
     succ, tau = w._succ, w.tau  # per state: label -> successor row
 
@@ -414,7 +416,7 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
             start = None
             if initial is not None:
                 start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
-            quotient = _representative_quotient(w, strong, map(str, range(len(strong))))
+            quotient = _representative_quotient(w, strong, [str(b) for b in range(len(strong))])
             coarse, trace = _refine(quotient, mode, start, want_trace)
 
             def lift(block):
@@ -484,3 +486,49 @@ def check_is_weak_bisimulation(w, partition, mode="weak"):
                     )
                 )
     return BisimulationReport(mode, not violations, violations)
+
+
+class QuotientError(Exception):
+    """Block members disagreed: the partition was not a strong bisimulation."""
+
+
+def emit_quotient(w, partition):
+    """Quotient system of a strong partition, its states named by
+    ``block_names``.  The partition is checked first, by
+    ``check_is_weak_bisimulation`` in strong mode; on its first violation
+    QuotientError names the block, the label, the class and the members'
+    weights.  Weak/delay classes do not induce well-defined single-step
+    weights, so the CLI only offers quotients for strong partitions.
+    """
+    report = check_is_weak_bisimulation(w, partition, "strong")
+    names = block_names(w, partition)
+    if not report.ok:
+        v, block_of = report.violations[0], partition._block_of
+        weights = ", ".join("%s=%s" % pair for pair in zip(_escaped(v.weights), v.weights.values()))
+        raise QuotientError("members of %s disagree on %s into %s: %s" % (
+            names[block_of[v.block[0]]], v.label, names[block_of[v.target_class[0]]], weights))
+    return _representative_quotient(w, partition, names)
+
+
+def _representative_quotient(w, partition, names):
+    """Quotient of a strong partition whose members are known to agree, as
+    the one ``refine_partition`` has just computed or one ``emit_quotient``
+    has checked: each block's steps are those of its first member summed
+    by target block, zero sums dropped, and nothing is checked.  Its
+    states are ``names``, a list of one name per block in order."""
+    sr = w.semiring
+    add, is_zero, block_of = sr.add, sr.is_zero, partition._block_of
+    succ = []
+    for block in partition.blocks:
+        rows = {}
+        for label, targets in w._succ[block[0]].items():
+            row = {}
+            for y, wt in targets.items():
+                bj = block_of[y]
+                row[bj] = add(row[bj], wt) if bj in row else wt
+            row = {bj: wt for bj, wt in row.items() if not is_zero(wt)}
+            if row:
+                rows[label] = row
+        succ.append(rows)
+    index = {name: i for i, name in enumerate(names)}
+    return WLTS._of_rows(sr, tuple(names), w.actions, w.tau, index, succ)

@@ -21,18 +21,16 @@ import re
 import sys
 
 from . import semiring as _semiring
-from .bisim import refine_partition
+from .bisim import QuotientError, emit_quotient, refine_partition
 from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
     ParseError,
-    QuotientError,
     SemanticError,
     _escaped,
     block_names,
     check_fully_probabilistic,
     check_reactive,
-    emit_quotient,
     load,
     serialize,
     to_dot,
@@ -305,8 +303,7 @@ def _cmd_saturate(args):
     C = [w.index(s) for s in names]
     grid = _saturation_grid(w, Saturator(w, args.mode).table(C))
     payload = {"mode": args.mode, "class": names, "table": grid}
-    escaped = (re.sub(r"([\\,])", r"\\\1", s) for s in names)  # the inverse of the split
-    lines = ["%s saturation into {%s}" % (args.mode, ",".join(escaped))]
+    lines = ["%s saturation into {%s}" % (args.mode, ",".join(_escaped(names)))]
     for state, cells in grid.items():
         row = ", ".join("%s=%s" % cell for cell in cells.items())
         lines.append("  %s: %s" % (state, row))

@@ -306,6 +306,11 @@ class RealFloatSemiring(Semiring):
     one = 1.0
 
     def __init__(self, epsilon=1e-9):
+        if isinstance(epsilon, int) and not isinstance(epsilon, bool):
+            try:  # a JSON document may write a whole epsilon as an integer
+                epsilon = float(epsilon)
+            except OverflowError:
+                epsilon = math.inf
         if not (isinstance(epsilon, float) and 0 < epsilon < math.inf):
             raise ValueError("epsilon must be a positive finite float")
         self.epsilon = epsilon
@@ -541,9 +546,10 @@ def by_name(name, **params):
 
     The parameters an instance takes, and their types, are declared in its
     class's ``parameters``: ``truncation`` requires ``k`` (positive int),
-    ``real-float`` accepts ``epsilon`` (positive finite float, default
-    1e-9), and the others take none.  An undeclared parameter, and a value
-    the constructor rejects, raise ValueError.
+    ``real-float`` accepts ``epsilon`` (positive finite float, or an int
+    that converts to one; default 1e-9), and the others take none.  An
+    undeclared parameter, and a value the constructor rejects, raise
+    ValueError.
     """
     cls = SEMIRING_CLASSES.get(name)
     if cls is None:

@@ -202,17 +202,10 @@ class Saturator:
     first.  Each settled state relaxes its silent in-edges once.  Over the
     booleans no heap is built.
 
-    The refinement engine bounds these searches (``_restrict``) to the
-    states where it reads the tables: R1, the states its live states
-    reach by silent steps, and R2, the others they reach after the action
-    step (``bisim._carried_into``).  The silent search keeps to R1 and R2
-    in weak mode, to R1 in delay mode, and each action's walk and search
-    keep to R1.  R1, and in weak mode R1 plus R2, are closed under silent
-    successors, so every silent path from a state of a region stays in it
-    and every weight found there is exact; an action step from a state of
-    R1 reads the silent table only at its action successors, which lie in
-    R1 or R2.  The engine's ``_EngineSaturator`` takes its own blocks
-    unchecked; every other caller (``check``, ``saturate``,
+    The refinement engine bounds these searches to the states where it
+    reads the tables (``_restrict``, by the region rule stated at
+    ``bisim._carried_into``).  The engine's ``_EngineSaturator`` takes its
+    own blocks unchecked; every other caller (``check``, ``saturate``,
     ``--emit-quotient``, the checker) has its class checked by ``table``
     and gets full tables.
 
@@ -258,13 +251,9 @@ class Saturator:
 
     def _restrict(self, flags):
         """Bound the later weak and delay tables of a best-first carrier to
-        the states where the refinement engine reads them.  ``flags`` is
-        ``bisim._carried_into``'s bytearray: 1 on R1, the states that live
-        states reach by silent steps, and 2 on R2, the other states they
-        reach after the action step.  The silent search then settles states
-        of R1 or R2 in weak mode and of R1 in delay mode, and each action's
-        walk and search keep to R1.  Strong mode and the other carriers
-        ignore it."""
+        the regions that ``flags``, ``bisim._carried_into``'s bytearray,
+        marks, by the rule stated there.  Strong mode and the other
+        carriers ignore it."""
         if self.mode != "strong" and self._key is not None:
             first = flags.translate(_FIRST_REGION)
             self._action_within = first

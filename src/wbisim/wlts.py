@@ -159,21 +159,11 @@ class WLTS:
 
     def class_weight(self, x, label, targets):
         """Semiring sum of x's label-steps into the target set."""
-        row = self._succ[x].get(label)
-        if not row:
-            return self.semiring.zero
-        if not isinstance(targets, (set, frozenset, dict)):
-            targets = set(targets)
         sr = self.semiring
         total = sr.zero
-        if len(targets) < len(row):
-            for y in targets:
-                if y in row:
-                    total = sr.add(total, row[y])
-        else:
-            for y, w in row.items():
-                if y in targets:
-                    total = sr.add(total, w)
+        for y, w in self._succ[x].get(label, _EMPTY).items():
+            if y in targets:
+                total = sr.add(total, w)
         return total
 
     def transitions(self):
@@ -336,10 +326,6 @@ def serialize(w):
     }
 
 
-class QuotientError(Exception):
-    """Block representatives disagreed: the partition was not a bisimulation."""
-
-
 # Escaped inside member names, so distinct blocks get distinct quotient names.
 _NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
 
@@ -356,68 +342,6 @@ def block_names(w, partition):
     distinct blocks get distinct names."""
     escaped = _escaped(w.state_names)
     return ["{%s}" % ",".join(escaped[x] for x in block) for block in partition.blocks]
-
-
-def _block_row(w, partition, x):
-    """x's steps summed by (label, target block) of ``partition``."""
-    sr, block_of = w.semiring, partition._block_of
-    row = {}
-    for label, targets in w._succ[x].items():
-        for y, wt in targets.items():
-            key = (label, block_of[y])
-            row[key] = sr.add(row[key], wt) if key in row else wt
-    return row
-
-
-def emit_quotient(w, partition):
-    """Quotient system of a strong partition.
-
-    Every member's row is summed by target block (``_block_row``) and must
-    agree with the first member's (equal rows at once, others label by
-    label), or QuotientError is raised; the quotient is then built by
-    ``_representative_quotient``, its blocks named by ``block_names``.
-    Weak/delay classes do not induce well-defined single-step weights, so
-    the CLI only offers quotients for strong partitions.
-    """
-    if partition.n != w.state_count:
-        raise ValueError("partition is over a different state count")
-    sr = w.semiring
-    names = block_names(w, partition)
-    label_order = {label: i for i, label in enumerate(w.labels)}
-    for bi, block in enumerate(partition.blocks):
-        rep_row = _block_row(w, partition, block[0])
-        for other in block[1:]:
-            row = _block_row(w, partition, other)
-            if row == rep_row:
-                continue
-            keys = sorted(rep_row.keys() | row.keys(), key=lambda k: (label_order[k[0]], k[1]))
-            for label, bj in keys:
-                wt = rep_row.get((label, bj), sr.zero)
-                if not sr.values_equal(row.get((label, bj), sr.zero), wt):
-                    raise QuotientError(
-                        "members %s and %s of %s disagree on %s into %s"
-                        % (w.state_names[block[0]], w.state_names[other], names[bi], label, names[bj])
-                    )
-    return _representative_quotient(w, partition, names)
-
-
-def _representative_quotient(w, partition, names):
-    """Quotient of a strong partition whose members are known to agree, as
-    the one ``refine_partition`` has just computed or one ``emit_quotient``
-    has checked: each block's weights are read off its first member alone
-    and nothing is checked.  Its states are ``names``, one per block in
-    order."""
-    sr = w.semiring
-    names = tuple(names)
-    succ = []
-    for block in partition.blocks:
-        rows = {}
-        for (label, bj), wt in _block_row(w, partition, block[0]).items():
-            if not sr.is_zero(wt):
-                rows.setdefault(label, {})[bj] = wt
-        succ.append(rows)
-    index = {name: i for i, name in enumerate(names)}
-    return WLTS._of_rows(sr, names, w.actions, w.tau, index, succ)
 
 
 def to_dot(w, graph_name="wlts"):
@@ -556,10 +480,6 @@ class Partition:
         return cls(n, [range(n)] if n else [])
 
     @classmethod
-    def discrete(cls, n):
-        return cls(n, [[i] for i in range(n)])
-
-    @classmethod
     def from_block_of(cls, assign):
         groups = {}
         for x, b in enumerate(assign):
@@ -571,20 +491,8 @@ class Partition:
             raise ValueError("state id %r out of range" % (x,))
         return self._block_of[x]
 
-    def block_of(self, x):
-        return self.blocks[self.block_index(x)]
-
     def same_block(self, x, y):
         return self.block_index(x) == self.block_index(y)
-
-    def refines(self, other):
-        """True iff every block of self sits inside a block of other."""
-        if other.n != self.n:
-            raise ValueError("partitions over different state counts")
-        return all(
-            all(other._block_of[x] == other._block_of[b[0]] for x in b)
-            for b in self.blocks
-        )
 
     def to_names(self, w):
         return [[w.state_names[x] for x in block] for block in self.blocks]

@@ -398,6 +398,14 @@ def reference_check(w, partition, mode="weak"):
     return wb.bisim.BisimulationReport(mode, not violations, violations)
 
 
+def refines(fine, coarse):
+    """Whether every block of partition ``fine`` sits inside a block of
+    ``coarse``; ValueError for partitions over different state counts."""
+    if fine.n != coarse.n:
+        raise ValueError("partitions over different state counts")
+    return all(len({coarse.block_index(x) for x in block}) == 1 for block in fine.blocks)
+
+
 # -- Kleene iteration ---------------------------------------------------------
 
 

@@ -252,7 +252,7 @@ def test_criterion_7_weak_equals_delay_on_generative_systems(capsys):
     weak = refine_partition(witness, "weak")[0]
     delay = refine_partition(witness, "delay")[0]
     assert weak.to_names(witness) == [["s0", "s2"], ["s1"]]
-    assert delay == Partition.discrete(3)
+    assert delay == Partition(3, [[0], [1], [2]])
     assert weak == brute_coarsest_partition(witness, mode="weak")
     assert delay == brute_coarsest_partition(witness, mode="delay")
     _announce(

@@ -208,7 +208,7 @@ class TestWeakVersusDelay:
         weak = refine_partition(w, "weak")[0]
         delay = refine_partition(w, "delay")[0]
         assert weak.to_names(w) == [["s0", "s2"], ["s1"]]
-        assert delay == Partition.discrete(3)
+        assert delay == Partition(3, [[0], [1], [2]])
 
     def test_witness_is_minimal_in_state_count(self):
         # no boolean system on two states separates weak from delay:
@@ -258,7 +258,7 @@ class TestEngineInvariants:
 
     def test_discrete_partition_always_passes_the_checker(self):
         w = helpers.weak_delay_witness()
-        p = Partition.discrete(w.state_count)
+        p = Partition(w.state_count, [[x] for x in range(w.state_count)])
         for mode in ("strong", "weak", "delay"):
             assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
@@ -691,7 +691,7 @@ class TestPredecessorDrivenEngine:
             return table(self, C)
 
         monkeypatch.setattr(Saturator, "table", measured_table)
-        assert refine_partition(w, "strong")[0] == Partition.discrete(n)
+        assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
         assert n <= examined[0] <= 3 * n
 
     def test_no_table_after_the_partition_is_discrete(self, monkeypatch):
@@ -711,7 +711,7 @@ class TestPredecessorDrivenEngine:
         monkeypatch.setattr(Saturator, "table", counting_table)
         watch_regroups(monkeypatch, noting_split)
         p, trace = refine_partition(w, "strong", want_trace=True)
-        assert p == Partition.discrete(w.state_count)
+        assert p == Partition(w.state_count, [[x] for x in range(w.state_count)])
         assert 0 < tables[0] == last_split[0] == trace.candidates_examined
 
     @pytest.mark.parametrize("mode,n", [("strong", 1000), ("weak", 200), ("delay", 200)])
@@ -800,7 +800,7 @@ def test_strong_refines_delay_refines_weak(sr, gen):
         strong = refine_partition(w, "strong")[0]
         delay = refine_partition(w, "delay")[0]
         weak = refine_partition(w, "weak")[0]
-        assert strong.refines(delay) and delay.refines(weak), w
+        assert helpers.refines(strong, delay) and helpers.refines(delay, weak), w
 
 
 # -- weak and delay on the strong quotient ------------------------------------
@@ -882,7 +882,7 @@ def _assert_route_quotient(w, strong):
                 assert all(w.class_weight(x, label, target) == wt for x in block), w
                 if not sr.is_zero(wt):
                     expected.append((bi, label, bj, wt))
-    quotient = wb.wlts._representative_quotient(w, strong, map(str, range(len(strong))))
+    quotient = wb.bisim._representative_quotient(w, strong, [str(b) for b in range(len(strong))])
     assert list(quotient.transitions()) == expected, w
 
 
@@ -1365,3 +1365,80 @@ def test_fewer_tables_than_without_the_skip(mode, monkeypatch):
     monkeypatch.setattr(wb.bisim, "_carried_into", _flag_every_state)
     assert refine_partition(w, mode)[0] == partition
     assert 0 < skipping < tables[0]
+
+
+def _quotient_candidates(rng, w, strong):
+    """The strong partition, the same with two blocks merged and with one
+    block split in two."""
+    blocks = list(strong.blocks)
+    candidates = [strong]
+    if len(blocks) > 1:
+        i, j = sorted(rng.sample(range(len(blocks)), 2))
+        merged = blocks[:i] + blocks[i + 1:j] + blocks[j + 1:] + [blocks[i] + blocks[j]]
+        candidates.append(Partition(w.state_count, merged))
+    wide = [i for i, b in enumerate(blocks) if len(b) > 1]
+    if wide:
+        i = rng.choice(wide)
+        block = rng.sample(blocks[i], len(blocks[i]))
+        cut = rng.randint(1, len(block) - 1)
+        candidates.append(Partition(w.state_count, blocks[:i] + blocks[i + 1:] + [block[:cut], block[cut:]]))
+    return candidates
+
+
+def _twinned(rng, w, gen):
+    """w with a twin x + n of every state x that steps as x does; each step
+    into y also goes into y's twin, at a weight of its own, so the weights
+    into a block of a state and its twin are sums."""
+    n = w.state_count
+    edges = []
+    for x, label, y, v in w.transitions():
+        v2 = gen(rng)
+        edges += [(s, label, t, wt) for s in (x, x + n) for t, wt in ((y, v), (y + n, v2))]
+    names = w.state_names + tuple("twin-" + s for s in w.state_names)
+    return wb.WLTS(w.semiring, names, w.actions, w.tau, edges)
+
+
+def _scaled_copy(w, factor):
+    """w next to a copy whose weights are multiplied by ``factor``: state x
+    is copied to x + n, and the pairs {x, x + n} are returned with it."""
+    n = w.state_count
+    edges = list(w.transitions())
+    doubled = wb.WLTS(
+        w.semiring, w.state_names + tuple("scaled-" + s for s in w.state_names), w.actions, w.tau,
+        edges + [(x + n, label, y + n, v * factor) for x, label, y, v in edges],
+    )
+    return doubled, Partition(2 * n, [[x, x + n] for x in range(n)])
+
+
+@pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+def test_emit_quotient_raises_exactly_when_the_checker_fails(sr, gen):
+    # Strong partitions of random systems (some next to a copy, some with
+    # twins, so blocks of two or more are common), with two blocks merged
+    # or one split; on real-float also a scaled copy paired state by
+    # state, its weights within and just outside the tolerance.
+    rng = random.Random("quotient against checker %s" % sr.name)
+    cases = []
+    for _ in range(30):
+        w = helpers.random_wlts(rng, sr, rng.randint(1, 7), 2, rng.uniform(0.1, 0.4), gen)
+        w = rng.choice([w, _disjoint_union(w), _twinned(rng, w, gen)])
+        cases += [(w, q) for q in _quotient_candidates(rng, w, refine_partition(w, "strong")[0])]
+        if sr.carrier_mode == "float":
+            cases += [_scaled_copy(w, 1 + sr.epsilon * f) for f in (0.5, 2)]
+    outcomes = set()
+    for w, q in cases:
+        ok = check_is_weak_bisimulation(w, q, "strong").ok
+        try:
+            quotient = wb.emit_quotient(w, q)
+        except wb.QuotientError:
+            assert not ok, (w, q)
+        else:
+            assert ok, (w, q)
+            for bi, block in enumerate(q.blocks):
+                for label in w.labels:
+                    for bj, target in enumerate(q.blocks):
+                        wt = quotient.weight(bi, label, bj)
+                        assert all(
+                            sr.values_equal(w.class_weight(x, label, target), wt) for x in block
+                        ), (w, q)
+        outcomes.add(ok)
+    assert outcomes == {True, False}

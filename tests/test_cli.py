@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import wbisim as wb
-from wbisim import load, serialize
-from wbisim.cli import emit_quotient, main, to_dot
+from wbisim import emit_quotient, load, serialize, to_dot
+from wbisim.cli import main
 
 import helpers
 
@@ -264,6 +264,24 @@ class TestErrorCodes:
         code, _, err = run(capsys, check + [write_doc(tmp_path, doc, "inf.json")])
         assert code == 2
         assert "epsilon" in err
+
+    def test_integer_epsilon_is_read_as_a_float(self, tmp_path, capsys):
+        # JSON writes a whole epsilon as an integer: 1 makes 0.5 and 0.6
+        # equal on both routes, while a boolean and an integer too large
+        # for a float exit 2 on both.
+        check = self._half_and_point_six(tmp_path)
+        doc = json.loads((tmp_path / "system.json").read_text())
+        huge = 10**400
+        for epsilon, expected in ((1, 0), (True, 2), (huge, 2)):
+            doc["semiring"]["epsilon"] = epsilon
+            write_doc(tmp_path, doc)  # over the document that check reads
+            code, _, err = run(capsys, check)
+            assert code == expected, (epsilon, err)
+            assert expected == 0 or "epsilon" in err
+            code, _, err = run(capsys, check + ["--semiring", "real-float",
+                                                "--param", "epsilon=%s" % json.dumps(epsilon)])
+            assert code == expected, (epsilon, err)
+            assert expected == 0 or "epsilon" in err
 
     def _half_and_point_six(self, tmp_path):
         # p has an a-step of 0.5 and q one of 0.6: equal within epsilon 0.2
@@ -554,7 +572,7 @@ class TestMinimize:
         assert len(strong) < w.state_count and payload["trace"]
         for event in payload["trace"]:
             splitter = {w.index(name) for name in event["splitter"]}
-            assert splitter == {x for y in splitter for x in strong.block_of(y)}, event
+            assert splitter == {x for y in splitter for x in strong.blocks[strong.block_index(y)]}, event
 
     def test_quotient_names_escape_commas_and_braces(self, tmp_path, capsys):
         # "a" and "b" are strongly bisimilar; their block and "a,b" alone
@@ -767,15 +785,16 @@ class TestSaturate:
     def test_plain_header_escapes_commas_and_backslashes(self, tmp_path, capsys):
         # The class of state "a,b" and the class of states "a" and "b"
         # differ: the header escapes names as the --class argument does, so
-        # it reads back as the class it names.
+        # it reads back as the class it names; braces are escaped as in
+        # block names, so the class of state "{a,b}" is not the block {a,b}.
         doc = {
             "semiring": "real",
-            "states": ["a,b", "a", "b", "c\\"],
+            "states": ["a,b", "a", "b", "c\\", "{a,b}"],
             "transitions": [{"from": "a", "label": "x", "to": "a,b", "weight": "1/2"}],
         }
         path = write_doc(tmp_path, doc)
         headers = {}
-        for cls in ["a\\,b", "a,b", "c\\\\,a"]:
+        for cls in ["a\\,b", "a,b", "c\\\\,a", "{a\\,b}"]:
             code, out, err = run(capsys, ["saturate", path, "--class", cls, "--format", "plain"])
             assert code == 0, err
             headers[cls] = out.splitlines()[0]
@@ -783,6 +802,7 @@ class TestSaturate:
             "a\\,b": "weak saturation into {a\\,b}",
             "a,b": "weak saturation into {a,b}",
             "c\\\\,a": "weak saturation into {a,c\\\\}",
+            "{a\\,b}": "weak saturation into {\\{a\\,b\\}}",
         }
 
     def test_empty_class_exits_2(self, tmp_path, capsys):
@@ -922,6 +942,26 @@ class TestQuotientHelpers:
         bogus = wb.Partition(7, [[0, 1], [2], [3], [4], [5], [6]])
         with pytest.raises(wb.QuotientError):
             emit_quotient(w, bogus)
+
+    def test_disagreeing_blocks_exit_2_naming_the_violation(self, tmp_path, capsys, monkeypatch):
+        # a and b step into {c,d} and {e} at 1/2 and 1/3: a partition that
+        # puts them together fails the strong check, and the error names the
+        # block, the label, the class and the weights, names escaped.
+        doc = {
+            "semiring": "real",
+            "states": ["a", "b", "c,d", "{e}"],
+            "transitions": [
+                {"from": "a", "label": "x", "to": "c,d", "weight": "1/2"},
+                {"from": "b", "label": "x", "to": "{e}", "weight": "1/3"},
+            ],
+        }
+        bogus = wb.Partition(4, [[0, 1], [2, 3]])
+        monkeypatch.setattr(wb.cli, "refine_partition", lambda *args, **kwargs: (bogus, None))
+        code, out, err = run(capsys, ["minimize", write_doc(tmp_path, doc), "--emit-quotient"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "quotient error: members of {a,b} disagree on x into {c\\,d,\\{e\\}}: a=1/2, b=1/3\n"
+        )
 
     def test_emit_quotient_preserves_weights(self):
         w = helpers.figure_system()

@@ -319,7 +319,7 @@ class TestBruteCoarsest:
     def test_witness_modes_differ(self):
         w = helpers.weak_delay_witness()
         assert brute_coarsest_partition(w, mode="weak") == refine_partition(w, "weak")[0]
-        assert brute_coarsest_partition(w, mode="delay") == Partition.discrete(3)
+        assert brute_coarsest_partition(w, mode="delay") == Partition(3, [[0], [1], [2]])
 
     def test_strong_matches_engine_on_randoms(self):
         rng = random.Random(65)

@@ -145,8 +145,12 @@ class TestRealFloat:
         loose = by_name("real-float", epsilon=0.5)
         assert loose.values_equal(1.0, 1.25)
         assert loose.params()["epsilon"] == 0.5
+        whole = by_name("real-float", epsilon=1)
+        assert type(whole.epsilon) is float and whole.params()["epsilon"] == 1.0
 
-    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1e-9])
+    @pytest.mark.parametrize(
+        "epsilon", [float("inf"), float("nan"), 0.0, -1e-9, 0, -1, True, 10**400, -(10**400)]
+    )
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
         # an infinite epsilon would make every two weights equal
         with pytest.raises(ValueError):

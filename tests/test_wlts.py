@@ -639,7 +639,7 @@ class TestPartition:
 
     def test_accessors(self):
         p = Partition(4, [[0, 2], [1, 3]])
-        assert p.block_of(2) == (0, 2)
+        assert p.blocks[p.block_index(2)] == (0, 2)
         assert p.block_index(3) == 1
         assert p.same_block(0, 2)
         assert not p.same_block(0, 1)
@@ -652,15 +652,12 @@ class TestPartition:
             with pytest.raises(ValueError, match="out of range"):
                 p.block_index(x)
             with pytest.raises(ValueError, match="out of range"):
-                p.block_of(x)
-            with pytest.raises(ValueError, match="out of range"):
                 p.same_block(0, x)
             with pytest.raises(ValueError, match="out of range"):
                 p.same_block(x, 0)
 
     def test_constructors(self):
         assert Partition.single_block(3).blocks == ((0, 1, 2),)
-        assert Partition.discrete(3).blocks == ((0,), (1,), (2,))
         assert Partition.single_block(0).blocks == ()
         assert Partition.from_block_of([0, 1, 0, 2]) == Partition(
             4, [[0, 2], [1], [3]]
@@ -669,13 +666,13 @@ class TestPartition:
     def test_refines(self):
         fine = Partition(4, [[0], [2], [1, 3]])
         coarse = Partition(4, [[0, 2], [1, 3]])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-        assert coarse.refines(coarse)
-        assert Partition.discrete(4).refines(fine)
-        assert fine.refines(Partition.single_block(4))
+        assert helpers.refines(fine, coarse)
+        assert not helpers.refines(coarse, fine)
+        assert helpers.refines(coarse, coarse)
+        assert helpers.refines(Partition(4, [[0], [1], [2], [3]]), fine)
+        assert helpers.refines(fine, Partition.single_block(4))
         with pytest.raises(ValueError):
-            fine.refines(Partition.single_block(3))
+            helpers.refines(fine, Partition.single_block(3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
