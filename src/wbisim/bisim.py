@@ -20,11 +20,18 @@ block is left alone because its members all weigh zero.  When every
 support member of a touched block carries the same weight object, as
 it almost always does, the groups are built directly, with no weight
 keyed or sorted (``_regroup``); only blocks with distinct weights go
-through ``split_block_sorted``.
+through ``split_block_sorted``.  A block that such a support covers
+whole is one group, so it is passed over before ``_regroup``, unless in
+strong mode the rest of a compound may still split it (below).
 
 Splitter scheduling: the blocks of the initial partition, and their
-pieces before their turn, are examined whole, last queued first (the
-initial blocks by their least state).  A class's table is used at every
+pieces before their turn, are examined whole, first queued first: the
+initial blocks by their least state, then every piece in the order it
+was queued.  A queued block thus waits until the splits queued before
+it have landed, and is examined once for them all, as in the rounds of
+naive refinement (Kanellakis and Smolka, "CCS expressions, finite state
+processes, and three problems of equivalence", Inf. Comput. 1990),
+rather than again after each.  A class's table is used at every
 label, in the order of ``w.labels`` (the silent label first, then the
 actions in the order they were declared or first seen), even if the
 class splits meanwhile, since its table is of a fixed set.  In strong
@@ -44,11 +51,11 @@ examination, so a run reads O(m log n) predecessor and successor entries
 when out-degrees per label are bounded.  Weak and delay mode have no
 compounds, because a saturated weight into X minus S cannot be derived
 from those into X and S: when an examined block splits, every piece, the
-kept one included, waits to be examined whole again.  A touched block
-keeps its id and its members outside the support: the group of the
-stand-in keeps the block, or, when the support covers the whole block,
-its group of weight zero or else its largest group, and only the other
-groups move out.
+kept one included, joins the back of the queue to be examined whole
+again.  A touched block keeps its id and its members outside the
+support: the group of the stand-in keeps the block, or, when the support
+covers the whole block, its group of weight zero or else its largest
+group, and only the other groups move out.
 
 The loop stops as soon as every block is a singleton, since no table can
 split one.  For the same reason a splitter S gets no table when no state
@@ -90,6 +97,7 @@ trace describes the run that computed the partition.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -201,7 +209,11 @@ def _regroup(sr, blk, inside, support):
     When every member in the support carries the same weight object, as
     it almost always does, the groups are built directly: one group
     without a stand-in or when that weight is zero, else the sorted
-    members and the stand-in's group, which keeps the block.  Otherwise
+    members and the stand-in's group, which keeps the block.  The engine
+    calls it without a stand-in and with one weight only in strong mode,
+    on a compound's block whose weight into S the semiring does not
+    ``cancels``: that one group goes on to the regroup on the weight into
+    the rest of X.  Otherwise
     ``split_block_sorted`` groups them on the support, which lacks the
     stand-in, so it weighs zero.  ``inside`` may be sorted in place."""
     r = None
@@ -279,14 +291,14 @@ def _refine(w, mode, initial, want_trace):
         for x in block:
             block_of[x] = bid
     comp = [None] * len(members)  # the compound of each block, None before its turn
-    pending = list(reversed(range(len(members))))  # blocks to examine whole
+    pending = deque(range(len(members)))  # blocks to examine whole, first in first out
     todo = []  # compounds of two or more blocks
     live = sum(len(blk) for blk in members if len(blk) > 1)  # states in blocks of two or more
     flags = bytearray(b"\1") * n  # a superset of the states live ones carry weight into
     flagged_at = live  # the live count when the flags were last computed
     while live and (pending or todo):
         if pending:
-            cid, X = pending.pop(), None
+            cid, X = pending.popleft(), None
         else:
             X = todo[-1]
             cid = X.pop()
@@ -321,6 +333,14 @@ def _refine(w, mode, initial, want_trace):
                     touched[bid] = [x]
             for bid, inside in touched.items():
                 blk = members[bid]
+                if len(inside) == len(blk):  # one weight object over the whole block: one group
+                    v = support[inside[0]]
+                    if X is None or cancels(v):  # which the rest of X cannot split either
+                        for x in inside:
+                            if support[x] is not v:
+                                break
+                        else:
+                            continue
                 groups, keep, r = _regroup(sr, blk, inside, support)
                 if len(groups) > 1:
                     split_s += 1
