@@ -58,24 +58,20 @@ covers the whole block, its group of weight zero or else its largest
 group, and only the other groups move out.
 
 The loop stops as soon as every block is a singleton, since no table can
-split one.  For the same reason a splitter S gets no table when no state
-in a block of two or more, a live state, can carry weight into S: one
-step on any label (strong); silent steps, then at most one action step
-(delay); silent steps, then at most one action step followed by silent
-steps (weak).  Its support then lies in blocks of one, which the
-regroups pass over anyway.  The states live ones can carry weight into
-are flagged in a bytearray over state ids, every state at the start,
-and recomputed each time the live count has halved since the last
+split one.  For the same reason, in weak and delay mode, a splitter S
+gets no table when no state in a block of two or more, a live state, can
+carry weight into S: its support then lies in blocks of one, which the
+regroups pass over anyway.  The engine's Saturator
+(``solver._EngineSaturator``) flags where live states reach, and on the
+semirings with a ``best_first_key`` bounds its later searches there, by
+the region rule stated at its ``_carried_into``; it also takes the
+engine's blocks as they are, unchecked.  The flags start on every state
+and are recomputed each time the live count has halved since the last
 computation, so at most log2(n) times.  Live states only become fewer,
 so stale flags are a superset of current ones and skip no splitter that
 could split.  A skipped splitter counts as examined as if its table had
-been computed (in strong mode it still leaves its compound), so the
-partition and every trace event are those of a run without the skip.
-
-On the semirings with a ``best_first_key`` the flags also bound the
-searches of every weak and delay table, by the region rule stated at
-``_carried_into``.  The engine's Saturator (``solver._EngineSaturator``)
-takes its blocks as they are, unchecked.
+been computed, so the partition and every trace event are those of a
+run without the skip.
 
 Weak and delay mode on the strong quotient (``refine_partition``):
 strong bisimilarity refines delay and weak bisimilarity, so every weak or
@@ -142,62 +138,6 @@ def split_block_sorted(sr, members, weights):
     return sorted(map(sorted, merged))
 
 
-def _carried_into(w, mode, sources):
-    """A bytearray over state ids flagging every state that one of
-    ``sources`` can carry weight into under ``mode``: one step on any
-    label (strong); silent steps, then at most one action step (delay);
-    silent steps, then at most one action step followed by silent steps
-    (weak).  Edges are followed whatever their weight, so a table of a
-    class with no flagged member gives every source weight zero.
-
-    Outside strong mode the flag tells two regions apart: 1 marks R1, the
-    states the sources reach by silent steps alone, and 2 marks R2, the
-    other states they reach once the action step is taken.  On the
-    semirings with a ``best_first_key`` the engine hands the flags to
-    ``Saturator._restrict`` each time it computes them, and the searches
-    of every later table keep to the regions: the silent search to R1 and
-    R2 in weak mode and to R1 in delay mode, each action's walk and search
-    to R1.  The engine reads a table only at live states, which lie in R1,
-    and a weak action table reads the silent one only at the action
-    successors of R1, which lie in R1 or R2.  R1, and in weak mode R1 plus
-    R2, are closed under silent successors, so every silent path from a
-    state of a region stays in it and every weight found there is exact;
-    stale flags, a superset, are exact too.  A support then lacks only
-    states outside every block of two or more and lists the others in the
-    same order, so partitions and trace events stay those of unbounded
-    tables."""
-    flags = bytearray(w.state_count)
-    succ, tau = w._succ, w.tau  # per state: label -> successor row
-
-    def flag(seeds, silent, level):
-        """Flag the unflagged seeds with ``level`` and, if ``silent``,
-        every state they reach by silent steps; returns the states newly
-        flagged."""
-        new = []
-        for x in seeds:
-            if not flags[x]:
-                flags[x] = level
-                new.append(x)
-        if silent:
-            for x in new:  # grows while it is walked
-                for y in succ[x].get(tau, ()):
-                    if not flags[y]:
-                        flags[y] = level
-                        new.append(y)
-        return new
-
-    if mode == "strong":
-        for x in sources:
-            for row in succ[x].values():
-                for y in row:
-                    flags[y] = 1
-    else:
-        reach = flag(sources, True, 1)
-        steps = (y for x in reach for a, row in succ[x].items() if a != tau for y in row)
-        flag(steps, mode == "weak", 2)
-    return flags
-
-
 def _regroup(sr, blk, inside, support):
     """Group block ``blk`` by weight into a splitter, from its members in
     the support, ``inside``, and one member outside it, if any, standing in
@@ -249,13 +189,12 @@ class SplitEvent:
 class RefinementTrace:
     """The splits of one refinement run, in the loop's splitter order.
     ``candidates_examined`` counts the tables actually computed: none is
-    computed once every block is a singleton, nor for a splitter that no
-    state in a block of two or more can carry weight into, which is
-    skipped and not counted.  A run records, per splitter
-    S and label, one event for the regroup on the weight into S and, in
-    strong mode when S was taken from a compound X, one for the regroup on
-    the weight into the rest of X, whose splitter is the sorted states of
-    X minus S; each event carries the counts after it.  On the
+    computed once every block is a singleton, nor, in weak and delay mode,
+    for a splitter that the module docstring skips.  A run records, per
+    splitter S and label, one event for the regroup on the weight into S
+    and, in strong mode when S was taken from a compound X, one for the
+    regroup on the weight into the rest of X, whose splitter is the sorted
+    states of X minus S; each event carries the counts after it.  On the
     strong-quotient route this is the quotient pass, each splitter lifted
     to the sorted states of its strong blocks; the strong pre-pass is not
     traced.  Such a trace replays on the document states from the initial
@@ -294,7 +233,7 @@ def _refine(w, mode, initial, want_trace):
     pending = deque(range(len(members)))  # blocks to examine whole, first in first out
     todo = []  # compounds of two or more blocks
     live = sum(len(blk) for blk in members if len(blk) > 1)  # states in blocks of two or more
-    flags = bytearray(b"\1") * n  # a superset of the states live ones carry weight into
+    flags = bytearray(b"\1") * n  # weak and delay: a superset of where live states reach
     flagged_at = live  # the live count when the flags were last computed
     while live and (pending or todo):
         if pending:
@@ -308,17 +247,15 @@ def _refine(w, mode, initial, want_trace):
                 todo.pop()
         comp[cid] = [cid] if compounds else examined
         S = members[cid]
-        if 2 * live <= flagged_at:
-            live_states = (x for blk in members if len(blk) > 1 for x in blk)
-            flags, flagged_at = _carried_into(w, mode, live_states), live
-            provider._restrict(flags)
-        if not any(map(flags.__getitem__, S)):  # only blocks of one can be touched
-            continue
+        if not compounds:
+            if 2 * live <= flagged_at:
+                live_states = (x for blk in members if len(blk) > 1 for x in blk)
+                flags, flagged_at = provider._carried_into(live_states), live
+            if not any(map(flags.__getitem__, S)):  # only blocks of one can be touched
+                continue
         if trace is not None:
             trace.candidates_examined += 1
             C = tuple(sorted(S))
-            if X is not None:
-                rest_of_X = tuple(sorted(x for b in X for x in members[b]))
         table = provider.table(S)
         for label in w.labels:
             support = table[label]
@@ -402,7 +339,8 @@ def _refine(w, mode, initial, want_trace):
                 events = trace.events
                 if split_s:
                     events.append(SplitEvent(len(events) + 1, label, C, split_s, count))
-                if split_rest:
+                if split_rest:  # X's pieces stay in X, so its union is as when S left it
+                    rest_of_X = tuple(sorted(x for b in X for x in members[b]))
                     events.append(
                         SplitEvent(len(events) + 1, label, rest_of_X, split_rest, len(members))
                     )

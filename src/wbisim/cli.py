@@ -21,7 +21,7 @@ import re
 import sys
 
 from . import semiring as _semiring
-from .bisim import QuotientError, emit_quotient, refine_partition
+from .bisim import QuotientError, bisimilar, emit_quotient, refine_partition
 from .oracle import TruncationError, brute_coarsest_partition
 from .solver import ConvergenceError, Saturator
 from .wlts import (
@@ -273,9 +273,7 @@ def _cmd_minimize(args):
 
 def _cmd_check(args):
     w = _load_system(args)
-    x = w.index(args.left)
-    y = w.index(args.right)
-    same = refine_partition(w, args.equivalence)[0].same_block(x, y)
+    same = bisimilar(w, w.index(args.left), w.index(args.right), args.equivalence)
     payload = {
         "left": args.left,
         "right": args.right,

@@ -202,10 +202,9 @@ class Saturator:
     first.  Each settled state relaxes its silent in-edges once.  Over the
     booleans no heap is built.
 
-    The refinement engine bounds these searches to the states where it
-    reads the tables (``_restrict``, by the region rule stated at
-    ``bisim._carried_into``).  The engine's ``_EngineSaturator`` takes its
-    own blocks unchecked; every other caller (``check``, ``saturate``,
+    The refinement engine's ``_EngineSaturator`` bounds these searches to
+    where it reads the tables, by the region rule of its
+    ``_carried_into``; every other caller (``check``, ``saturate``,
     ``--emit-quotient``, the checker) has its class checked by ``table``
     and gets full tables.
 
@@ -248,16 +247,6 @@ class Saturator:
             self._factors = {}  # component -> factor, for components left whole
         else:  # the states the silent and the action searches may settle
             self._silent_within = self._action_within = bytearray(b"\1") * n
-
-    def _restrict(self, flags):
-        """Bound the later weak and delay tables of a best-first carrier to
-        the regions that ``flags``, ``bisim._carried_into``'s bytearray,
-        marks, by the rule stated there.  Strong mode and the other
-        carriers ignore it."""
-        if self.mode != "strong" and self._key is not None:
-            first = flags.translate(_FIRST_REGION)
-            self._action_within = first
-            self._silent_within = flags if self.mode == "weak" else first
 
     def _silent_reach(self, seeds):
         """The states that reach one of ``seeds`` by silent steps, seeds
@@ -517,7 +506,61 @@ class Saturator:
 class _EngineSaturator(Saturator):
     """The refinement engine's Saturator.  It asks ``table`` for the
     tables of its own blocks (a set, or a sequence of one state), which
-    are taken as they are, unchecked."""
+    are taken as they are, unchecked.  In weak and delay mode it also
+    flags where the engine's live states reach (``_carried_into``)."""
 
     def _class(self, C):
         return C
+
+    def _carried_into(self, sources):
+        """A bytearray over state ids flagging every state that one of
+        ``sources`` can carry weight into: silent steps, then at most one
+        action step (delay mode), followed by silent steps (weak mode).
+        Edges are followed whatever their weight, so a table of a class
+        with no flagged member gives every source weight zero.
+
+        The region rule.  Flag 1 marks R1, the states the sources reach by
+        silent steps alone, and 2 marks R2, the other states they reach
+        once the action step is taken.  On a carrier with a
+        ``best_first_key`` this call also bounds the searches of every
+        later table to the regions: the silent search to R1 and R2 in weak
+        mode and to R1 in delay mode, each action's walk and search to R1.
+        The engine passes its live states, the states in blocks of two or
+        more, and reads a table only at them, which lie in R1; a weak
+        action table reads the silent one only at the action successors
+        of R1, which lie in R1 or R2.  R1, and in weak mode R1 plus R2, are
+        closed under silent successors, so every silent path from a state
+        of a region stays in it and every weight found there is exact; the
+        regions of more sources, a superset, are exact too.  A support then
+        lacks only states outside every block of two or more and lists the
+        others in the same order, so partitions and trace events stay those
+        of unbounded tables."""
+        w = self.w
+        flags = bytearray(w.state_count)
+        succ, tau = w._succ, w.tau  # per state: label -> successor row
+
+        def flag(seeds, silent, level):
+            """Flag the unflagged seeds with ``level`` and, if ``silent``,
+            every state they reach by silent steps; returns the states
+            newly flagged."""
+            new = []
+            for x in seeds:
+                if not flags[x]:
+                    flags[x] = level
+                    new.append(x)
+            if silent:
+                for x in new:  # grows while it is walked
+                    for y in succ[x].get(tau, ()):
+                        if not flags[y]:
+                            flags[y] = level
+                            new.append(y)
+            return new
+
+        reach = flag(sources, True, 1)
+        steps = (y for x in reach for a, row in succ[x].items() if a != tau for y in row)
+        flag(steps, self.mode == "weak", 2)
+        if self._key is not None:
+            first = flags.translate(_FIRST_REGION)
+            self._action_within = first
+            self._silent_within = flags if self.mode == "weak" else first
+        return flags

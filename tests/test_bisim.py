@@ -20,6 +20,7 @@ from wbisim import (
     refine_partition,
 )
 from wbisim.bisim import split_block_sorted
+from wbisim.solver import _EngineSaturator
 
 import helpers
 
@@ -680,9 +681,14 @@ class TestPredecessorDrivenEngine:
     def test_strong_examines_each_state_about_twice(self, monkeypatch):
         # Once in the whole initial block, then only in the smaller of two
         # blocks of a compound: the largest piece of a split is never
-        # examined.  Examining every child of every split summed 12.6n.
-        n = 4000
-        w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
+        # examined.  Examining every child of every split summed 12.6n on
+        # the sparse system.  On the action chain each split cuts one state
+        # off a block; examining the kept block whole again, with no
+        # compounds, summed 501.5n.
+        chain = wb.WLTS(
+            wb.by_name("boolean"), ["s%d" % x for x in range(2000)], ["a"], "tau",
+            [(x, "a", x + 1, True) for x in range(1999)],
+        )
         examined = [0]
         table = Saturator.table
 
@@ -691,8 +697,28 @@ class TestPredecessorDrivenEngine:
             return table(self, C)
 
         monkeypatch.setattr(Saturator, "table", measured_table)
-        assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
-        assert n <= examined[0] <= 3 * n
+        for w in (helpers.random_sparse_boolean(random.Random(61), 4000, 3, 4), chain):
+            n, examined[0] = w.state_count, 0
+            assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
+            assert n <= examined[0] <= 3 * n, (n, examined[0])
+
+    def test_traced_strong_refinement_sorts_linearly(self, monkeypatch):
+        # A rest event's splitter, the sorted states of X minus S, is built
+        # only when the event is recorded.  Building it for every splitter
+        # taken from a compound sorted 1,220n elements.
+        n = 4000
+        w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
+        elements = [0]
+
+        def counting_sorted(iterable, **kwargs):
+            out = sorted(iterable, **kwargs)
+            elements[0] += len(out)
+            return out
+
+        monkeypatch.setattr(wb.bisim, "sorted", counting_sorted, raising=False)
+        p, trace = refine_partition(w, "strong", want_trace=True)
+        assert p == Partition(n, [[x] for x in range(n)]) and trace.events
+        assert elements[0] <= 100 * n
 
     def test_no_table_after_the_partition_is_discrete(self, monkeypatch):
         w = helpers.random_sparse_boolean(random.Random(61), 1000, 3, 4)
@@ -1371,18 +1397,18 @@ def test_a_semiring_needs_no_order(mode):
 # -- splitters that cannot split ------------------------------------------------
 
 
-def _flag_every_state(w, mode, sources):
-    return bytearray(b"\1") * w.state_count
+def _flag_every_state(self, sources):
+    return bytearray(b"\1") * self.w.state_count
 
 
-@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+@pytest.mark.parametrize("mode", ["weak", "delay"])
 @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
 def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypatch):
-    # A splitter that no state of a block of two or more can carry weight
-    # into computes no table, and on the best-first semirings the tables
-    # search only where those states reach.  Flagging every state turns
-    # both off: partitions and events must stay, and only fewer tables be
-    # computed.
+    # In weak and delay mode a splitter that no state of a block of two or
+    # more can carry weight into computes no table, and on the best-first
+    # semirings the tables search only where those states reach.  Flagging
+    # every state turns both off: partitions and events must stay, and
+    # only fewer tables be computed.
     # Shuffled copies end coarse, so real and arctic take the strong-quotient
     # route, where the events are lifted; there a weight is INF one time in
     # eight and silent self-loops have star INF.
@@ -1399,7 +1425,7 @@ def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypa
             initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
         partition, trace = refine_partition(w, mode, initial, want_trace=True)
         with monkeypatch.context() as m:
-            m.setattr(wb.bisim, "_carried_into", _flag_every_state)
+            m.setattr(_EngineSaturator, "_carried_into", _flag_every_state)
             expected, full = refine_partition(w, mode, initial, want_trace=True)
         assert partition == expected, (w, initial)
         assert trace.events == full.events, (w, initial)
@@ -1429,10 +1455,10 @@ def test_unreached_silent_chain_is_left_out_of_the_supports(mode, monkeypatch):
     # the chain states start as blocks of one, so they are never live
     initial = Partition(w.state_count, [range(n)] + [[x] for x in chain])
     latest = [None]
-    carried_into = wb.bisim._carried_into
+    carried_into = _EngineSaturator._carried_into
 
-    def recording(w, mode, sources):
-        latest[0] = carried_into(w, mode, sources)
+    def recording(self, sources):
+        latest[0] = carried_into(self, sources)
         return latest[0]
 
     tables = []
@@ -1442,7 +1468,7 @@ def test_unreached_silent_chain_is_left_out_of_the_supports(mode, monkeypatch):
         tables.append((C, latest[0], table(self, C)))
         return tables[-1][2]
 
-    monkeypatch.setattr(wb.bisim, "_carried_into", recording)
+    monkeypatch.setattr(_EngineSaturator, "_carried_into", recording)
     monkeypatch.setattr(Saturator, "table", recorded)
     partition = refine_partition(w, mode, initial)[0]
     monkeypatch.undo()
@@ -1476,7 +1502,7 @@ def test_fewer_tables_than_without_the_skip(mode, monkeypatch):
     partition = refine_partition(w, mode)[0]
     skipping = tables[0]
     tables[0] = 0
-    monkeypatch.setattr(wb.bisim, "_carried_into", _flag_every_state)
+    monkeypatch.setattr(_EngineSaturator, "_carried_into", _flag_every_state)
     assert refine_partition(w, mode)[0] == partition
     assert 0 < skipping < tables[0]
 

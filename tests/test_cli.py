@@ -544,6 +544,7 @@ class TestMinimize:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(wb.cli, "refine_partition", counting)
+        monkeypatch.setattr(wb.bisim, "refine_partition", counting)  # check, through bisimilar
         minimize = ["minimize", path, "--equivalence", "weak"]
         check = ["check", path, "--left", "c0-s0", "--right", "c1-s0", "--equivalence", "weak"]
         for argv in (minimize, minimize + ["--trace"], check):

@@ -775,12 +775,11 @@ class TestSearchSaturation:
             n = rng.randint(2, 30)
             w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.03, 0.12), gen)
             live = rng.sample(range(n), rng.randint(1, n))
-            flags = wb.bisim._carried_into(w, mode, live)
+            restricted = _EngineSaturator(w, mode)
+            flags = restricted._carried_into(live)
             first = {x for x in range(n) if flags[x] == 1}
             both = {x for x in range(n) if flags[x]}
             assert set(live) <= first
-            restricted = Saturator(w, mode)
-            restricted._restrict(flags)
             full = Saturator(w, mode)
             for C in ([rng.randrange(n)], rng.sample(range(n), rng.randint(1, n))):
                 narrow, wide = restricted.table(C), full.table(C)
@@ -829,11 +828,10 @@ class TestSearchSaturation:
             seen["silent"] += sum(v != one for (_, label, _), v in edges.items() if label == "tau")
             silent = w.predecessor_column(w.tau)
             live = rng.sample(range(n), rng.randint(1, n // 3))
-            flags = wb.bisim._carried_into(w, mode, live)
+            restricted = _EngineSaturator(w, mode)
+            flags = restricted._carried_into(live)
             first = {x for x in range(n) if flags[x] == 1}
             both = {x for x in range(n) if flags[x]}
-            restricted = _EngineSaturator(w, mode)
-            restricted._restrict(flags)
             full = Saturator(w, mode)
             for C in ({rng.randrange(n)}, set(rng.sample(range(n), rng.randint(1, n)))):
                 w_tau = solve_least(build_tau_system(w, C))
