@@ -678,17 +678,8 @@ class TestPredecessorDrivenEngine:
         monkeypatch.undo()
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
 
-    def test_strong_examines_each_state_about_twice(self, monkeypatch):
-        # Once in the whole initial block, then only in the smaller of two
-        # blocks of a compound: the largest piece of a split is never
-        # examined.  Examining every child of every split summed 12.6n on
-        # the sparse system.  On the action chain each split cuts one state
-        # off a block; examining the kept block whole again, with no
-        # compounds, summed 501.5n.
-        chain = wb.WLTS(
-            wb.by_name("boolean"), ["s%d" % x for x in range(2000)], ["a"], "tau",
-            [(x, "a", x + 1, True) for x in range(1999)],
-        )
+    @staticmethod
+    def _examined_in_strong_refinement(w, monkeypatch):
         examined = [0]
         table = Saturator.table
 
@@ -697,10 +688,28 @@ class TestPredecessorDrivenEngine:
             return table(self, C)
 
         monkeypatch.setattr(Saturator, "table", measured_table)
-        for w in (helpers.random_sparse_boolean(random.Random(61), 4000, 3, 4), chain):
-            n, examined[0] = w.state_count, 0
-            assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
-            assert n <= examined[0] <= 3 * n, (n, examined[0])
+        n = w.state_count
+        assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
+        return examined[0]
+
+    def test_strong_examines_each_state_about_twice(self, monkeypatch):
+        # Once in the whole initial block, then only in the smaller of two
+        # blocks of a compound: the largest piece of a split is never
+        # examined.  Examining every child of every split summed 12.6n.
+        n = 4000
+        w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
+        assert n <= self._examined_in_strong_refinement(w, monkeypatch) <= 3 * n
+
+    def test_strong_examines_each_state_of_an_action_chain_about_twice(self, monkeypatch):
+        # Each split cuts one state off a block of the chain; examining the
+        # kept block whole again, with no compounds, summed 501.5n.
+        n = 2000
+        w = wb.WLTS(
+            wb.by_name("boolean"), ["s%d" % x for x in range(n)], ["a"], "tau",
+            [(x, "a", x + 1, True) for x in range(n - 1)],
+        )
+        examined = self._examined_in_strong_refinement(w, monkeypatch)
+        assert n <= examined <= 3 * n, examined
 
     def test_traced_strong_refinement_sorts_linearly(self, monkeypatch):
         # A rest event's splitter, the sorted states of X minus S, is built
@@ -1401,20 +1410,27 @@ def _flag_every_state(self, sources):
     return bytearray(b"\1") * self.w.state_count
 
 
-@pytest.mark.parametrize("mode", ["weak", "delay"])
+@pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
 @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
 def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypatch):
     # In weak and delay mode a splitter that no state of a block of two or
     # more can carry weight into computes no table, and on the best-first
     # semirings the tables search only where those states reach.  Flagging
     # every state turns both off: partitions and events must stay, and
-    # only fewer tables be computed.
+    # only fewer tables be computed.  Strong refinement reads no flags, so
+    # there it skips no splitter and never asks for them.
     # Shuffled copies end coarse, so real and arctic take the strong-quotient
     # route, where the events are lifted; there a weight is INF one time in
     # eight and silent self-loops have star INF.
     make_base = _route_base(sr, gen, infinite=sr.name in ("real", "arctic"))
     rng = random.Random("skipped splitters %s/%s" % (sr.name, mode))
     skipped = routed = 0
+    asked = []
+
+    def flag_every_state(self, sources):
+        asked.append(mode)
+        return _flag_every_state(self, sources)
+
     for i in range(40):
         if i % 4 == 3:  # larger and sparse, so it ends nearly discrete
             w = helpers.random_wlts(rng, sr, rng.randint(15, 30), 2, rng.uniform(0.03, 0.08), gen)
@@ -1425,7 +1441,7 @@ def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypa
             initial = Partition.from_block_of([rng.randrange(2) for _ in range(w.state_count)])
         partition, trace = refine_partition(w, mode, initial, want_trace=True)
         with monkeypatch.context() as m:
-            m.setattr(_EngineSaturator, "_carried_into", _flag_every_state)
+            m.setattr(_EngineSaturator, "_carried_into", flag_every_state)
             expected, full = refine_partition(w, mode, initial, want_trace=True)
         assert partition == expected, (w, initial)
         assert trace.events == full.events, (w, initial)
@@ -1433,7 +1449,10 @@ def test_skipped_splitters_change_no_partition_nor_event(sr, gen, mode, monkeypa
         skipped += full.candidates_examined - trace.candidates_examined
         if wb.bisim._lumps(w, mode):
             routed += len(wb.bisim._refine(w, "strong", initial, False)[0]) < w.state_count
-    assert skipped > 0
+    if mode == "strong":
+        assert skipped == 0 and not asked, (skipped, len(asked))
+    else:
+        assert skipped > 0 and asked
     assert routed >= 10 or not wb.bisim._lumps(w, mode), routed
 
 
