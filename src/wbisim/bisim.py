@@ -19,10 +19,9 @@ regrouped, and the rest then joins that member's group.  Every other
 block is left alone because its members all weigh zero.  When every
 support member of a touched block carries the same weight object, as
 it almost always does, the groups are built directly, with no weight
-keyed or sorted (``_regroup``); only blocks with distinct weights go
-through ``split_block_sorted``.  A block that such a support covers
-whole is one group, so it is passed over before ``_regroup``, unless in
-strong mode the rest of a compound may still split it (below).
+keyed (``_regroup``), and a block that such a support covers whole is
+one group, left unsorted; only blocks with distinct weights go through
+``split_block_sorted``.
 
 Splitter scheduling: the blocks of the initial partition, and their
 pieces before their turn, are examined whole, first queued first: the
@@ -144,18 +143,16 @@ def _regroup(sr, blk, inside, support):
     for all of those: they weigh zero, so they share a group.  Returns the
     groups, as ``split_block_sorted`` orders them, the group that keeps the
     block if it is known here (None to choose it by weight), and the
-    stand-in (None without one).
+    stand-in (None without one).  A lone group is not sorted: it never
+    becomes a block, and ``split_block_sorted`` sorts what it regroups.
 
     When every member in the support carries the same weight object, as
     it almost always does, the groups are built directly: one group
-    without a stand-in or when that weight is zero, else the sorted
-    members and the stand-in's group, which keeps the block.  The engine
-    calls it without a stand-in and with one weight only in strong mode,
-    on a compound's block whose weight into S the semiring does not
-    ``cancels``: that one group goes on to the regroup on the weight into
-    the rest of X.  Otherwise
-    ``split_block_sorted`` groups them on the support, which lacks the
-    stand-in, so it weighs zero.  ``inside`` may be sorted in place."""
+    without a stand-in (``inside`` itself) or when that weight is zero,
+    else the sorted members and the stand-in's group, which keeps the
+    block.  Otherwise ``split_block_sorted`` groups them on the
+    support, which lacks the stand-in, so it weighs zero.  ``inside`` may
+    be sorted in place."""
     r = None
     if len(inside) < len(blk):
         for r in blk:
@@ -170,7 +167,7 @@ def _regroup(sr, blk, inside, support):
             inside.sort()
             keep = [r]
             return ([inside, keep] if inside[0] < r else [keep, inside]), keep, r
-        group = sorted(inside if r is None else inside + [r])
+        group = inside if r is None else inside + [r]
         return [group], group, r
     members = inside if r is None else inside + [r]
     return split_block_sorted(sr, members, support), None, r
@@ -199,10 +196,12 @@ class RefinementTrace:
     to the sorted states of its strong blocks; the strong pre-pass is not
     traced.  Such a trace replays on the document states from the initial
     partition, but its events need not be those of refining the document
-    states directly.  The splitter order follows the order of the states
-    in each table's supports, which the solver does not fix, so the
-    events and ``candidates_examined`` may differ between versions on
-    the same system; the partition does not."""
+    states directly.  A weak or delay run on a system without silent steps
+    is a strong run, and its trace is one, ``mode`` included.  The
+    splitter order follows the order of the states in each table's
+    supports, which the solver does not fix, so the events and
+    ``candidates_examined`` may differ between versions on the same
+    system; the partition does not."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
@@ -270,14 +269,6 @@ def _refine(w, mode, initial, want_trace):
                     touched[bid] = [x]
             for bid, inside in touched.items():
                 blk = members[bid]
-                if len(inside) == len(blk):  # one weight object over the whole block: one group
-                    v = support[inside[0]]
-                    if X is None or cancels(v):  # which the rest of X cannot split either
-                        for x in inside:
-                            if support[x] is not v:
-                                break
-                        else:
-                            continue
                 groups, keep, r = _regroup(sr, blk, inside, support)
                 if len(groups) > 1:
                     split_s += 1
@@ -367,7 +358,11 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
     discrete, its quotient is refined from the quotient states grouped by
     their block of ``initial``, and every quotient block and splitter is
     lifted back to the union of its strong blocks (module docstring).
+    Without silent steps every saturated weight is the single-step one,
+    so weak and delay mode refine as strong mode does, and trace as it.
     """
+    if mode in ("weak", "delay") and not any(succ.get(w.tau) for succ in w._succ):
+        mode = "strong"
     if _lumps(w, mode):
         strong = _refine(w, "strong", initial, False)[0]
         if len(strong) < w.state_count:

@@ -14,9 +14,8 @@ sum of its path weights.
 
 from __future__ import annotations
 
-from .bisim import refine_partition
 from .solver import _class_set
-from .wlts import Partition, WLTS
+from .wlts import Partition
 
 
 class TruncationError(Exception):
@@ -397,23 +396,28 @@ def brute_coarsest_partition(w, mode="weak", max_len=None):
 def milner_weak_oracle(w):
     """Weak partition of a boolean system via the double-arrow construction.
 
-    Build the saturated system whose steps are silent runs (reflexive) and
-    observable actions wrapped in silent runs, then minimize it strongly.
+    Build the saturated steps, silent runs (reflexive) for the silent label
+    and observable actions wrapped in silent runs, then find their coarsest
+    strong bisimulation by naive signature refinement from one block: a
+    state's signature is its block and, per label, the set of blocks its
+    saturated steps reach.  Nothing of the engine is used.
     """
     if w.semiring.name != "boolean":
         raise ValueError("the double-arrow oracle is defined over the booleans")
     n = w.state_count
     reach = [_tau_reach(w, x) for x in range(n)]
-    triples = []
-    for x in range(n):
-        for y in reach[x]:
-            triples.append((x, w.tau, y, True))
-        for a in w.actions:
-            landed = set()
-            for y in reach[x]:
-                for z in w.successors(y, a):
-                    landed |= reach[z]
-            for z in landed:
-                triples.append((x, a, z, True))
-    doubled = WLTS(w.semiring, w.state_names, w.actions, w.tau, triples)
-    return refine_partition(doubled, "strong")[0]
+    steps = [reach] + [
+        [set().union(*(reach[z] for y in reach[x] for z in w.successors(y, a))) for x in range(n)]
+        for a in w.actions
+    ]
+
+    def signature(x):
+        return (block[x],) + tuple(frozenset(block[y] for y in step[x]) for step in steps)
+
+    block = [0] * n
+    while True:
+        ids = {}
+        refined = [ids.setdefault(signature(x), len(ids)) for x in range(n)]
+        if len(ids) == len(set(block)):
+            return Partition.from_block_of(refined)
+        block = refined

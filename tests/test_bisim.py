@@ -134,6 +134,13 @@ def reference_regroup(sr, blk, inside, support):
     return groups, next(zero_groups, None) or max(groups, key=len)
 
 
+def _covered_whole_by_one_weight(blk, inside, support):
+    """Whether the support members ``inside`` are all of block ``blk`` and
+    carry one weight object."""
+    v = support[inside[0]]
+    return len(inside) == len(blk) and all(support[x] is v for x in inside)
+
+
 class TestSingleWeightRegroup:
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
     def test_matches_split_block_sorted(self, sr, gen):
@@ -156,8 +163,14 @@ class TestSingleWeightRegroup:
             support = {x: rng.choice(pool) for x in inside}
             support.update((x, gen(rng)) for x in range(30, 30 + rng.randint(0, 3)))
             expected_groups, expected_keep = reference_regroup(sr, blk, inside, support)
-            groups, keep, r = wb.bisim._regroup(sr, blk, list(inside), support)
-            assert groups == expected_groups, (blk, inside, support)
+            passed = list(inside)
+            groups, keep, r = wb.bisim._regroup(sr, blk, passed, support)
+            if len(groups) == 1:  # a lone group is left unsorted
+                assert [sorted(groups[0])] == expected_groups, (blk, inside, support)
+            else:
+                assert groups == expected_groups, (blk, inside, support)
+            if _covered_whole_by_one_weight(blk, inside, support):
+                assert groups == [passed] and groups[0] is passed
             assert r == next((x for x in blk if x not in support), None)
             if keep is not None:
                 direct += 1
@@ -398,6 +411,17 @@ class TestTrace:
             assert e.label in w.labels
             assert e.blocks_split >= 1
             assert all(0 <= x < w.state_count for x in e.splitter)
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    def test_a_system_without_silent_steps_traces_a_strong_run(self, mode):
+        rng, sr = random.Random("silent-free %s" % mode), by_name("real")
+        for _ in range(20):
+            w = helpers.random_wlts(rng, sr, rng.randint(2, 10), 2, 0.3, helpers.positive_fraction)
+            steps = [t for t in w.transitions() if t[1] != w.tau]
+            w = wb.WLTS(sr, w.state_names, w.actions, w.tau, steps)
+            p, trace = refine_partition(w, mode, want_trace=True)
+            assert (p, trace) == refine_partition(w, "strong", want_trace=True)
+            assert trace.mode == "strong"
 
     def test_no_trace_by_default(self):
         w = helpers.chains_system()
@@ -679,7 +703,7 @@ class TestPredecessorDrivenEngine:
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
 
     @staticmethod
-    def _examined_in_strong_refinement(w, monkeypatch):
+    def _examined_in_refinement(w, monkeypatch, mode="strong"):
         examined = [0]
         table = Saturator.table
 
@@ -689,7 +713,7 @@ class TestPredecessorDrivenEngine:
 
         monkeypatch.setattr(Saturator, "table", measured_table)
         n = w.state_count
-        assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
+        assert refine_partition(w, mode)[0] == Partition(n, [[x] for x in range(n)])
         return examined[0]
 
     def test_strong_examines_each_state_about_twice(self, monkeypatch):
@@ -698,17 +722,19 @@ class TestPredecessorDrivenEngine:
         # examined.  Examining every child of every split summed 12.6n.
         n = 4000
         w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
-        assert n <= self._examined_in_strong_refinement(w, monkeypatch) <= 3 * n
+        assert n <= self._examined_in_refinement(w, monkeypatch) <= 3 * n
 
-    def test_strong_examines_each_state_of_an_action_chain_about_twice(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
+    def test_examines_each_state_of_an_action_chain_about_twice(self, mode, monkeypatch):
         # Each split cuts one state off a block of the chain; examining the
-        # kept block whole again, with no compounds, summed 501.5n.
+        # kept block whole again, with no compounds, summed 501.5n.  With no
+        # silent step, weak and delay mode refine as strong mode does.
         n = 2000
         w = wb.WLTS(
             wb.by_name("boolean"), ["s%d" % x for x in range(n)], ["a"], "tau",
             [(x, "a", x + 1, True) for x in range(n - 1)],
         )
-        examined = self._examined_in_strong_refinement(w, monkeypatch)
+        examined = self._examined_in_refinement(w, monkeypatch, mode)
         assert n <= examined <= 3 * n, examined
 
     def test_traced_strong_refinement_sorts_linearly(self, monkeypatch):
@@ -826,35 +852,16 @@ class TestPredecessorDrivenEngine:
         assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
 
-def _covered_whole_by_one_weight(blk, inside, support):
-    """Whether the support members ``inside`` are all of block ``blk`` and
-    carry one weight object."""
-    v = support[inside[0]]
-    return len(inside) == len(blk) and all(support[x] is v for x in inside)
-
-
-def _one_step_per_label(rng, sr, n, weight):
-    """Each of n states takes one step on each of tau, a and b to a random
-    state, every step carrying the same weight object."""
-    names = ["s%d" % x for x in range(n)]
-    triples = [
-        (x, label, rng.randrange(n), weight) for x in range(n) for label in ("tau", "a", "b")
-    ]
-    return wb.WLTS(sr, names, ["a", "b"], "tau", triples)
-
-
 class TestSplitterSchedule:
     """Pending blocks are examined first in, first out, and a touched
-    block that its support covers whole with one weight object is passed
-    over before ``_regroup`` where no rest of a compound can split it."""
+    block that its support covers whole with one weight object is one
+    group, which in strong mode the rest of a compound may still split."""
 
     def watch(self, monkeypatch):
-        """Returns (covered, whole_tables): the groups of every ``_regroup``
-        call on a block covered whole by one weight object, and a count of
-        the tables into every state of a one-block partition that have
-        such a support."""
-        covered, whole_tables = [], [0]
-        regroup, table = wb.bisim._regroup, wb.solver._EngineSaturator.table
+        """Returns the groups of every ``_regroup`` call on a block covered
+        whole by one weight object."""
+        covered = []
+        regroup = wb.bisim._regroup
 
         def watched_regroup(sr, blk, inside, support):
             whole = _covered_whole_by_one_weight(blk, inside, support)
@@ -863,53 +870,17 @@ class TestSplitterSchedule:
                 covered.append(result[0])
             return result
 
-        def watched_table(self, C):
-            t = table(self, C)
-            n = self.w.state_count
-            if n > 1 and len(C) == n:  # the engine's partition is one block
-                every = list(range(n))
-                whole_tables[0] += any(
-                    len(t[label]) == n and _covered_whole_by_one_weight(every, every, t[label])
-                    for label in self.w.labels
-                )
-            return t
-
         monkeypatch.setattr(wb.bisim, "_regroup", watched_regroup)
-        monkeypatch.setattr(wb.solver._EngineSaturator, "table", watched_table)
-        return covered, whole_tables
-
-    @pytest.mark.parametrize("mode", ["weak", "delay"])
-    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
-    def test_weak_and_delay_never_regroup_a_block_covered_by_one_weight(
-        self, sr, gen, mode, monkeypatch
-    ):
-        # The first table, into every state, weighs each state's silent
-        # steps as one object, so every run has such a block to pass over.
-        rng = random.Random("whole block %s/%s" % (sr.name, mode))
-        covered, whole_tables = self.watch(monkeypatch)
-        for _ in range(20):
-            w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, rng.uniform(0.1, 0.4), gen)
-            assert_matches_full_scan(w, mode)
-        assert covered == [] and whole_tables[0] > 0
-
-    def test_strong_real_never_regroups_a_block_covered_by_one_weight(self, monkeypatch):
-        # real cancels every finite weight, so the weight into S fixes the
-        # weight into the rest of X.
-        sr, half = by_name("real"), Fraction(1, 2)
-        rng = random.Random("whole block real/strong")
-        covered, whole_tables = self.watch(monkeypatch)
-        for _ in range(20):
-            w = _one_step_per_label(rng, sr, rng.randint(2, 12), half)
-            assert_matches_full_scan(w, "strong")
-        assert covered == [] and whole_tables[0] > 0
+        return covered
 
     def test_strong_boolean_still_regroups_such_a_block_on_the_rest(self, monkeypatch):
         # boolean does not cancel, so a block covered whole by one weight
         # into S may still split on the weight into the rest of X: its one
-        # group goes on to that regroup.
+        # group goes on to that regroup.  The groups of blocks examined
+        # whole, with no X, stop at ``_regroup``.
         sr = by_name("boolean")
         rng = random.Random("whole block boolean/strong")
-        covered, _ = self.watch(monkeypatch)
+        covered = self.watch(monkeypatch)
         onward = []
         split = wb.bisim.split_block_sorted
 
@@ -922,9 +893,8 @@ class TestSplitterSchedule:
             density = rng.uniform(0.1, 0.4)
             w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, density, lambda rng: True)
             assert_matches_full_scan(w, "strong")
-        assert covered
-        for groups in covered:
-            assert len(groups) == 1 and any(members is groups[0] for members in onward)
+        assert all(len(groups) == 1 for groups in covered)
+        assert any(members is groups[0] for groups in covered for members in onward)
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_few_tables_on_sparse_boolean(self, mode):

@@ -373,6 +373,15 @@ class TestMilnerOracle:
         with pytest.raises(ValueError):
             milner_weak_oracle(helpers.figure_system())
 
+    def test_does_not_run_the_engine(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the oracle ran the engine's refinement loop")
+
+        monkeypatch.setattr(wb.bisim, "_refine", forbidden)
+        w = helpers.chains_system()
+        assert milner_weak_oracle(w).to_names(w) == [["p0", "q0"], ["p1", "p2", "q1"], ["p3", "q2"]]
+        assert milner_weak_oracle(helpers.tau_cycle_system()) == Partition.single_block(3)
+
 
 class TestRestrictedGrowthStrings:
     def test_bell_counts(self):
