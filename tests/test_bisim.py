@@ -852,14 +852,24 @@ class TestPredecessorDrivenEngine:
         assert check_is_weak_bisimulation(w, p, mode=mode).ok
 
 
+def _one_step_per_label(rng, sr, n, weight):
+    """Each of n states takes one step on each of tau, a and b to a random
+    state, every step carrying the same weight object."""
+    names = ["s%d" % x for x in range(n)]
+    triples = [
+        (x, label, rng.randrange(n), weight) for x in range(n) for label in ("tau", "a", "b")
+    ]
+    return wb.WLTS(sr, names, ["a", "b"], "tau", triples)
+
+
 class TestSplitterSchedule:
     """Pending blocks are examined first in, first out, and a touched
     block that its support covers whole with one weight object is one
     group, which in strong mode the rest of a compound may still split."""
 
     def watch(self, monkeypatch):
-        """Returns the groups of every ``_regroup`` call on a block covered
-        whole by one weight object."""
+        """Returns (inside, groups) for every ``_regroup`` call on a block
+        covered whole by one weight object."""
         covered = []
         regroup = wb.bisim._regroup
 
@@ -867,11 +877,59 @@ class TestSplitterSchedule:
             whole = _covered_whole_by_one_weight(blk, inside, support)
             result = regroup(sr, blk, inside, support)
             if whole:
-                covered.append(result[0])
+                covered.append((inside, result[0]))
             return result
 
         monkeypatch.setattr(wb.bisim, "_regroup", watched_regroup)
         return covered
+
+    def watch_onward(self, monkeypatch):
+        """Returns the members of every ``split_block_sorted`` call."""
+        onward = []
+        split = wb.bisim.split_block_sorted
+
+        def watched_split(sr, members, weights):
+            onward.append(members)
+            return split(sr, members, weights)
+
+        monkeypatch.setattr(wb.bisim, "split_block_sorted", watched_split)
+        return onward
+
+    @pytest.mark.parametrize("mode", ["weak", "delay"])
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_weak_and_delay_never_regroup_a_block_covered_by_one_weight(
+        self, sr, gen, mode, monkeypatch
+    ):
+        # The first table, into every state, weighs each state's silent
+        # steps as one object, so every run has such a block.  Its members
+        # stay one group, the very list passed in: with no compounds, no
+        # rest of X regroups it.
+        rng = random.Random("whole block %s/%s" % (sr.name, mode))
+        covered = self.watch(monkeypatch)
+        onward = self.watch_onward(monkeypatch)
+        for _ in range(20):
+            w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, rng.uniform(0.1, 0.4), gen)
+            assert_matches_full_scan(w, mode)
+        assert covered
+        for inside, groups in covered:
+            assert groups == [inside] and groups[0] is inside
+            assert not any(members is inside for members in onward)
+
+    def test_strong_real_never_regroups_a_block_covered_by_one_weight(self, monkeypatch):
+        # real cancels every finite weight, so the weight into S fixes the
+        # weight into the rest of X: the block's one group is not regrouped
+        # on it.
+        sr, half = by_name("real"), Fraction(1, 2)
+        rng = random.Random("whole block real/strong")
+        covered = self.watch(monkeypatch)
+        onward = self.watch_onward(monkeypatch)
+        for _ in range(20):
+            w = _one_step_per_label(rng, sr, rng.randint(2, 12), half)
+            assert_matches_full_scan(w, "strong")
+        assert covered
+        for inside, groups in covered:
+            assert groups == [inside] and groups[0] is inside
+            assert not any(members is inside for members in onward)
 
     def test_strong_boolean_still_regroups_such_a_block_on_the_rest(self, monkeypatch):
         # boolean does not cancel, so a block covered whole by one weight
@@ -881,20 +939,13 @@ class TestSplitterSchedule:
         sr = by_name("boolean")
         rng = random.Random("whole block boolean/strong")
         covered = self.watch(monkeypatch)
-        onward = []
-        split = wb.bisim.split_block_sorted
-
-        def watched_split(sr, members, weights):
-            onward.append(members)
-            return split(sr, members, weights)
-
-        monkeypatch.setattr(wb.bisim, "split_block_sorted", watched_split)
+        onward = self.watch_onward(monkeypatch)
         for _ in range(20):
             density = rng.uniform(0.1, 0.4)
             w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, density, lambda rng: True)
             assert_matches_full_scan(w, "strong")
-        assert all(len(groups) == 1 for groups in covered)
-        assert any(members is groups[0] for groups in covered for members in onward)
+        assert all(len(groups) == 1 for _, groups in covered)
+        assert any(members is groups[0] for _, groups in covered for members in onward)
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_few_tables_on_sparse_boolean(self, mode):
