@@ -196,12 +196,10 @@ class RefinementTrace:
     to the sorted states of its strong blocks; the strong pre-pass is not
     traced.  Such a trace replays on the document states from the initial
     partition, but its events need not be those of refining the document
-    states directly.  A weak or delay run on a system without silent steps
-    is a strong run, and its trace is one, ``mode`` included.  The
-    splitter order follows the order of the states in each table's
-    supports, which the solver does not fix, so the events and
-    ``candidates_examined`` may differ between versions on the same
-    system; the partition does not."""
+    states directly.  The splitter order follows the order of the states
+    in each table's supports, which the solver does not fix, so the
+    events and ``candidates_examined`` may differ between versions on
+    the same system; the partition does not."""
 
     mode: str
     events: list[SplitEvent] = field(default_factory=list)
@@ -358,11 +356,7 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
     discrete, its quotient is refined from the quotient states grouped by
     their block of ``initial``, and every quotient block and splitter is
     lifted back to the union of its strong blocks (module docstring).
-    Without silent steps every saturated weight is the single-step one,
-    so weak and delay mode refine as strong mode does, and trace as it.
     """
-    if mode in ("weak", "delay") and not any(succ.get(w.tau) for succ in w._succ):
-        mode = "strong"
     if _lumps(w, mode):
         strong = _refine(w, "strong", initial, False)[0]
         if len(strong) < w.state_count:

@@ -412,17 +412,6 @@ class TestTrace:
             assert e.blocks_split >= 1
             assert all(0 <= x < w.state_count for x in e.splitter)
 
-    @pytest.mark.parametrize("mode", ["weak", "delay"])
-    def test_a_system_without_silent_steps_traces_a_strong_run(self, mode):
-        rng, sr = random.Random("silent-free %s" % mode), by_name("real")
-        for _ in range(20):
-            w = helpers.random_wlts(rng, sr, rng.randint(2, 10), 2, 0.3, helpers.positive_fraction)
-            steps = [t for t in w.transitions() if t[1] != w.tau]
-            w = wb.WLTS(sr, w.state_names, w.actions, w.tau, steps)
-            p, trace = refine_partition(w, mode, want_trace=True)
-            assert (p, trace) == refine_partition(w, "strong", want_trace=True)
-            assert trace.mode == "strong"
-
     def test_no_trace_by_default(self):
         w = helpers.chains_system()
         p, trace = refine_partition(w, "weak")
@@ -703,7 +692,7 @@ class TestPredecessorDrivenEngine:
         assert check_is_weak_bisimulation(w, p, mode="strong").ok
 
     @staticmethod
-    def _examined_in_refinement(w, monkeypatch, mode="strong"):
+    def _examined_in_strong_refinement(w, monkeypatch):
         examined = [0]
         table = Saturator.table
 
@@ -713,7 +702,7 @@ class TestPredecessorDrivenEngine:
 
         monkeypatch.setattr(Saturator, "table", measured_table)
         n = w.state_count
-        assert refine_partition(w, mode)[0] == Partition(n, [[x] for x in range(n)])
+        assert refine_partition(w, "strong")[0] == Partition(n, [[x] for x in range(n)])
         return examined[0]
 
     def test_strong_examines_each_state_about_twice(self, monkeypatch):
@@ -722,19 +711,17 @@ class TestPredecessorDrivenEngine:
         # examined.  Examining every child of every split summed 12.6n.
         n = 4000
         w = helpers.random_sparse_boolean(random.Random(61), n, 3, 4)
-        assert n <= self._examined_in_refinement(w, monkeypatch) <= 3 * n
+        assert n <= self._examined_in_strong_refinement(w, monkeypatch) <= 3 * n
 
-    @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
-    def test_examines_each_state_of_an_action_chain_about_twice(self, mode, monkeypatch):
+    def test_strong_examines_each_state_of_an_action_chain_about_twice(self, monkeypatch):
         # Each split cuts one state off a block of the chain; examining the
-        # kept block whole again, with no compounds, summed 501.5n.  With no
-        # silent step, weak and delay mode refine as strong mode does.
+        # kept block whole again, with no compounds, summed 501.5n.
         n = 2000
         w = wb.WLTS(
             wb.by_name("boolean"), ["s%d" % x for x in range(n)], ["a"], "tau",
             [(x, "a", x + 1, True) for x in range(n - 1)],
         )
-        examined = self._examined_in_refinement(w, monkeypatch, mode)
+        examined = self._examined_in_strong_refinement(w, monkeypatch)
         assert n <= examined <= 3 * n, examined
 
     def test_traced_strong_refinement_sorts_linearly(self, monkeypatch):
@@ -868,8 +855,8 @@ class TestSplitterSchedule:
     group, which in strong mode the rest of a compound may still split."""
 
     def watch(self, monkeypatch):
-        """Returns (inside, groups) for every ``_regroup`` call on a block
-        covered whole by one weight object."""
+        """Returns the groups of every ``_regroup`` call on a block covered
+        whole by one weight object."""
         covered = []
         regroup = wb.bisim._regroup
 
@@ -877,7 +864,7 @@ class TestSplitterSchedule:
             whole = _covered_whole_by_one_weight(blk, inside, support)
             result = regroup(sr, blk, inside, support)
             if whole:
-                covered.append((inside, result[0]))
+                covered.append(result[0])
             return result
 
         monkeypatch.setattr(wb.bisim, "_regroup", watched_regroup)
@@ -897,13 +884,12 @@ class TestSplitterSchedule:
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
-    def test_weak_and_delay_never_regroup_a_block_covered_by_one_weight(
+    def test_weak_and_delay_keep_a_block_covered_by_one_weight_as_one_group(
         self, sr, gen, mode, monkeypatch
     ):
         # The first table, into every state, weighs each state's silent
-        # steps as one object, so every run has such a block.  Its members
-        # stay one group, the very list passed in: with no compounds, no
-        # rest of X regroups it.
+        # steps as one object, so every run has such a block.  With no
+        # compounds, no rest of X regroups its one group.
         rng = random.Random("whole block %s/%s" % (sr.name, mode))
         covered = self.watch(monkeypatch)
         onward = self.watch_onward(monkeypatch)
@@ -911,11 +897,10 @@ class TestSplitterSchedule:
             w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, rng.uniform(0.1, 0.4), gen)
             assert_matches_full_scan(w, mode)
         assert covered
-        for inside, groups in covered:
-            assert groups == [inside] and groups[0] is inside
-            assert not any(members is inside for members in onward)
+        for groups in covered:
+            assert len(groups) == 1 and not any(members is groups[0] for members in onward)
 
-    def test_strong_real_never_regroups_a_block_covered_by_one_weight(self, monkeypatch):
+    def test_strong_real_keeps_a_block_covered_by_one_weight_as_one_group(self, monkeypatch):
         # real cancels every finite weight, so the weight into S fixes the
         # weight into the rest of X: the block's one group is not regrouped
         # on it.
@@ -927,9 +912,8 @@ class TestSplitterSchedule:
             w = _one_step_per_label(rng, sr, rng.randint(2, 12), half)
             assert_matches_full_scan(w, "strong")
         assert covered
-        for inside, groups in covered:
-            assert groups == [inside] and groups[0] is inside
-            assert not any(members is inside for members in onward)
+        for groups in covered:
+            assert len(groups) == 1 and not any(members is groups[0] for members in onward)
 
     def test_strong_boolean_still_regroups_such_a_block_on_the_rest(self, monkeypatch):
         # boolean does not cancel, so a block covered whole by one weight
@@ -944,8 +928,8 @@ class TestSplitterSchedule:
             density = rng.uniform(0.1, 0.4)
             w = helpers.random_wlts(rng, sr, rng.randint(2, 12), 2, density, lambda rng: True)
             assert_matches_full_scan(w, "strong")
-        assert all(len(groups) == 1 for _, groups in covered)
-        assert any(members is groups[0] for _, groups in covered for members in onward)
+        assert all(len(groups) == 1 for groups in covered)
+        assert any(members is groups[0] for groups in covered for members in onward)
 
     @pytest.mark.parametrize("mode", ["weak", "delay"])
     def test_few_tables_on_sparse_boolean(self, mode):
