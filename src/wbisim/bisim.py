@@ -222,10 +222,7 @@ def _refine(w, mode, initial, want_trace):
     examined = []  # the compound of every examined weak or delay block; stays empty
     # only blocks of two or more are regrouped, so a block of one is never mutated
     members = [set(block) if len(block) > 1 else block for block in initial.blocks]
-    block_of = [0] * n
-    for bid, block in enumerate(initial.blocks):
-        for x in block:
-            block_of[x] = bid
+    block_of = list(initial._block_of)
     comp = [None] * len(members)  # the compound of each block, None before its turn
     pending = deque(range(len(members)))  # blocks to examine whole, first in first out
     todo = []  # compounds of two or more blocks

@@ -360,12 +360,12 @@ class RealFloatSemiring(Semiring):
         if _RATIONAL_RE.match(t):
             return self.coerce(_parse_fraction(t))
         try:
-            v = self.coerce(float(t))
+            v = float(t)
         except ValueError:
             raise ValueError("malformed float literal %r" % text) from None
         if v == math.inf and "inf" not in t.lower():  # "1e400" rounds to inf
             raise ValueError("float literal %r too large for a float" % text)
-        return v
+        return self.coerce(v)
 
     def format(self, v):
         return "inf" if v == math.inf else repr(v)

@@ -264,18 +264,23 @@ class Saturator:
     def _searched(self, C):
         """The weak or delay table of class ``C`` on a best-first carrier:
         one search per label, the silent label first (class docstring).
-        The states of weight ``one`` settle breadth first in FIFO order;
-        only the other weights met on the way, on an action step or on a
-        silent edge, go on to ``_best_first``.  A product with a factor
-        ``one`` is the other factor and is not computed."""
+        A search settles one level at a time, ``one`` first and then each
+        weight below it, best first.  The states of a level relax their
+        silent in-edges in FIFO order, and every state that reaches the
+        level's weight on the way settles with them.  Any other weight
+        waits as a tentative one, merged by the sum, in a bucket per key,
+        with the keys in a heap.  The buckets are made on the first such
+        weight, so a search that meets none, as every boolean one, builds
+        no heap.  A product with a factor ``one`` is the other factor and
+        is not computed."""
         w = self.w
         sr = w.semiring
-        mul, zero, one = sr.mul, sr.zero, sr.one
+        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
         pred = self._columns[w.tau]
         table = {}
         lands_on = None
         for label in w.labels:
-            offers = []  # (state, tentative weight other than zero and one)
+            offers = []  # (state, tentative weight other than zero and the level)
             if lands_on is None:
                 within = self._silent_within
                 sol = {x: one for x in C if within[x]}  # settled weights
@@ -293,71 +298,50 @@ class Saturator:
                             sol[x] = t
                         elif t != zero:
                             offers.append((x, t))
-            batch = list(sol)
-            for y in batch:  # grows while it is relaxed
-                for x, m in pred[y].items():
-                    if x in sol or not within[x]:
+            level, batch, heap = one, list(sol), None
+            while True:
+                for y in batch:  # grows while it is relaxed
+                    for x, m in pred[y].items():
+                        if x in sol or not within[x]:
+                            continue
+                        t = m if level == one else level if m == one else mul(m, level)
+                        if t == level:
+                            sol[x] = t
+                            batch.append(x)
+                        elif t != zero:
+                            offers.append((x, t))
+                if heap is None:
+                    if not offers:
+                        break
+                    best, waiting, heap = {}, {}, []  # tentative weights, buckets by key, keys
+                for x, t in offers:
+                    if x in sol:
                         continue
-                    if m == one:
-                        sol[x] = m
-                        batch.append(x)
-                    elif m != zero:
-                        offers.append((x, m))
-            if offers:
-                self._best_first(sol, offers, within)
+                    cur = best.get(x)
+                    if cur is not None:
+                        t = add(cur, t)
+                        if t == cur:
+                            continue
+                    best[x] = t
+                    k = key(t)
+                    if k not in waiting:
+                        waiting[k] = []
+                        heappush(heap, k)
+                    waiting[k].append(x)
+                offers = []
+                while heap:
+                    batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
+                    if batch:
+                        break
+                else:
+                    break
+                level = best[batch[0]]  # equal keys mean equal weights
+                for x in batch:
+                    sol[x] = level
             table[label] = sol
             if lands_on is None:
                 lands_on = sol if self.mode == "weak" else dict.fromkeys(C, one)
         return table
-
-    def _best_first(self, sol, offers, within):
-        """Finish a search of ``_searched``: add to ``sol`` the states
-        below weight ``one``, best first, from the tentative weights
-        ``offers``.  They wait in buckets, one per key, with the keys in a
-        heap; the best bucket settles next, with every state that reaches
-        its weight while it is relaxed.  A product with a factor ``one`` is
-        the other factor and is not computed."""
-        sr = self.w.semiring
-        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
-        pred = self._columns[self.w.tau]
-        best = {}  # tentative weights
-        waiting = {}  # key -> states whose tentative weight has that key
-        heap = []
-        while True:
-            for x, t in offers:
-                if x in sol:
-                    continue
-                cur = best.get(x)
-                if cur is not None:
-                    t = add(cur, t)
-                    if t == cur:
-                        continue
-                best[x] = t
-                k = key(t)
-                if k in waiting:
-                    waiting[k].append(x)
-                else:
-                    waiting[k] = [x]
-                    heappush(heap, k)
-            if not heap:
-                return
-            offers = []
-            batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
-            if not batch:
-                continue
-            level = best[batch[0]]  # equal keys mean equal weights
-            for x in batch:
-                sol[x] = level
-            for y in batch:  # grows while it is relaxed
-                for x, m in pred[y].items():
-                    if x in sol or not within[x]:
-                        continue
-                    t = level if m == one else mul(m, level)
-                    if t == level:
-                        sol[x] = t
-                        batch.append(x)
-                    elif t != zero:
-                        offers.append((x, t))
 
     def _eliminate(self, b, pinned):
         """Support of the least x with x = M*x + b, where M is the silent

@@ -447,43 +447,79 @@ def _as_float(v):
     return math.inf if v is wb.INF else float(v)
 
 
+def _near_one_ring(rng, sr):
+    """A system of 2-12 states with a silent ring over 2 or more of them,
+    every ring edge of weight 1 - 10**-j for one j in 1..12, and 0-2 more
+    edges per state (silent off the ring, a or b) of weight k/8."""
+    n = rng.randint(2, 12)
+    ring = rng.sample(range(n), rng.randint(2, n))
+    heavy = 1 - Fraction(1, 10 ** rng.randint(1, 12))
+    edges = {(x, "tau", y): heavy for x, y in zip(ring, ring[1:] + ring[:1])}
+    for x in range(n):
+        for _ in range(rng.randint(0, 2)):
+            edge = (x, rng.choice(["tau", "a", "b"]), rng.randrange(n))
+            edges.setdefault(edge, Fraction(rng.randint(1, 8), 8))
+    triples = [(x, label, y, v) for (x, label, y), v in sorted(edges.items())]
+    return wb.WLTS(sr, ["s%d" % i for i in range(n)], ["a", "b"], "tau", triples)
+
+
 @pytest.mark.parametrize("mode", ["strong", "weak", "delay"])
 def test_float_partition_matches_exact_when_weights_sit_apart(mode, monkeypatch):
-    """real-float against exact real on the same rational weights: when
-    the distinct exact weights into every class the run saturates against
-    sit more than epsilon apart, the partitions must be equal."""
+    """real-float against exact real on the same rational weights, over
+    small random systems of weights k/8 and over silent rings of weight
+    near 1, whose weak and delay weights reach 1e22.  Every float
+    partition passes the checker, with no ConvergenceError; when the
+    distinct exact weights into every class the run saturates against
+    sit more than 10 epsilon apart, relative to the larger of them and
+    1, the partitions must be equal."""
     exact, approx = by_name("real"), by_name("real-float")
     rng = random.Random("float against exact %s" % mode)
-    compared = recorded = 0
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        w = helpers.random_wlts(
-            rng, exact, n, 2, rng.uniform(0.1, 0.4), lambda r: Fraction(r.randint(1, 8), 8)
-        )
-        w_float = wb.WLTS(
-            approx, w.state_names, w.actions, w.tau,
-            [(x, label, y, float(v)) for x, label, y, v in w.transitions()],
-        )
-        classes = []
-        table = Saturator.table
-        # a copy: the engine's blocks lose members after their tables are taken
-        monkeypatch.setattr(Saturator, "table", lambda self, C: classes.append(tuple(C)) or table(self, C))
-        # direct refinement, so that every recorded class is over w's states
-        expected = wb.bisim._refine(w, mode, None, False)[0]
-        monkeypatch.undo()
-        recorded += len(classes)
-        saturator = Saturator(w, mode)
-        gaps = []
-        for C in classes:
-            for label in w.labels:
-                values = sorted(set(map(_as_float, helpers.vector(w, saturator.table(C), label))))
-                gaps += [b - a for a, b in zip(values, values[1:])]
-        if any(gap <= 10 * approx.epsilon for gap in gaps):
-            continue
-        compared += 1
-        assert refine_partition(w_float, mode)[0] == expected, w
+    families = {
+        "eighths": [
+            helpers.random_wlts(
+                rng, exact, rng.randint(1, 9), 2, rng.uniform(0.1, 0.4),
+                lambda r: Fraction(r.randint(1, 8), 8),
+            )
+            for _ in range(60)
+        ],
+        "near-one rings": [_near_one_ring(rng, exact) for _ in range(150)],
+    }
+    compared = dict.fromkeys(families, 0)
+    recorded = 0
+    for family, systems in families.items():
+        for w in systems:
+            w_float = wb.WLTS(
+                approx, w.state_names, w.actions, w.tau,
+                [(x, label, y, float(v)) for x, label, y, v in w.transitions()],
+            )
+            partition = refine_partition(w_float, mode)[0]
+            assert check_is_weak_bisimulation(w_float, partition, mode).ok, w
+            classes = []
+            table = Saturator.table
+            # a copy: the engine's blocks lose members after their tables are taken
+            monkeypatch.setattr(
+                Saturator, "table", lambda self, C: classes.append(tuple(C)) or table(self, C)
+            )
+            # direct refinement, so that every recorded class is over w's states
+            expected = wb.bisim._refine(w, mode, None, False)[0]
+            monkeypatch.undo()
+            recorded += len(classes)
+            saturator = Saturator(w, mode)
+            close = False
+            for C in classes:
+                for label in w.labels:
+                    values = sorted(set(map(_as_float, helpers.vector(w, saturator.table(C), label))))
+                    close = close or any(
+                        b < math.inf and b - a <= 10 * approx.epsilon * max(1, a, b)
+                        for a, b in zip(values, values[1:])
+                    )
+            if close:
+                continue
+            compared[family] += 1
+            assert partition == expected, w
     assert recorded > 0
-    assert compared >= 50
+    assert compared["eighths"] >= 50
+    assert compared["near-one rings"] >= 50, compared
 
 
 def _relabelled(w, perm):

@@ -877,7 +877,6 @@ class TestSearchSaturation:
 
         monkeypatch.setattr(wb.solver, "heappush", forbidden)
         monkeypatch.setattr(wb.solver, "heappop", forbidden)
-        monkeypatch.setattr(Saturator, "_best_first", forbidden)
         monkeypatch.setattr(type(sr), "best_first_key", lambda self, v: forbidden())
         for mode in ("weak", "delay"):
             saturator = Saturator(w, mode)

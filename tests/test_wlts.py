@@ -459,6 +459,24 @@ class TestLoad:
                 "transition fields must be strings:"
                 " {'from': 's0', 'label': 'a', 'to': 's1', 'weight': 0.5}",
             ),
+            (
+                [("s0", "a", "s1", "0.5"), ("s1", "a", "s0", "-0.5")],
+                {"semiring": "real-float"},
+                SemanticError,
+                "bad weight '-0.5': weight -0.5 outside the non-negative carrier",
+            ),
+            (
+                [("s0", "a", "s1", "-inf")],
+                {"semiring": "real-float"},
+                SemanticError,
+                "bad weight '-inf': weight -inf outside the non-negative carrier",
+            ),
+            (
+                [("s0", "a", "s1", "nan")],
+                {"semiring": "real-float"},
+                SemanticError,
+                "bad weight 'nan': weight nan outside the non-negative carrier",
+            ),
         ],
         ids=[
             "repeated-bad-literal",
@@ -471,6 +489,9 @@ class TestLoad:
             "non-string-field-after-bad-weight",
             "non-string-field-and-unknown-state",
             "non-string-weight",
+            "negative-float",
+            "negative-infinite-float",
+            "nan-float",
         ],
     )
     def test_first_error_wins(self, edges, extra, error, message):
