@@ -42,19 +42,22 @@ touches are regrouped, on the pair (weight into S, weight into X minus
 S).  Blocks to examine whole go first, then the compound that most
 recently gained a second block; the pieces of S make up its own
 compound.  The weight into S comes from S's table, summed over its
-predecessors; the weight into the rest of X is summed over each touched
-member's own successor row.  Where the semiring ``cancels`` the weight
-into S, that weight fixes the other, since both sum to the weight into
-X.  A state enters some S at most log2(n) times after its first
-examination, so a run reads O(m log n) predecessor and successor entries
-when out-degrees per label are bounded.  Weak and delay mode have no
-compounds, because a saturated weight into X minus S cannot be derived
-from those into X and S: when an examined block splits, every piece, the
-kept one included, joins the back of the queue to be examined whole
-again.  A touched block keeps its id and its members outside the
-support: the group of the stand-in keeps the block, or, when the support
-covers the whole block, its group of weight zero or else its largest
-group, and only the other groups move out.
+predecessors, or, when S is one state, read straight off its predecessor
+mapping, the system's own and so read only; a label whose support is
+empty is skipped, since it touches no block.  The weight into the rest
+of X is summed over each touched member's own successor row.  Where the
+semiring ``cancels`` the weight into S, that weight fixes the other,
+since both sum to the weight into X.  A state enters some S at most
+log2(n) times after its first examination, so a run reads O(m log n)
+predecessor and successor entries when out-degrees per label are
+bounded.  Weak and delay mode have no compounds, because a saturated
+weight into X minus S cannot be derived from those into X and S: when an
+examined block splits, every piece, the kept one included, joins the
+back of the queue to be examined whole again.  A touched block keeps its
+id and its members outside the support: the group of the stand-in keeps
+the block, or, when the support covers the whole block, its group of
+weight zero or else its largest group, and only the other groups move
+out.
 
 The loop stops as soon as every block is a singleton, since no table can
 split one.  For the same reason, in weak and delay mode, a splitter S
@@ -253,6 +256,8 @@ def _refine(w, mode, initial, want_trace):
         table = provider.table(S)
         for label in w.labels:
             support = table[label]
+            if not support:  # no state weighs anything into S
+                continue
             count = len(members)  # after the regroups on the weight into S
             split_s = split_rest = 0
             touched = {}

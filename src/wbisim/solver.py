@@ -227,7 +227,9 @@ class Saturator:
     (delay).  Mode "strong" degenerates to single-step class weights and
     is what the strong refinement engine runs on; they are summed over the
     predecessors of the class, so a table costs the in-degree of the class
-    rather than a pass over every state.
+    rather than a pass over every state.  The strong support of a one-state
+    class {y} is the column's own mapping for y, not a copy, so every
+    support ``table`` returns is read only.
     """
 
     def __init__(self, w, mode="weak"):
@@ -453,13 +455,17 @@ class Saturator:
     def table(self, C):
         """Saturated weights into class ``C``: a dict label -> support, in
         ``w.labels`` order.  A support maps at least every state of nonzero
-        weight to its weight; a state it lacks weighs zero.  ``C`` is
-        checked first (``_class``): nonempty, and every member a state id
-        in range."""
+        weight to its weight; a state it lacks weighs zero.  A support is
+        read only: in strong mode that of a one-state class {y} is
+        ``w.predecessor_column(label)[y]`` itself.  ``C`` is checked first
+        (``_class``): nonempty, and every member a state id in range."""
         w = self.w
         sr = w.semiring
         C = self._class(C)
         if self.mode == "strong":
+            if len(C) == 1:
+                (y,) = C
+                return {label: self._columns[label][y] for label in w.labels}
             table = {}
             for label in w.labels:
                 column = self._columns[label]

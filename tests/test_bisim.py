@@ -844,7 +844,8 @@ class TestPredecessorDrivenEngine:
             padded_tables[0] += 1
             t = table(self, C)
             for label in self.w.labels:
-                support = t[label]
+                # a support is read-only: it may be the system's own mapping
+                support = t[label] = dict(t[label])
                 for x in range(self.w.state_count):
                     if x not in support and (x + len(C)) % 3 == 0:
                         support[x] = sr.zero

@@ -1,5 +1,6 @@
 """Unit tests for the linear-equation solver and saturation."""
 
+import copy
 import math
 import random
 import re
@@ -327,6 +328,35 @@ class TestSaturation:
         x4 = w.index("x4")
         assert table["b"].get(x4, w.semiring.zero) == Fraction(1, 6)
         assert table["a"].get(w.index("x"), w.semiring.zero) == Fraction(0)
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_strong_table_of_one_state_is_its_predecessor_mapping(self, sr, gen):
+        # The support is the system's own mapping, so every reader must
+        # leave it, and the empty mapping all systems share, unchanged.
+        rng = random.Random("one-state strong table %s" % sr.name)
+        for _ in range(12):
+            w = helpers.random_wlts(rng, sr, rng.randint(1, 14), 2, rng.uniform(0.05, 0.3), gen)
+            saturator = Saturator(w, "strong")
+            columns = {label: w.predecessor_column(label) for label in w.labels}
+            for y in range(w.state_count):
+                table = saturator.table([y])
+                assert list(table) == list(w.labels)
+                for label in w.labels:
+                    assert table[label] is columns[label][y]
+                    expected = {}
+                    for x in range(w.state_count):
+                        v = w.class_weight(x, label, {y})
+                        if not sr.is_zero(v):
+                            expected[x] = v
+                    assert table[label] == expected
+            before = copy.deepcopy((columns, w._succ))
+            for mode in ("strong", "weak", "delay"):
+                partition = wb.refine_partition(w, mode, want_trace=True)[0]
+                assert wb.check_is_weak_bisimulation(w, partition, mode).ok
+                if mode == "strong":
+                    wb.emit_quotient(w, partition)
+            assert (columns, w._succ) == before
+            assert wb.wlts._EMPTY == {}
 
     def test_float_residual_failure_raises(self, monkeypatch):
         doc_states = ["u", "v"]
