@@ -110,16 +110,31 @@ def _dumps(value, newline="\n"):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
     ``indent`` makes ``json`` use its pure-Python encoder, so lists and
     string-keyed dicts are laid out here, strings go through ``json``'s own
-    quoting and every other value through ``json.dumps``.  ``newline`` is a
-    line break followed by the indentation of the current level."""
+    quoting and every other value through ``json.dumps``.  A list of
+    strings, or of such lists (the blocks of a partition), is written with
+    one join per list of strings, falling back to a call per item where
+    quoting an item raises ``TypeError``.  ``newline`` is a line break
+    followed by the indentation of the current level."""
     if isinstance(value, str):
         return _quote(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        sep = "," + inner
+        try:  # a list of strings, such as a block of names, in one join
+            items = sep.join(map(_quote, value))
+        except TypeError:  # an item that is not a string
+            deeper = inner + "  "
+            try:  # each nonempty list of strings, such as a block, in one join
+                items = sep.join([
+                    "[" + deeper + ("," + deeper).join(map(_quote, v)) + inner + "]"
+                    if type(v) is list and v else _dumps(v, inner)
+                    for v in value
+                ])
+            except TypeError:  # a list with an item that is not a string
+                items = sep.join([_dumps(v, inner) for v in value])
+        return "[" + inner + items + newline + "]"
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         if not value:
             return "{}"

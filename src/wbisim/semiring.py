@@ -60,15 +60,19 @@ class _Extreme:
 INF = _Extreme(1)
 NEG_INF = _Extreme(-1)
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def _parse_fraction(text):
-    """Parse 'p/q' or 'n' into a Fraction; raise ValueError otherwise."""
-    if not _RATIONAL_RE.match(text):
+    """Parse 'p/q' or 'n' into a Fraction; raise ValueError otherwise.
+    The Fraction is built from the match's integers, sparing the second
+    regex that ``Fraction(str)`` would run."""
+    m = _RATIONAL_RE.match(text)
+    if m is None:
         raise ValueError("expected a rational literal 'p/q' or 'n', got %r" % text)
+    p, q = m.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
 

@@ -222,6 +222,16 @@ def load(doc, sr=None):
     occurrence.  The loop that checks each edge also adds it to its
     source's successor row, so the system is made from those rows
     (``WLTS._of_rows``) and no edge is visited twice.
+
+    Each edge's fields are looked up first: ``from`` and ``to`` among the
+    state names, ``weight`` among the literals already parsed and
+    ``label`` among the labels already seen.  Of the values JSON decodes
+    to, only a string can equal any of those, so when every lookup hits,
+    the edge is well typed and nothing is left to check.  When a field is
+    missing, a lookup misses or a field is unhashable, the edge is checked
+    in full, in the order its errors take precedence: every field present,
+    every field a string, a known source, a known target, then the
+    literal parsed.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -251,11 +261,13 @@ def load(doc, sr=None):
         if a in labels and a != tau:
             raise SemanticError("duplicate action name %r" % a)
         labels[a] = None
-    index = {}
-    for i, s in enumerate(states):
-        if s in index:
-            raise SemanticError("duplicate state name %r" % s)
-        index[s] = i
+    index = dict(zip(states, range(len(states))))
+    if len(index) < len(states):
+        seen = set()
+        for s in states:
+            if s in seen:
+                raise SemanticError("duplicate state name %r" % s)
+            seen.add(s)
 
     succ = [{} for _ in states]
     add = sr.add
@@ -264,32 +276,33 @@ def load(doc, sr=None):
     for e in raw_edges:
         if not isinstance(e, dict):
             raise ParseError("each transition must be an object")
-        try:
-            src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
-        except KeyError:
-            key = next(k for k in ("from", "label", "to", "weight") if k not in e)
-            raise ParseError("transition lacks %r: %r" % (key, e)) from None
-        if not (type(src) is type(label) is type(dst) is type(wtext) is str) and not all(
-            isinstance(v, str) for v in (src, label, dst, wtext)
-        ):
-            raise ParseError("transition fields must be strings: %r" % (e,))
-        x = index.get(src)
-        if x is None:
-            raise SemanticError("transition from unknown state %r" % src)
-        y = index.get(dst)
-        if y is None:
-            raise SemanticError("transition to unknown state %r" % dst)
-        if label not in labels:
-            labels[label] = None
-        wt = weights.get(wtext, _UNPARSED)
-        if wt is _UNPARSED:
+        try:  # only a string can equal a name, a label or a parsed literal
+            label = e["label"]
+            x, y, wt, _ = index[e["from"]], index[e["to"]], weights[e["weight"]], labels[label]
+        except (KeyError, TypeError):  # a missing field, a miss, or an unhashable field
             try:
-                wt = sr.parse(wtext)
-            except ValueError as exc:
-                raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
-            if sr.is_zero(wt):
-                wt = None
-            weights[wtext] = wt
+                src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
+            except KeyError:
+                key = next(k for k in ("from", "label", "to", "weight") if k not in e)
+                raise ParseError("transition lacks %r: %r" % (key, e)) from None
+            if not all(isinstance(v, str) for v in (src, label, dst, wtext)):
+                raise ParseError("transition fields must be strings: %r" % (e,)) from None
+            x = index.get(src)
+            if x is None:
+                raise SemanticError("transition from unknown state %r" % src) from None
+            y = index.get(dst)
+            if y is None:
+                raise SemanticError("transition to unknown state %r" % dst) from None
+            labels.setdefault(label)
+            wt = weights.get(wtext, _UNPARSED)
+            if wt is _UNPARSED:
+                try:
+                    wt = sr.parse(wtext)
+                except ValueError as exc:
+                    raise SemanticError("bad weight %r: %s" % (wtext, exc)) from None
+                if sr.is_zero(wt):
+                    wt = None
+                weights[wtext] = wt
         if wt is None:
             dropped += 1
             continue

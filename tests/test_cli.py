@@ -868,6 +868,11 @@ class TestStructuredOutput:
             {"epsilon": 1e-9, "k": 10, "nested": {"z": 1, "a": {"y": [1.5, "x"]}}},
             {1: "int key", 2.5: "float key", 0: ["zero"]},  # not str-keyed: json lays it out
             [{3: [1, {"a": 2}]}, "after"],
+            [["s0", "s1"], ["s2"]],  # the blocks of a partition
+            [{"from": "a", "to": "b"}],  # a dict is not joined as its keys
+            ["x", 1, "y"],  # the join of strings fails partway
+            [["s0"], ["x", 2], "y"],  # so does the join of a block
+            ("a",),
             "top-level string",
             42,
         ):

@@ -510,6 +510,45 @@ class TestLoad:
         assert type(exc.value) is error
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("unknown", [None, "from", "to"])
+    @pytest.mark.parametrize("value", [["s0"], {"s0": "s1"}], ids=["list", "dict"])
+    @pytest.mark.parametrize("key", ["from", "label", "to", "weight"])
+    def test_an_unhashable_field_is_not_a_string(self, key, value, unknown):
+        # The fields are looked up before they are type-checked; a lookup of
+        # an unhashable one raises TypeError, which must not escape.  The
+        # good edge first makes every other lookup of the bad one hit.
+        good = {"from": "s0", "label": "a", "to": "s1", "weight": "1/2"}
+        edge = dict(good)
+        if unknown is not None and unknown != key:
+            edge[unknown] = "zz"
+        edge[key] = value
+        doc = {"semiring": "real", "states": ["s0", "s1"], "transitions": [good, edge]}
+        with pytest.raises(ParseError) as exc:
+            load(doc)
+        assert str(exc.value) == "transition fields must be strings: %r" % (edge,)
+
+    @pytest.mark.parametrize(
+        "states,name", [(["a", "b", "a"], "a"), (["a", "b", "b", "a"], "b")]
+    )
+    def test_duplicate_state_name(self, states, name):
+        with pytest.raises(SemanticError) as exc:
+            load({"semiring": "real", "states": states, "transitions": []})
+        assert str(exc.value) == "duplicate state name %r" % name
+
+    def test_zero_denominator(self):
+        doc = doc_chain()
+        doc["transitions"][0]["weight"] = "1/0"
+        with pytest.raises(SemanticError) as exc:
+            load(doc)
+        assert str(exc.value) == "bad weight '1/0': zero denominator in '1/0'"
+
+    @pytest.mark.parametrize("name", ["real", "tropical", "arctic", "maxtimes"])
+    def test_leading_zeros_in_a_rational_literal(self, name):
+        doc = dict(doc_chain(), semiring=name)
+        doc["transitions"][0]["weight"] = "007/010"
+        (_, _, _, wt), *_ = load(doc).transitions()
+        assert wt == Fraction(7, 10) and type(wt) is Fraction
+
     def test_constructor_checks_every_transition(self):
         sr = by_name("real")
         good = (0, "a", 1, Fraction(1, 2))
