@@ -89,9 +89,6 @@ class Semiring:
     some c exists with ``a + c == b``; ``zero`` is its bottom in every
     shipped instance.  Where ``idempotent`` is set it is derived from the
     sum (a <= b iff a + b == b); other instances implement it.
-    ``cancels(a)`` may claim that a + b == a + c implies b == c; strong
-    refinement then skips work that the claim makes redundant.  It is
-    False unless an instance overrides it.
 
     ``parameters`` maps each constructor parameter of an instance to its
     type; ``params()``, ``by_name`` and the CLI's ``--param`` all read it.
@@ -126,10 +123,6 @@ class Semiring:
         if self.idempotent:
             return self.values_equal(self.add(a, b), b)
         raise NotImplementedError
-
-    def cancels(self, a):
-        """Whether a + b == a + c implies b == c, for every b and c."""
-        return False
 
     # -- derived helpers -------------------------------------------------
 
@@ -273,9 +266,6 @@ class RealSemiring(_RationalSemiring):
         if a is INF or b is INF:
             return INF
         return a + b
-
-    def cancels(self, a):
-        return a is not INF
 
     def mul(self, a, b):
         if not a or not b:  # INF is truthy
@@ -596,10 +586,9 @@ def check_axioms(sr, samples=None):
     commutativity and identity of +, associativity and identity of *, both
     distributivities, annihilation by zero, the star fixed-point law, that
     zero is a bottom for the natural preorder, its reflexivity and
-    transitivity, cancellation of + wherever ``cancels`` claims it, (for
-    instances that claim it) idempotence of +, and (for instances with a
-    ``best_first_key``) that star is one and that + keeps the operand with
-    the better key.  A law maps ``arity`` samples to the
+    transitivity, (for instances that claim it) idempotence of +, and (for
+    instances with a ``best_first_key``) that star is one and that + keeps
+    the operand with the better key.  A law maps ``arity`` samples to the
     two sides of an equation or to the truth of a predicate, and is tried
     on every such tuple of samples.  Returns an :class:`AxiomReport` with
     one entry per law carrying the first counterexample found, if any.
@@ -609,7 +598,7 @@ def check_axioms(sr, samples=None):
     samples = list(samples)
     if not samples:
         raise ValueError("need a nonempty sample set")
-    add, mul, star, leq, same = sr.add, sr.mul, sr.star, sr.natural_leq, sr.values_equal
+    add, mul, star, leq = sr.add, sr.mul, sr.star, sr.natural_leq
     zero, one = sr.zero, sr.one
     laws = [
         ("add-associative", 3, lambda a, b, c: (add(add(a, b), c), add(a, add(b, c)))),
@@ -629,8 +618,6 @@ def check_axioms(sr, samples=None):
         ("leq-reflexive", 1, lambda a: leq(a, a)),
         ("leq-transitive", 3,
          lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c)),
-        ("add-cancels", 3,
-         lambda a, b, c: not (sr.cancels(a) and same(add(a, b), add(a, c))) or same(b, c)),
     ]
     if sr.idempotent:
         laws.append(("add-idempotent", 1, lambda a: (add(a, a), a)))
