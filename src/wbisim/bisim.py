@@ -102,7 +102,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .solver import Saturator, _EngineSaturator, _class_set
-from .wlts import WLTS, Partition, _escaped, block_names
+from .wlts import _EMPTY, WLTS, Partition, _escaped, block_names
 
 
 def split_block_sorted(sr, members, weights):
@@ -213,17 +213,16 @@ def _refine(w, mode, initial, want_trace):
     """Run the refinement loop on the states of ``w`` (module docstring);
     returns (Partition, RefinementTrace | None)."""
     n = w.state_count
-    if initial is None:
-        initial = Partition._trusted(n, [range(n)] if n else [])
-    elif initial.n != n:
+    if initial is not None and initial.n != n:
         raise ValueError("initial partition is over a different state count")
     provider = _EngineSaturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
     sr = w.semiring
     is_zero, zero = sr.is_zero, sr.zero
     # only blocks of two or more are regrouped, so a block of one is never mutated
-    members = [set(block) if len(block) > 1 else block for block in initial.blocks]
-    block_of = list(initial._block_of)
+    blocks = initial.blocks if initial is not None else [range(n)] if n else []
+    members = [set(block) if len(block) > 1 else block for block in blocks]
+    block_of = [0] * n if initial is None else list(initial._block_of)
     examined = [False] * len(members)  # whether each block was examined since it last split
     pending = deque(range(len(members)))  # blocks to examine whole, first in first out
     deferred = deque()  # the largest piece of each split examined block
@@ -295,7 +294,7 @@ def _refine(w, mode, initial, want_trace):
                 events.append(SplitEvent(len(events) + 1, label, C, split, len(members)))
             if not live:
                 break
-    return Partition._trusted(n, members), trace
+    return Partition.from_block_of(block_of), trace
 
 
 def _lumps(w, mode):
@@ -421,21 +420,24 @@ def _representative_quotient(w, partition, names):
     """Quotient of a strong partition whose members are known to agree, as
     the one ``refine_partition`` has just computed or one ``emit_quotient``
     has checked: each block's steps are those of its first member summed
-    by target block, zero sums dropped, and nothing is checked.  Its
-    states are ``names``, a list of one name per block in order."""
+    by target block, targets ascending, zero sums dropped, and nothing is
+    checked: its columns are read off the system's entries whose source is
+    a first member.  Its states are ``names``, one per block in order."""
     sr = w.semiring
     add, is_zero, block_of = sr.add, sr.is_zero, partition._block_of
-    succ = []
-    for block in partition.blocks:
-        rows = {}
-        for label, targets in w._succ[block[0]].items():
-            row = {}
-            for y, wt in targets.items():
-                bj = block_of[y]
-                row[bj] = add(row[bj], wt) if bj in row else wt
-            row = {bj: wt for bj, wt in row.items() if not is_zero(wt)}
-            if row:
-                rows[label] = row
-        succ.append(rows)
+    head = {block[0]: bi for bi, block in enumerate(partition.blocks)}
+    columns = {}
+    for label in w.labels:
+        column = [{} for _ in partition.blocks]
+        for y, into in enumerate(w.predecessor_column(label)):
+            if into:
+                sums = column[block_of[y]]
+                for x, wt in into.items():
+                    bi = head.get(x)
+                    if bi is not None:
+                        sums[bi] = add(sums[bi], wt) if bi in sums else wt
+        columns[label] = [
+            {bi: v for bi, v in sorted(sums.items()) if not is_zero(v)} or _EMPTY for sums in column
+        ]
     index = {name: i for i, name in enumerate(names)}
-    return WLTS._of_rows(sr, tuple(names), w.actions, w.tau, index, succ)
+    return WLTS._of_columns(sr, tuple(names), w.actions, w.tau, index, columns)

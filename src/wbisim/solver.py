@@ -37,6 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heappop, heappush
 
+from .wlts import _forward
+
 
 class ConvergenceError(Exception):
     """A float-mode solution failed its residual check."""
@@ -224,7 +226,9 @@ class Saturator:
     read only, not copied), and every table indexes those columns: the
     silent one for the searches and silent reach, the action ones for the
     action steps into the silent-reach support (weak) or into the class
-    (delay).  Mode "strong" degenerates to single-step class weights and
+    (delay).  Its silent rows (``_silent``) are derived from the silent
+    column, targets ascending; the system's own rows are never built.
+    Mode "strong" degenerates to single-step class weights and
     is what the strong refinement engine runs on; they are summed over the
     predecessors of the class, so a table costs the in-degree of the class
     rather than a pass over every state.  The strong support of a one-state
@@ -242,8 +246,8 @@ class Saturator:
         self._columns = {label: w.predecessor_column(label) for label in w.labels}
         if mode == "strong":
             return
+        self._silent = _forward(self._columns[w.tau])  # per state: target -> silent weight
         if self._key is None:
-            self._silent = [w.successors(x, w.tau) for x in range(n)]
             self._comp = _silent_components(self._silent)
             self._size = Counter(self._comp)
             self._factors = {}  # component -> factor, for components left whole
@@ -499,6 +503,8 @@ class _EngineSaturator(Saturator):
     are taken as they are, unchecked.  In weak and delay mode it also
     flags where the engine's live states reach (``_carried_into``)."""
 
+    _action_steps = None  # per state, the list of the targets of its action steps
+
     def _class(self, C):
         return C
 
@@ -507,7 +513,9 @@ class _EngineSaturator(Saturator):
         ``sources`` can carry weight into: silent steps, then at most one
         action step (delay mode), followed by silent steps (weak mode).
         Edges are followed whatever their weight, so a table of a class
-        with no flagged member gives every source weight zero.
+        with no flagged member gives every source weight zero.  They are
+        read from the silent rows and from one list per state of the
+        targets of its action steps, built on the first call and kept.
 
         The region rule.  Flag 1 marks R1, the states the sources reach by
         silent steps alone, and 2 marks R2, the other states they reach
@@ -527,7 +535,13 @@ class _EngineSaturator(Saturator):
         of unbounded tables."""
         w = self.w
         flags = bytearray(w.state_count)
-        succ, tau = w._succ, w.tau  # per state: label -> successor row
+        if self._action_steps is None:
+            steps = self._action_steps = [[] for _ in range(w.state_count)]
+            for a in w.actions:
+                for y, into in enumerate(self._columns[a]):
+                    for x in into:
+                        steps[x].append(y)
+        silent_rows, action_steps = self._silent, self._action_steps
 
         def flag(seeds, silent, level):
             """Flag the unflagged seeds with ``level`` and, if ``silent``,
@@ -540,14 +554,14 @@ class _EngineSaturator(Saturator):
                     new.append(x)
             if silent:
                 for x in new:  # grows while it is walked
-                    for y in succ[x].get(tau, ()):
+                    for y in silent_rows[x]:
                         if not flags[y]:
                             flags[y] = level
                             new.append(y)
             return new
 
         reach = flag(sources, True, 1)
-        steps = (y for x in reach for a, row in succ[x].items() if a != tau for y in row)
+        steps = (y for x in reach for y in action_steps[x])
         flag(steps, self.mode == "weak", 2)
         if self._key is not None:
             first = flags.translate(_FIRST_REGION)

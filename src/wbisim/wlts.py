@@ -19,6 +19,10 @@ The document format is JSON-shaped::
 
 Weights are literals of the active semiring ("p/q", "n", "inf", decimals
 in float mode, true/false for boolean).
+
+A system is stored as its predecessor columns, the form refinement reads;
+its successor rows are derived on first use.  Both list ids ascending, so
+the edge order fixes only duplicate sums and the order of inferred actions.
 """
 
 from __future__ import annotations
@@ -40,8 +44,27 @@ class SemanticError(DocumentError):
     """The document is well-formed but inconsistent (bad refs, bad weights)."""
 
 
-_EMPTY = {}
+_EMPTY = {}  # every empty slot of a column or row; never written
 _UNPARSED = object()
+
+
+def _sort_sources(columns):
+    """Put the sources of every mapping of ``columns`` in ascending order."""
+    for column in columns.values():
+        column[:] = [dict(sorted(into.items())) if len(into) > 1 else into for into in column]
+
+
+def _forward(column):
+    """The successor rows of one label's ``column``: per state, target id ->
+    weight with targets ascending, and ``_EMPTY`` for a state without any."""
+    rows = [_EMPTY] * len(column)
+    for y, into in enumerate(column):
+        for x, wt in into.items():
+            if rows[x] is _EMPTY:
+                rows[x] = {y: wt}
+            else:
+                rows[x][y] = wt
+    return rows
 
 
 class WLTS:
@@ -50,11 +73,13 @@ class WLTS:
     Constructor transitions are (source_id, label, target_id, weight)
     tuples with already-parsed weights.  Each id must be in range and each
     label declared, and each weight is passed through ``sr.coerce``;
-    duplicates are combined with the semiring sum and zero-weight entries
-    are dropped (counted in ``zero_transitions_dropped``).
+    duplicates are combined with the semiring sum in the order given and
+    zero-weight entries are dropped (``zero_transitions_dropped``).
 
     ``labels`` holds every label in canonical order: the silent one first,
-    then the actions.
+    then the actions.  The system stores its predecessor columns
+    (``predecessor_column``), sources ascending whatever the order of the
+    transitions; ``successors`` derives the successor rows from them.
     """
 
     def __init__(self, sr, state_names, actions=(), tau="tau", transitions=()):
@@ -67,15 +92,14 @@ class WLTS:
             raise SemanticError("duplicate action names")
         if tau in acts:
             raise SemanticError("silent label %r also declared as an action" % tau)
-        succ = [{} for _ in names]
-        labels = {tau, *acts}
+        columns = {label: [_EMPTY] * len(names) for label in (tau,) + acts}
         dropped = 0
         for x, label, y, w in transitions:
             if not (isinstance(x, int) and 0 <= x < len(names)):
                 raise SemanticError("bad source state id %r" % (x,))
             if not (isinstance(y, int) and 0 <= y < len(names)):
                 raise SemanticError("bad target state id %r" % (y,))
-            if label not in labels:
+            if label not in columns:
                 raise SemanticError("undeclared label %r" % (label,))
             try:
                 w = sr.coerce(w)
@@ -84,30 +108,35 @@ class WLTS:
             if sr.is_zero(w):
                 dropped += 1
                 continue
-            row = succ[x].setdefault(label, {})
-            row[y] = sr.add(row[y], w) if y in row else w
-        self._adopt(sr, names, acts, tau, index, succ, dropped)
+            into = columns[label][y]
+            if into is _EMPTY:
+                columns[label][y] = {x: w}
+            else:
+                into[x] = sr.add(into[x], w) if x in into else w
+        _sort_sources(columns)
+        self._adopt(sr, names, acts, tau, index, columns, dropped)
 
     @classmethod
-    def _of_rows(cls, sr, names, actions, tau, index, succ, dropped=0):
-        """A system over finished successor rows, for ``load`` and the
+    def _of_columns(cls, sr, names, actions, tau, index, columns, dropped=0):
+        """A system over finished predecessor columns, for ``load`` and the
         quotient builder, which build them from checked ids, declared
-        labels and coerced nonzero weights: nothing is checked again.
-        ``names`` and ``actions`` are tuples, ``index`` maps each name to
-        its id and ``succ[x]`` maps label -> target id -> weight."""
+        labels and coerced nonzero weights, sources ascending: nothing is
+        checked again.  ``names`` and ``actions`` are tuples, ``index`` maps
+        each name to its id and ``columns`` each label, in ``labels`` order,
+        to its column (``predecessor_column``)."""
         w = cls.__new__(cls)
-        w._adopt(sr, names, actions, tau, index, succ, dropped)
+        w._adopt(sr, names, actions, tau, index, columns, dropped)
         return w
 
-    def _adopt(self, sr, names, actions, tau, index, succ, dropped):
+    def _adopt(self, sr, names, actions, tau, index, columns, dropped):
         self.semiring = sr
         self.tau = tau
         self.state_names = names
         self.actions = actions
         self.labels = (tau,) + actions
         self._index = index
-        self._succ = succ
-        self._pred = None
+        self._pred = columns
+        self._succ = None  # label -> successor rows, built on first use
         self.zero_transitions_dropped = dropped
 
     # -- basic queries ---------------------------------------------------
@@ -123,61 +152,45 @@ class WLTS:
             raise SemanticError("unknown state %r" % (name,)) from None
 
     def successors(self, x, label):
-        """Mapping target_id -> weight for the stored (nonzero) steps."""
-        return self._succ[x].get(label, _EMPTY)
+        """Mapping target_id -> weight for the stored (nonzero) steps, targets
+        ascending.  The first call derives every row from the columns."""
+        if self._succ is None:
+            self._succ = {label: _forward(column) for label, column in self._pred.items()}
+        rows = self._succ.get(label)
+        return _EMPTY if rows is None else rows[x]
 
     def predecessor_column(self, label):
         """For every state y, the mapping source_id -> weight of the stored
-        ``label`` steps into y, as a list indexed by y; None for a label the
-        system does not have.  The list and its mappings are the system's
-        own, not copies: read them only.
-
-        The index is built on the first call, in time proportional to the
-        transition count, and kept for the life of the system.
-        """
-        if self._pred is None:
-            # One column per label, with a dict of its own only for states
-            # that have predecessors under it: a dict per state would cost
-            # more than the edges on sparse systems.
-            n = len(self.state_names)
-            pred = {lab: [_EMPTY] * n for lab in self.labels}
-            for x, succ in enumerate(self._succ):
-                for lab, row in succ.items():
-                    col = pred[lab]
-                    for target, w in row.items():
-                        if col[target] is _EMPTY:
-                            col[target] = {}
-                        col[target][x] = w
-            self._pred = pred
+        ``label`` steps into y, sources ascending, as a list indexed by y;
+        None for a label the system does not have.  The list and its
+        mappings are the system's own, not copies: read them only."""
         return self._pred.get(label)
 
     def weight(self, x, label, y):
-        return self._succ[x].get(label, _EMPTY).get(y, self.semiring.zero)
+        return self.successors(x, label).get(y, self.semiring.zero)
 
     def is_terminal(self, x):
-        return not any(self._succ[x].values())
+        return not any(self.successors(x, label) for label in self.labels)
 
     def class_weight(self, x, label, targets):
-        """Semiring sum of x's label-steps into the target set."""
+        """Semiring sum of x's label-steps into the target set, ascending."""
         sr = self.semiring
         total = sr.zero
-        for y, w in self._succ[x].get(label, _EMPTY).items():
+        for y, w in self.successors(x, label).items():
             if y in targets:
                 total = sr.add(total, w)
         return total
 
     def transitions(self):
         """All stored transitions in canonical (source, label, target) order."""
-        order = {lab: i for i, lab in enumerate(self.labels)}
         for x in range(self.state_count):
-            for label in sorted(self._succ[x], key=order.__getitem__):
-                row = self._succ[x][label]
-                for y in sorted(row):
-                    yield x, label, y, row[y]
+            for label in self.labels:
+                for y, wt in self.successors(x, label).items():
+                    yield x, label, y, wt
 
     @property
     def transition_count(self):
-        return sum(len(row) for succ in self._succ for row in succ.values())
+        return sum(len(into) for column in self._pred.values() for into in column)
 
     def __repr__(self):
         return "WLTS(%s, %d states, %d transitions)" % (
@@ -219,9 +232,10 @@ def load(doc, sr=None):
     Each distinct literal text is parsed and tested for zero once per call,
     and its value shared by every edge that repeats it (the carriers'
     values are immutable); a bad literal is reported at its first
-    occurrence.  The loop that checks each edge also adds it to its
-    source's successor row, so the system is made from those rows
-    (``WLTS._of_rows``) and no edge is visited twice.
+    occurrence.  The loop that checks each edge also adds it to the
+    predecessor column that its label looks up, so the system is made from
+    those columns (``WLTS._of_columns``) and no edge is visited twice; the
+    sources are sorted afterwards only if the document lists them unsorted.
 
     Each edge's fields are looked up first: ``from`` and ``to`` among the
     state names, ``weight`` among the literals already parsed and
@@ -256,29 +270,30 @@ def load(doc, sr=None):
     declared = doc.get("actions", [])
     if not isinstance(declared, list) or not all(isinstance(a, str) for a in declared):
         raise ParseError("'actions' must be a list of names")
-    labels = {tau: None}  # the silent label, then the actions
+    n = len(states)
+    labels = {tau: [_EMPTY] * n}  # the silent label, then the actions: each to its column
     for a in declared:
         if a in labels and a != tau:
             raise SemanticError("duplicate action name %r" % a)
-        labels[a] = None
-    index = dict(zip(states, range(len(states))))
-    if len(index) < len(states):
+        labels[a] = [_EMPTY] * n
+    index = dict(zip(states, range(n)))
+    if len(index) < n:
         seen = set()
         for s in states:
             if s in seen:
                 raise SemanticError("duplicate state name %r" % s)
             seen.add(s)
 
-    succ = [{} for _ in states]
     add = sr.add
     weights = {}  # literal text -> parsed weight, None if it is zero
     dropped = 0
+    last = 0  # the last source while the sources are nondecreasing, then n
     for e in raw_edges:
         if not isinstance(e, dict):
             raise ParseError("each transition must be an object")
         try:  # only a string can equal a name, a label or a parsed literal
-            label = e["label"]
-            x, y, wt, _ = index[e["from"]], index[e["to"]], weights[e["weight"]], labels[label]
+            x, y, column = index[e["from"]], index[e["to"]], labels[e["label"]]
+            wt = weights[e["weight"]]
         except (KeyError, TypeError):  # a missing field, a miss, or an unhashable field
             try:
                 src, label, dst, wtext = e["from"], e["label"], e["to"], e["weight"]
@@ -293,7 +308,7 @@ def load(doc, sr=None):
             y = index.get(dst)
             if y is None:
                 raise SemanticError("transition to unknown state %r" % dst) from None
-            labels.setdefault(label)
+            column = labels.get(label) or labels.setdefault(label, [_EMPTY] * n)
             wt = weights.get(wtext, _UNPARSED)
             if wt is _UNPARSED:
                 try:
@@ -306,17 +321,19 @@ def load(doc, sr=None):
         if wt is None:
             dropped += 1
             continue
-        rows = succ[x]
-        row = rows.get(label)
-        if row is None:
-            rows[label] = {y: wt}
+        last = x if last <= x else n
+        into = column[y]
+        if into is _EMPTY:
+            column[y] = {x: wt}
         else:
-            row[y] = add(row[y], wt) if y in row else wt
+            into[x] = add(into[x], wt) if x in into else wt
 
     if tau in declared:
         raise SemanticError("silent label %r also declared as an action" % tau)
+    if last == n:
+        _sort_sources(labels)
     actions = tuple(labels)[1:]
-    return WLTS._of_rows(sr, tuple(states), actions, tau, index, succ, dropped)
+    return WLTS._of_columns(sr, tuple(states), actions, tau, index, labels, dropped)
 
 
 def serialize(w):
@@ -494,10 +511,16 @@ class Partition:
 
     @classmethod
     def from_block_of(cls, assign):
-        groups = {}
-        for x, b in enumerate(assign):
-            groups.setdefault(b, []).append(x)
-        return cls(len(assign), groups.values())
+        """The partition putting each state x in the block named ``assign[x]``,
+        built in one ascending pass, so blocks come out in canonical form."""
+        index = {}  # name -> block, numbered in order of first use
+        block_of = tuple(index.setdefault(b, len(index)) for b in assign)
+        blocks = [[] for _ in index]
+        for x, bi in enumerate(block_of):
+            blocks[bi].append(x)
+        p = cls.__new__(cls)
+        p.n, p.blocks, p._block_of = len(block_of), tuple(map(tuple, blocks)), block_of
+        return p
 
     def block_index(self, x):
         if not (isinstance(x, int) and 0 <= x < self.n):

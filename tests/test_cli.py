@@ -942,6 +942,54 @@ def test_dot_is_rejected_where_there_is_no_graph(tmp_path, capsys, argv):
     assert "--format" in captured.err
 
 
+class TestEdgeOrder:
+    # Decimal floats that binary fractions do not represent, so that a sum
+    # taken in another order can round differently.
+    FLOAT_LITERALS = ["0.1", "0.2", "0.3", "0.35", "0.7"]
+    COMMANDS = [
+        ["validate"],
+        ["minimize", "--equivalence", "strong", "--emit-quotient"],
+        ["minimize", "--equivalence", "weak", "--emit-quotient", "--trace"],
+        ["minimize", "--equivalence", "delay", "--trace"],
+    ]
+
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_shuffled_transitions_print_the_same(self, sr, gen, tmp_path, capsys):
+        # with the actions declared and no edge repeated, the order of the
+        # transitions in a document changes no byte of any output
+        rng = random.Random("edge order %s" % sr.name)
+        for i in range(40 if sr.name == "real-float" else 8):
+            n = rng.randint(3, 9)
+            doc = {
+                "semiring": sr.describe(),
+                "states": ["s%d" % x for x in range(n)],
+                "actions": ["a", "b"],
+                "transitions": [
+                    {
+                        "from": "s%d" % x,
+                        "label": label,
+                        "to": "s%d" % y,
+                        "weight": rng.choice(self.FLOAT_LITERALS)
+                        if sr.name == "real-float"
+                        else sr.format(gen(rng)),
+                    }
+                    for x in range(n)
+                    for label in ("tau", "a", "b")
+                    for y in range(n)
+                    if rng.random() < 0.3
+                ],
+            }
+            path = write_doc(tmp_path, doc)
+            rng.shuffle(doc["transitions"])
+            shuffled = write_doc(tmp_path, doc, "shuffled.json")
+            for command in self.COMMANDS:
+                code, out, err = run(capsys, [command[0], path] + command[1:])
+                assert run(capsys, [command[0], shuffled] + command[1:]) == (code, out, err), (
+                    i,
+                    command,
+                )
+
+
 class TestQuotientHelpers:
     def test_emit_quotient_requires_agreeing_blocks(self):
         w = helpers.chains_system()

@@ -152,12 +152,26 @@ class TestLoad:
         }
         assert load(boolean_doc).weight(0, "l", 0) is True
 
-    def test_predecessor_index_is_not_built_by_load(self):
-        # building it while the document is alive raised the peak heap of
-        # a minimize by about a quarter
-        w = load(doc_chain())
-        assert w._pred is None
+    def test_successor_rows_are_not_built_by_load(self, monkeypatch):
+        # the predecessor columns are the stored form; the rows are derived
+        doc = doc_chain()
+        doc["transitions"] += [
+            {"from": "s0", "label": "a", "to": "s2", "weight": "1/5"},
+            {"from": "s0", "label": "a", "to": "s0", "weight": "1/7"},
+        ]
+        w = load(doc)
+        assert w._succ is None
         assert w.predecessor_column("a")[1] == {0: Fraction(1, 2)}
+        assert w.transition_count == 4 and w._succ is None
+        builds = []
+        build = wb.wlts._forward
+        monkeypatch.setattr(wb.wlts, "_forward", lambda column: builds.append(1) or build(column))
+        row = w.successors(0, "a")
+        assert list(row.items()) == [(0, Fraction(1, 7)), (1, Fraction(1, 2)), (2, Fraction(1, 5))]
+        assert len(builds) == len(w.labels)
+        assert w.successors(0, "a") is row and w.successors(1, "tau") == {2: Fraction(1, 3)}
+        assert not w.is_terminal(1) and w.is_terminal(2)
+        assert len(builds) == len(w.labels)
 
     def test_add_runs_once_per_duplicate_edge_in_document_order(self, monkeypatch):
         doc = doc_chain()
@@ -632,6 +646,88 @@ class TestWLTSQueries:
         w = helpers.figure_system()
         with pytest.raises(SemanticError):
             w.index("nope")
+
+
+def naive_sums(sr, edges):
+    """(label, x, y) -> the sum, in order, of the nonzero weights of the
+    ``edges`` (x, label, y, weight) between x and y under label."""
+    sums = {}
+    for x, label, y, v in edges:
+        if not sr.is_zero(v):
+            key = (label, x, y)
+            sums[key] = sr.add(sums[key], v) if key in sums else v
+    return sums
+
+
+def naive_indexes(sr, n, labels, edges):
+    """Predecessor columns and successor rows of ``edges``, (x, label, y,
+    weight) in document order, built the plain way: zero weights dropped,
+    duplicates summed in order, zero sums dropped, every mapping listed by
+    ascending id."""
+    sums = {key: v for key, v in naive_sums(sr, edges).items() if not sr.is_zero(v)}
+    ordered = sorted(sums.items(), key=lambda kv: (kv[0][1], kv[0][2]))
+    columns = {label: [[] for _ in range(n)] for label in labels}
+    rows = {label: [[] for _ in range(n)] for label in labels}
+    for (label, x, y), v in ordered:
+        columns[label][y].append((x, v))
+        rows[label][x].append((y, v))
+    return columns, rows
+
+
+def indexes(w):
+    """What ``w`` stores and derives, in the shape of ``naive_indexes``."""
+    n = w.state_count
+    columns = {label: [list(into.items()) for into in w.predecessor_column(label)] for label in w.labels}
+    rows = {label: [list(w.successors(x, label).items()) for x in range(n)] for label in w.labels}
+    return columns, rows
+
+
+class TestIndexes:
+    @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
+    def test_stored_and_derived_indexes_match_a_naive_build(self, sr, gen):
+        # duplicate, zero-weight and unsorted edges, and a label ("z") that
+        # only zero-weight edges carry
+        rng = random.Random("indexes %s" % sr.name)
+        zero = sr.format(sr.zero)
+        for _ in range(25):
+            n = rng.randint(1, 9)
+            states = ["s%d" % i for i in range(n)]
+            edges = []
+            for _ in range(rng.randint(0, 3 * n)):
+                if edges and rng.random() < 0.3:
+                    x, label, y, _ = rng.choice(edges)
+                else:
+                    x, label, y = rng.randrange(n), rng.choice(["tau", "a", "b"]), rng.randrange(n)
+                edges.append((x, label, y, zero if rng.random() < 0.15 else sr.format(gen(rng))))
+            edges.append((rng.randrange(n), "z", rng.randrange(n), zero))
+            if rng.random() < 0.5:
+                edges.sort(key=lambda e: e[0])
+            else:
+                rng.shuffle(edges)
+            parsed = [(x, label, y, sr.parse(text)) for x, label, y, text in edges]
+            doc = {
+                "semiring": sr.describe(),
+                "states": states,
+                "actions": ["b", "a"],
+                "transitions": [
+                    {"from": states[x], "label": label, "to": states[y], "weight": text}
+                    for x, label, y, text in edges
+                ],
+            }
+            for w in (load(doc), WLTS(sr, states, ["b", "a", "z"], "tau", parsed)):
+                assert w.labels == ("tau", "b", "a", "z")
+                assert indexes(w) == naive_indexes(sr, n, w.labels, parsed)
+                strong = wb.refine_partition(w, "strong")[0]
+                names = [str(b) for b in range(len(strong))]
+                quotient = wb.bisim._representative_quotient(w, strong, names)
+                heads = {block[0]: bi for bi, block in enumerate(strong.blocks)}
+                lumped = [
+                    (heads[x], label, strong.block_index(y), v)
+                    for (label, x, y), v in sorted(naive_sums(sr, parsed).items(), key=lambda kv: kv[0][1:])
+                    if x in heads
+                ]
+                assert indexes(quotient) == naive_indexes(sr, len(strong), w.labels, lumped)
+        assert wb.wlts._EMPTY == {}
 
 
 class TestConstraints:
