@@ -56,9 +56,8 @@ Franceschinis, only the smaller of two pieces is examined and blocks are
 regrouped a second time on the weight into the other; that sums about
 3n there.
 
-A touched block keeps its id and its members outside the support: the
-group of the stand-in keeps the block, or, when the support covers the
-whole block, its group of weight zero or else its largest group, and
+A touched block keeps its id and its members outside the support: one
+of its groups keeps the block, by the rule stated at ``_regroup``, and
 only the other groups move out.
 
 The loop stops as soon as every block is a singleton, since no table can
@@ -146,18 +145,17 @@ def _regroup(sr, blk, inside, support):
     """Group block ``blk`` by weight into a splitter, from its members in
     the support, ``inside``, and one member outside it, if any, standing in
     for all of those: they weigh zero, so they share a group.  Returns the
-    groups, as ``split_block_sorted`` orders them, the group that keeps the
-    block if it is known here (None to choose it by weight), and the
-    stand-in (None without one).  A lone group is not sorted: it ends
-    the block's turn, since the block does not split.
+    groups, as ``split_block_sorted`` orders them, and the group that keeps
+    the block: the stand-in's; without one, the group of weight zero;
+    failing that, the largest, the first of them on a tie.  A lone group is
+    not sorted: it ends the block's turn, since the block does not split.
 
     When every member in the support carries the same weight object, as
     it almost always does, the groups are built directly: one group
     without a stand-in (``inside`` itself) or when that weight is zero,
-    else the sorted members and the stand-in's group, which keeps the
-    block.  Otherwise ``split_block_sorted`` groups them on the
-    support, which lacks the stand-in, so it weighs zero.  ``inside`` may
-    be sorted in place."""
+    else the sorted members and the stand-in's group.  Otherwise
+    ``split_block_sorted`` groups them on the support, which lacks the
+    stand-in, so it weighs zero.  ``inside`` may be sorted in place."""
     r = None
     if len(inside) < len(blk):
         for r in blk:
@@ -171,11 +169,14 @@ def _regroup(sr, blk, inside, support):
         if r is not None and not sr.is_zero(v):
             inside.sort()
             keep = [r]
-            return ([inside, keep] if inside[0] < r else [keep, inside]), keep, r
+            return ([inside, keep] if inside[0] < r else [keep, inside]), keep
         group = inside if r is None else inside + [r]
-        return [group], group, r
-    members = inside if r is None else inside + [r]
-    return split_block_sorted(sr, members, support), None, r
+        return [group], group
+    groups = split_block_sorted(sr, inside if r is None else inside + [r], support)
+    if r is not None:
+        return groups, next(g for g in groups if r in g)
+    zero_groups = (g for g in groups if sr.is_zero(support[g[0]]))
+    return groups, next(zero_groups, None) or max(groups, key=len)
 
 
 @dataclass
@@ -218,7 +219,6 @@ def _refine(w, mode, initial, want_trace):
     provider = _EngineSaturator(w, mode)
     trace = RefinementTrace(mode=mode) if want_trace else None
     sr = w.semiring
-    is_zero, zero = sr.is_zero, sr.zero
     # only blocks of two or more are regrouped, so a block of one is never mutated
     blocks = initial.blocks if initial is not None else [range(n)] if n else []
     members = [set(block) if len(block) > 1 else block for block in blocks]
@@ -257,16 +257,10 @@ def _refine(w, mode, initial, want_trace):
                     touched[bid] = [x]
             for bid, inside in touched.items():
                 blk = members[bid]
-                groups, keep, r = _regroup(sr, blk, inside, support)
+                groups, keep = _regroup(sr, blk, inside, support)
                 if len(groups) == 1:
                     continue
                 split += 1
-                if keep is None:
-                    if r is not None:
-                        keep = next(g for g in groups if r in g)
-                    else:
-                        zero_groups = (g for g in groups if is_zero(support.get(g[0], zero)))
-                        keep = next(zero_groups, None) or max(groups, key=len)
                 moved = [g for g in groups if g is not keep]
                 largest = None
                 if examined[bid]:  # every piece is examined whole again
@@ -324,14 +318,10 @@ def refine_partition(w, mode="weak", initial=None, want_trace=False):
                 start = Partition.from_block_of([initial.block_index(b[0]) for b in strong.blocks])
             quotient = _representative_quotient(w, strong, [str(b) for b in range(len(strong))])
             coarse, trace = _refine(quotient, mode, start, want_trace)
-
-            def lift(block):
-                return tuple(sorted(x for b in block for x in strong.blocks[b]))
-
             if trace is not None:
                 for e in trace.events:
-                    e.splitter = lift(e.splitter)
-            return Partition._trusted(w.state_count, map(lift, coarse.blocks)), trace
+                    e.splitter = tuple(sorted(x for b in e.splitter for x in strong.blocks[b]))
+            return Partition.from_block_of([coarse._block_of[b] for b in strong._block_of]), trace
     return _refine(w, mode, initial, want_trace)
 
 

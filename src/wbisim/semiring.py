@@ -535,7 +535,7 @@ SEMIRING_CLASSES = {
 SEMIRING_NAMES = tuple(SEMIRING_CLASSES)
 
 
-def by_name(name, **params):
+def by_name(name, /, **params):
     """Instantiate a shipped semiring by name.
 
     The parameters an instance takes, and their types, are declared in its

@@ -461,49 +461,30 @@ class Partition:
     """Partition of {0..n-1} in canonical form.
 
     Blocks are tuples of ascending state ids, ordered by their minimum
-    member; two partitions are equal iff their canonical forms are.
+    member; two partitions are equal iff their canonical forms are.  Both
+    constructors reach that form by one pass, ``_number``, over the block
+    name of each state: ``Partition(n, blocks)`` checks its blocks and names
+    each by its place in ``blocks``.
     """
 
     __slots__ = ("n", "blocks", "_block_of")
 
     def __init__(self, n, blocks):
-        seen = [False] * n
-        canon = []
-        for block in blocks:
+        block_of = [None] * n
+        for bi, block in enumerate(blocks):
             members = sorted(block)
             if not members:
                 raise ValueError("empty block")
             for x in members:
                 if not (isinstance(x, int) and 0 <= x < n):
                     raise ValueError("state id %r out of range" % (x,))
-                if seen[x]:
+                if block_of[x] is not None:
                     raise ValueError("state %d in two blocks" % x)
-                seen[x] = True
-            canon.append(tuple(members))
-        if not all(seen):
-            missing = [i for i, s in enumerate(seen) if not s]
+                block_of[x] = bi
+        if None in block_of:
+            missing = [x for x, bi in enumerate(block_of) if bi is None]
             raise ValueError("states %s not covered" % missing)
-        self._canonical(n, canon)
-
-    @classmethod
-    def _trusted(cls, n, blocks):
-        """The partition of ``blocks``, which must be nonempty, disjoint,
-        cover {0..n-1} and hold only ids in range: put in canonical form,
-        unchecked."""
-        p = cls.__new__(cls)
-        p._canonical(n, [tuple(sorted(block)) for block in blocks])
-        return p
-
-    def _canonical(self, n, canon):
-        """Set the fields from disjoint, covering blocks of ascending ids."""
-        canon.sort()  # disjoint blocks compare by their least member
-        self.n = n
-        self.blocks = tuple(canon)
-        assign = [0] * n
-        for bi, block in enumerate(self.blocks):
-            for x in block:
-                assign[x] = bi
-        self._block_of = tuple(assign)
+        self._number(block_of)
 
     @classmethod
     def single_block(cls, n):
@@ -511,16 +492,20 @@ class Partition:
 
     @classmethod
     def from_block_of(cls, assign):
-        """The partition putting each state x in the block named ``assign[x]``,
-        built in one ascending pass, so blocks come out in canonical form."""
-        index = {}  # name -> block, numbered in order of first use
+        """The partition putting each state x in the block named ``assign[x]``;
+        names are any hashable values, compared only for equality."""
+        p = cls.__new__(cls)
+        p._number(assign)
+        return p
+
+    def _number(self, assign):
+        """Set the fields from each state's block name, blocks numbered by first use."""
+        index = {}  # name -> block
         block_of = tuple(index.setdefault(b, len(index)) for b in assign)
         blocks = [[] for _ in index]
         for x, bi in enumerate(block_of):
             blocks[bi].append(x)
-        p = cls.__new__(cls)
-        p.n, p.blocks, p._block_of = len(block_of), tuple(map(tuple, blocks)), block_of
-        return p
+        self.n, self.blocks, self._block_of = len(block_of), tuple(map(tuple, blocks)), block_of
 
     def block_index(self, x):
         if not (isinstance(x, int) and 0 <= x < self.n):

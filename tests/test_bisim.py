@@ -143,12 +143,19 @@ def _covered_whole_by_one_weight(blk, inside, support):
 
 class TestSingleWeightRegroup:
     @pytest.mark.parametrize("sr,gen", helpers.SEMIRING_WEIGHTS, ids=helpers.semiring_ids())
-    def test_matches_split_block_sorted(self, sr, gen):
+    def test_matches_split_block_sorted(self, sr, gen, monkeypatch):
         # Each support member of a block carries one weight object v, or
         # sometimes v rebuilt as a distinct but equal object, zero (listed
         # explicitly), or in float mode v moved within epsilon.
         rng = random.Random("single weight %s" % sr.name)
-        direct = 0
+        sorted_calls = []
+
+        def counted_split(*args):
+            sorted_calls.append(args)
+            return split_block_sorted(*args)
+
+        monkeypatch.setattr(wb.bisim, "split_block_sorted", counted_split)
+        direct = 0  # regroups built without split_block_sorted
         for _ in range(400):
             blk = set(rng.sample(range(30), rng.randint(2, 10)))
             inside = rng.sample(sorted(blk), rng.randint(1, len(blk)))
@@ -163,21 +170,21 @@ class TestSingleWeightRegroup:
             support = {x: rng.choice(pool) for x in inside}
             support.update((x, gen(rng)) for x in range(30, 30 + rng.randint(0, 3)))
             expected_groups, expected_keep = reference_regroup(sr, blk, inside, support)
+            one_weight = all(support[x] is support[inside[0]] for x in inside)
             passed = list(inside)
-            groups, keep, r = wb.bisim._regroup(sr, blk, passed, support)
+            sorted_calls.clear()
+            groups, keep = wb.bisim._regroup(sr, blk, passed, support)
+            assert one_weight == (not sorted_calls), (blk, inside, support)
+            direct += one_weight
+            assert any(g is keep for g in groups)
             if len(groups) == 1:  # a lone group is left unsorted
                 assert [sorted(groups[0])] == expected_groups, (blk, inside, support)
             else:
                 assert groups == expected_groups, (blk, inside, support)
+                assert keep == expected_keep, (blk, inside, support)
             if _covered_whole_by_one_weight(blk, inside, support):
                 assert groups == [passed] and groups[0] is passed
-            assert r == next((x for x in blk if x not in support), None)
-            if keep is not None:
-                direct += 1
-                assert any(g is keep for g in groups)
-                if len(groups) > 1:
-                    assert keep == expected_keep, (blk, inside, support)
-        assert direct > 150
+        assert direct >= 150, direct
 
 
 class TestChains:

@@ -312,6 +312,19 @@ class TestErrorCodes:
         assert not out
         assert "epsilon" in err
 
+    def test_param_called_name_exits_2(self, tmp_path, capsys):
+        # No semiring declares ``name``: it is rejected like any other
+        # undeclared key, not taken for the name of the semiring.
+        minimize = ["minimize", chains_doc(tmp_path), "--semiring", "truncation", "--param", "k=2"]
+        for argv, name in (
+            (["axioms", "--semiring", "real", "--param", "name=x"], "real"),
+            (minimize + ["--param", "name=x"], "truncation"),
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2, argv
+            assert not out
+            assert err == "error: unexpected parameters ['name'] for %s\n" % name, err
+
     def test_oracle_on_weighted_silent_cycle_exits_2(self, tmp_path, capsys):
         # The brute-force weights of a silent cycle over the reals never
         # complete, so the oracle cannot certify the partition.

@@ -255,6 +255,8 @@ class TestRegistry:
             by_name("boolean", k=3)
         with pytest.raises(ValueError):
             by_name("real", epsilon=0.1)
+        with pytest.raises(ValueError, match=r"unexpected parameters \['name'\] for real"):
+            by_name("real", name="x")
 
     def test_describe_reports_name_and_params(self):
         for sr in ALL_INSTANCES:

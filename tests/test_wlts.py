@@ -778,20 +778,23 @@ class TestPartition:
         assert p == Partition(4, [(0, 2), (1, 3)])
         assert hash(p) == hash(Partition(4, [[1, 3], [0, 2]]))
 
-    def test_trusted_blocks_take_the_same_canonical_form(self):
-        # The engine hands over its own disjoint, covering blocks as sets
-        # and lists in any order; they skip the checks, not the sorting.
-        rng = random.Random("trusted partitions")
-        for _ in range(50):
+    def test_both_constructors_take_the_same_canonical_form(self):
+        # Checked blocks, as sets and as shuffled lists in any order, and
+        # block names of mixed kinds are put in canonical form the same way.
+        rng = random.Random("one canonical form")
+        for _ in range(60):
             n = rng.randint(1, 20)
-            assign = [rng.randrange(4) for _ in range(n)]
-            blocks = [{x for x in range(n) if assign[x] == b} for b in set(assign)]
+            label = {b: rng.choice((b, "b%d" % b, (b, "b"))) for b in range(4)}
+            names = [label[rng.randrange(4)] for _ in range(n)]
+            blocks = [{x for x in range(n) if names[x] == b} for b in set(names)]
             rng.shuffle(blocks)
-            mixed = [set(b) if rng.random() < 0.5 else rng.sample(sorted(b), len(b)) for b in blocks]
-            trusted = Partition._trusted(n, mixed)
+            blocks = [b if rng.random() < 0.5 else rng.sample(sorted(b), len(b)) for b in blocks]
             checked = Partition(n, blocks)
-            assert trusted == checked
-            assert trusted._block_of == checked._block_of
+            named = Partition.from_block_of(names)
+            assert checked.blocks == named.blocks
+            assert checked._block_of == named._block_of
+            assert list(named.blocks) == sorted(named.blocks)
+            assert all(list(b) == sorted(b) for b in named.blocks)
 
     def test_accessors(self):
         p = Partition(4, [[0, 2], [1, 3]])
@@ -831,15 +834,15 @@ class TestPartition:
             helpers.refines(fine, Partition.single_block(3))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition(3, [[0, 1]])  # state 2 missing
-        with pytest.raises(ValueError):
-            Partition(3, [[0, 1], [1, 2]])  # overlap
-        with pytest.raises(ValueError):
-            Partition(3, [[0, 1, 2], []])  # empty block
-        with pytest.raises(ValueError):
-            Partition(3, [[0, 1, 5]])  # out of range
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"states \[2\] not covered"):
+            Partition(3, [[0, 1]])
+        with pytest.raises(ValueError, match="state 1 in two blocks"):
+            Partition(3, [[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="empty block"):
+            Partition(3, [[0, 1, 2], []])
+        with pytest.raises(ValueError, match="state id 5 out of range"):
+            Partition(3, [[0, 1, 5]])
+        with pytest.raises(ValueError, match="empty block"):
             Partition.single_block(-1)  # one empty block
 
     def test_to_names(self):
