@@ -101,7 +101,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .solver import Saturator, _EngineSaturator, _class_set
-from .wlts import _EMPTY, WLTS, Partition, _escaped, block_names
+from .wlts import _EMPTY, WLTS, Partition, _escaped, _sort_sources, block_names
 
 
 def split_block_sorted(sr, members, weights):
@@ -410,24 +410,27 @@ def _representative_quotient(w, partition, names):
     """Quotient of a strong partition whose members are known to agree, as
     the one ``refine_partition`` has just computed or one ``emit_quotient``
     has checked: each block's steps are those of its first member summed
-    by target block, targets ascending, zero sums dropped, and nothing is
-    checked: its columns are read off the system's entries whose source is
-    a first member.  Its states are ``names``, one per block in order."""
+    by target block, and nothing is checked.  Its columns are read off the
+    system's entries whose source is a first member and filled as
+    ``load`` fills a system's: ``_EMPTY`` cells, repeated sources summed,
+    then every cell sorted by ``_sort_sources``.  A sum is kept even if it
+    is zero, as ``load`` keeps one; no shipped semiring sums nonzero
+    weights to zero.  Its states are ``names``, one per block in order."""
     sr = w.semiring
-    add, is_zero, block_of = sr.add, sr.is_zero, partition._block_of
+    add, block_of = sr.add, partition._block_of
     head = {block[0]: bi for bi, block in enumerate(partition.blocks)}
     columns = {}
     for label in w.labels:
-        column = [{} for _ in partition.blocks]
+        column = columns[label] = [_EMPTY] * len(partition)
         for y, into in enumerate(w.predecessor_column(label)):
-            if into:
-                sums = column[block_of[y]]
-                for x, wt in into.items():
-                    bi = head.get(x)
-                    if bi is not None:
+            for x, wt in into.items():
+                bi = head.get(x)
+                if bi is not None:
+                    sums = column[block_of[y]]
+                    if sums is _EMPTY:
+                        column[block_of[y]] = {bi: wt}
+                    else:
                         sums[bi] = add(sums[bi], wt) if bi in sums else wt
-        columns[label] = [
-            {bi: v for bi, v in sorted(sums.items()) if not is_zero(v)} or _EMPTY for sums in column
-        ]
+    _sort_sources(columns)
     index = {name: i for i, name in enumerate(names)}
     return WLTS._of_columns(sr, tuple(names), w.actions, w.tau, index, columns)

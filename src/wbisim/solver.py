@@ -131,52 +131,48 @@ def _action_rhs(sr, column, lands_on):
 # -- saturation ---------------------------------------------------------------
 
 
-def _silent_components(succ):
-    """Strongly connected components of the graph x -> succ[x], sinks first.
-
-    Returns ``comp``, where ``comp[x]`` is the index of x's component.
-    Every edge leaving a component goes to one of smaller index, because
-    Tarjan's algorithm emits a component only after all those it reaches.
-    The depth-first search keeps its own stack, so chains of any length
-    work.
-    """
+def _silent_components(succ, pred):
+    """Strongly connected components of the graph x -> succ[x] by two
+    plain searches (Kosaraju; Sharir, "A strong-connectivity algorithm and
+    its applications in data flow analysis", 1981), ``pred[y]`` holding the
+    sources of the edges into y.  A depth-first search along ``succ`` lists
+    the states as they finish; then each unplaced state, latest finished
+    first, gathers the unplaced states that reach it along ``pred``.  That
+    finds sources first, so ``comp[x]``, the index of x's component, counts
+    from the last: every edge leaving a component goes to a smaller index,
+    sinks first as the solve needs, in the order each component's first
+    state finishes.  Neither search recurses, so chains of any length work."""
     n = len(succ)
-    index = [0] * n  # 0: unvisited; else the visit number, from 1
-    low = [0] * n
-    comp = [-1] * n
-    count = 0
-    stack = []
-    counter = 0
+    seen = bytearray(n)
+    finished = []
     for root in range(n):
-        if index[root]:
+        if seen[root]:
             continue
-        counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
+        seen[root] = 1
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
             for u in edges:
-                if not index[u]:
-                    counter += 1
-                    index[u] = low[u] = counter
-                    stack.append(u)
+                if not seen[u]:
+                    seen[u] = 1
                     work.append((u, iter(succ[u])))
                     break
-                if comp[u] < 0 and index[u] < low[v]:  # u is still on the stack
-                    low[v] = index[u]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        u = stack.pop()
-                        comp[u] = count
-                        if u == v:
-                            break
-                    count += 1
-    return comp
+                finished.append(v)
+    comp = [-1] * n
+    count = 0
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root] = count
+            group = [root]
+            for y in group:  # grows while it is walked
+                for x in pred[y]:
+                    if comp[x] < 0:
+                        comp[x] = count
+                        group.append(x)
+            count += 1
+    return [count - 1 - c for c in comp]
 
 
 _NO_PINS = frozenset()
@@ -218,8 +214,8 @@ class Saturator:
     same for every label and class; each b then costs one forward and one
     back-substitution through it.  A component that the class cuts is
     factored afresh for that solve and not kept.  The components are found
-    once per system.  In ``real-float`` mode every solution is also checked
-    on the rows that can be nonzero.
+    once per system.  In ``real-float`` mode ``_solved`` checks every
+    solution right after ``_eliminate``, on the rows that can be nonzero.
 
     The Saturator takes one predecessor column per label when it is made,
     the system's own list indexed by state id (``predecessor_column``,
@@ -248,7 +244,7 @@ class Saturator:
             return
         self._silent = _forward(self._columns[w.tau])  # per state: target -> silent weight
         if self._key is None:
-            self._comp = _silent_components(self._silent)
+            self._comp = _silent_components(self._silent, self._columns[w.tau])
             self._size = Counter(self._comp)
             self._factors = {}  # component -> factor, for components left whole
         else:  # the states the silent and the action searches may settle
@@ -431,6 +427,14 @@ class Saturator:
             factor.append((x, tuple(multipliers), s, reduced[x]))
         return factor
 
+    def _solved(self, b, pinned, label):
+        """``_eliminate``'s support for b, then in ``real-float`` mode its
+        ``_check_residual``, whose error names ``label``."""
+        support = self._eliminate(b, pinned)
+        if self.w.semiring.carrier_mode == "float":
+            self._check_residual(b, pinned, support, label)
+        return support
+
     def _check_residual(self, b, pinned, support, label):
         """Raise ConvergenceError unless ``support`` solves the system of
         ``_eliminate``, row by row.  Only the rows of the states that reach
@@ -481,19 +485,12 @@ class Saturator:
             return table
         if self._key is not None:
             return self._searched(C)
-        float_mode = sr.carrier_mode == "float"
         in_class = dict.fromkeys(C, sr.one)
-        w_tau = self._eliminate(in_class, in_class)
-        if float_mode:
-            self._check_residual(in_class, in_class, w_tau, w.tau)
+        w_tau = self._solved(in_class, in_class, w.tau)
         lands_on = w_tau if self.mode == "weak" else in_class
         table = {w.tau: w_tau}
         for a in w.actions:
-            b = _action_rhs(sr, self._columns[a], lands_on)
-            x_a = self._eliminate(b, _NO_PINS)
-            if float_mode:
-                self._check_residual(b, _NO_PINS, x_a, a)
-            table[a] = x_a
+            table[a] = self._solved(_action_rhs(sr, self._columns[a], lands_on), _NO_PINS, a)
         return table
 
 

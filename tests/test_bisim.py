@@ -322,6 +322,8 @@ class TestEngineInvariants:
         w = helpers.chains_system()
         with pytest.raises(ValueError):
             refine_partition(w, "weak", initial=Partition.single_block(2))[0]
+        with pytest.raises(ValueError, match="^partition is over a different state count$"):
+            check_is_weak_bisimulation(w, Partition.single_block(2), mode="weak")
 
     def test_unknown_mode(self):
         w = helpers.chains_system()

@@ -192,10 +192,19 @@ class TestErrorCodes:
         code, _, _ = run(capsys, ["validate", "/nonexistent/no.json"])
         assert code == 3
 
-    def test_structural_problem_exits_3(self, tmp_path, capsys):
-        path = write_doc(tmp_path, {"semiring": "real", "states": ["s"]})
-        code, _, _ = run(capsys, ["validate", path])
-        assert code == 3
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"semiring": "real", "states": ["s"]}, "'transitions' must be a list"),
+            ({"semiring": 5, "states": [], "transitions": []}, "semiring field must be a name or an object"),
+            ({"semiring": "real", "states": [], "actions": "a", "transitions": []}, "'actions' must be a list of names"),
+        ],
+        ids=["no-transitions", "semiring-number", "actions-string"],
+    )
+    def test_structural_problem_exits_3(self, doc, message, tmp_path, capsys):
+        code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert err == "parse error: %s\n" % message
 
     @pytest.mark.parametrize("name", [["real"], {"name": "real"}])
     def test_semiring_name_that_is_not_a_string_exits_3(self, name, tmp_path, capsys):
@@ -203,6 +212,25 @@ class TestErrorCodes:
         code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
         assert (code, out) == (3, "")
         assert "semiring name must be a string" in err
+
+    @pytest.mark.parametrize(
+        "semiring,literal,message",
+        [
+            ("boolean", "yes", "expected true/false/1/0, got 'yes'"),
+            ({"name": "truncation", "k": 3}, "x", "expected an integer in 0..3, got 'x'"),
+            ("real-float", "1.2.3", "malformed float literal '1.2.3'"),
+        ],
+        ids=["boolean", "truncation", "real-float"],
+    )
+    def test_malformed_literal_exits_2(self, semiring, literal, message, tmp_path, capsys):
+        doc = {
+            "semiring": semiring,
+            "states": ["p", "q"],
+            "transitions": [{"from": "p", "label": "a", "to": "q", "weight": literal}],
+        }
+        code, out, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == "error: bad weight %r: %s\n" % (literal, message)
 
     def test_semantic_problem_exits_2(self, tmp_path, capsys):
         doc = {
@@ -445,6 +473,19 @@ class TestMinimize:
         assert code == 0
         assert payload["oracle_agrees"] is True
         assert payload["oracle_blocks"] == payload["blocks"]
+
+    def test_oracle_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
+        path, w = chains_doc(tmp_path), helpers.chains_system()
+        discrete = wb.Partition(w.state_count, [[x] for x in range(w.state_count)])
+        monkeypatch.setattr(wb.cli, "brute_coarsest_partition", lambda w, mode: discrete)
+        argv = ["minimize", path, "--equivalence", "weak", "--oracle"]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 2
+        assert payload["oracle_agrees"] is False
+        assert payload["oracle_blocks"] == discrete.to_names(w) != payload["blocks"]
+        code, out, _ = run(capsys, argv + ["--format", "plain"])
+        assert code == 2
+        assert out.splitlines()[-1] == "oracle agrees: NO"
 
     def test_oracle_guard_on_large_systems(self, tmp_path, capsys):
         doc = serialize(

@@ -296,6 +296,10 @@ class TestAxiomChecker:
         report = check_axioms(sr)
         assert report.ok, [(c.law, c.witness) for c in report.failures()]
 
+    def test_empty_sample_set_is_rejected(self):
+        with pytest.raises(ValueError, match="^need a nonempty sample set$"):
+            check_axioms(by_name("real"), [])
+
     @pytest.mark.parametrize("sr", ALL_INSTANCES, ids=repr)
     def test_idempotence_checked_only_where_claimed(self, sr):
         report = check_axioms(sr)

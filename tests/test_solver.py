@@ -467,12 +467,55 @@ class TestSharedRightHandSide:
 def _silent_components_of(w):
     """The states of each silent component of two or more states."""
     comp = wb.solver._silent_components(
-        [w.successors(x, w.tau) for x in range(w.state_count)]
+        [w.successors(x, w.tau) for x in range(w.state_count)], w.predecessor_column(w.tau)
     )
     members = {}
     for x, c in enumerate(comp):
         members.setdefault(c, []).append(x)
     return [m for m in members.values() if len(m) > 1]
+
+
+def _components(succ):
+    """``_silent_components`` of the graph x -> succ[x], given its edges
+    into each state as well."""
+    pred = [{} for _ in succ]
+    for x, row in enumerate(succ):
+        for y in row:
+            pred[y][x] = True
+    return wb.solver._silent_components(succ, pred)
+
+
+class TestSilentComponents:
+    def test_components_are_mutual_reachability_numbered_sinks_first(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            density = rng.choice([0.02, 0.05, 0.1, 0.2, 0.4])
+            succ = [{y: True for y in range(n) if rng.random() < density} for _ in range(n)]
+            comp = _components(succ)
+            reach = []  # reach[x]: the states x reaches, itself included
+            for x in range(n):
+                seen = {x}
+                todo = [x]
+                while todo:
+                    for y in succ[todo.pop()]:
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+                reach.append(seen)
+            for x in range(n):
+                for y in range(n):
+                    assert (comp[x] == comp[y]) == (y in reach[x] and x in reach[y])
+                for y in succ[x]:
+                    assert comp[y] <= comp[x]
+            assert sorted(set(comp)) == list(range(len(set(comp))))
+
+    @pytest.mark.parametrize("shape", ["chain", "ring"])
+    def test_long_chain_and_ring_need_no_recursion(self, shape):
+        n = 100_000
+        succ = [{x + 1: True} for x in range(n - 1)] + [{0: True} if shape == "ring" else {}]
+        comp = _components(succ)
+        assert comp == (list(range(n - 1, -1, -1)) if shape == "chain" else [0] * n)
 
 
 def _silent_ring(sr, n, weight):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -577,6 +578,22 @@ class TestLoad:
             with pytest.raises(SemanticError) as exc:
                 WLTS(sr, ["u", "v"], ["a"], "tau", [good, bad])
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "semiring,states,actions,weight,message",
+        [
+            ("real", ["u", "u"], ["a"], Fraction(1), "duplicate state names"),
+            ("real", ["u", "v"], ["a", "a"], Fraction(1), "duplicate action names"),
+            ("boolean", ["u", "v"], ["a"], 1, "boolean semiring carries bool values, got 1"),
+            ("real-float", ["u", "v"], ["a"], True, "bool is not a float weight"),
+            ("real-float", ["u", "v"], ["a"], "x", "cannot use 'x' as a float weight"),
+        ],
+        ids=["duplicate-state", "duplicate-action", "boolean-int", "float-bool", "float-str"],
+    )
+    def test_constructor_rejects(self, semiring, states, actions, weight, message):
+        edges = [(0, "a", len(states) - 1, weight)]
+        with pytest.raises(SemanticError, match="^%s$" % re.escape(message)):
+            WLTS(by_name(semiring), states, actions, "tau", edges)
 
 
     HUGE = "1" + "0" * 400
