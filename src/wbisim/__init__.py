@@ -35,7 +35,6 @@ from .bisim import (
     check_is_weak_bisimulation,
     emit_quotient,
     refine_partition,
-    split_block_sorted,
 )
 from .oracle import (
     FinitePath,
@@ -75,7 +74,6 @@ __all__ = [
     "bisimilar",
     "check_is_weak_bisimulation",
     "refine_partition",
-    "split_block_sorted",
     "FinitePath",
     "TraceSelector",
     "TruncationError",

@@ -100,8 +100,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .solver import Saturator, _EngineSaturator, _class_set
-from .wlts import _EMPTY, WLTS, Partition, _escaped, _sort_sources, block_names
+from .solver import Saturator, _EngineSaturator
+from .wlts import _EMPTY, WLTS, Partition, _class_set, _escaped, _sort_sources, block_names
 
 
 def split_block_sorted(sr, members, weights):

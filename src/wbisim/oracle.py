@@ -14,8 +14,7 @@ sum of its path weights.
 
 from __future__ import annotations
 
-from .solver import _class_set
-from .wlts import Partition
+from .wlts import Partition, _class_set
 
 
 class TruncationError(Exception):

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heappop, heappush
 
-from .wlts import _forward
+from .wlts import _class_set, _forward
 
 
 class ConvergenceError(Exception):
@@ -99,17 +99,6 @@ def closure_apply(sr, closure_rows, b):
                 acc = add(acc, mul(a, b[j]))
         out.append(acc)
     return out
-
-
-def _class_set(w, C):
-    Cset = frozenset(C)
-    if not Cset:
-        raise ValueError("target class must be nonempty")
-    n = w.state_count
-    for x in Cset:
-        if not (isinstance(x, int) and 0 <= x < n):
-            raise ValueError("state id %r out of range" % (x,))
-    return Cset
 
 
 def _action_rhs(sr, column, lands_on):
@@ -193,12 +182,13 @@ class Saturator:
     silent label.  An action's search starts from the action steps into
     the states it lands on, with no right-hand side built: a step whose
     product is ``one`` settles its source at once, since ``one + a ==
-    one``, and any other product waits as a tentative weight.  The states
-    of weight ``one`` settle first, breadth first; only when a weight
-    other than ``one`` turns up are tentative weights merged by the sum
-    and a heap of their keys built, from which the others settle best
-    first.  Each settled state relaxes its silent in-edges once.  Over the
-    booleans no heap is built.
+    one``, and any other product waits as an offer.  The states of weight
+    ``one`` settle first, breadth first; only when a weight other than
+    ``one`` turns up are the offers put in buckets by key, with a heap of
+    the keys, from which the others settle best first.  Each state
+    settles at the first level that reaches it and relaxes its silent
+    in-edges once; no weight is summed.  Over the booleans no heap is
+    built.
 
     The refinement engine's ``_EngineSaturator`` bounds these searches to
     where it reads the tables, by the region rule of its
@@ -269,20 +259,25 @@ class Saturator:
         A search settles one level at a time, ``one`` first and then each
         weight below it, best first.  The states of a level relax their
         silent in-edges in FIFO order, and every state that reaches the
-        level's weight on the way settles with them.  Any other weight
-        waits as a tentative one, merged by the sum, in a bucket per key,
-        with the keys in a heap.  The buckets are made on the first such
-        weight, so a search that meets none, as every boolean one, builds
+        level's weight on the way settles with them.  Any other weight is
+        an offer, appended to the bucket of its key; a bucket keeps its
+        weight next to its states, and the keys wait in a heap.  Since
+        ``one + a == one``, no product ``m*L`` is better than the level
+        ``L`` that made it, so the first level that reaches a state is its
+        weight: a popped bucket settles, in bucket order, each of its
+        states not settled yet at its weight and passes over the rest, and
+        no weight is ever summed.  The buckets are made on the first
+        offer, so a search that meets none, as every boolean one, builds
         no heap.  A product with a factor ``one`` is the other factor and
         is not computed."""
         w = self.w
         sr = w.semiring
-        add, mul, zero, one, key = sr.add, sr.mul, sr.zero, sr.one, self._key
+        mul, zero, one, key = sr.mul, sr.zero, sr.one, self._key
         pred = self._columns[w.tau]
         table = {}
         lands_on = None
         for label in w.labels:
-            offers = []  # (state, tentative weight other than zero and the level)
+            offers = []  # (state, weight other than zero and the level)
             if lands_on is None:
                 within = self._silent_within
                 sol = {x: one for x in C if within[x]}  # settled weights
@@ -315,31 +310,26 @@ class Saturator:
                 if heap is None:
                     if not offers:
                         break
-                    best, waiting, heap = {}, {}, []  # tentative weights, buckets by key, keys
+                    waiting, heap = {}, []  # key -> (weight, states offered it), keys
                 for x, t in offers:
-                    if x in sol:
-                        continue
-                    cur = best.get(x)
-                    if cur is not None:
-                        t = add(cur, t)
-                        if t == cur:
-                            continue
-                    best[x] = t
                     k = key(t)
-                    if k not in waiting:
-                        waiting[k] = []
+                    if k in waiting:
+                        waiting[k][1].append(x)
+                    else:
+                        waiting[k] = (t, [x])  # equal keys mean equal weights
                         heappush(heap, k)
-                    waiting[k].append(x)
                 offers = []
                 while heap:
-                    batch = [x for x in waiting.pop(heappop(heap)) if x not in sol]
+                    level, states = waiting.pop(heappop(heap))
+                    batch = []
+                    for x in states:
+                        if x not in sol:
+                            sol[x] = level
+                            batch.append(x)
                     if batch:
                         break
                 else:
                     break
-                level = best[batch[0]]  # equal keys mean equal weights
-                for x in batch:
-                    sol[x] = level
             table[label] = sol
             if lands_on is None:
                 lands_on = sol if self.mode == "weak" else dict.fromkeys(C, one)

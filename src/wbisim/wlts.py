@@ -457,6 +457,19 @@ def check_reactive(w):
 # -- partitions --------------------------------------------------------------
 
 
+def _class_set(w, C):
+    """``C`` as a frozenset of state ids of ``w``: nonempty, and every
+    member an id in range."""
+    Cset = frozenset(C)
+    if not Cset:
+        raise ValueError("target class must be nonempty")
+    n = w.state_count
+    for x in Cset:
+        if not (isinstance(x, int) and 0 <= x < n):
+            raise ValueError("state id %r out of range" % (x,))
+    return Cset
+
+
 class Partition:
     """Partition of {0..n-1} in canonical form.
 

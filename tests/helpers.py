@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import wbisim as wb
-from wbisim.solver import _action_rhs, _class_set, closure_apply, star_closure
+from wbisim.solver import closure_apply, star_closure
+from wbisim.wlts import _class_set
 
 
 def make_wlts(sr, states, edges, tau="tau", actions=None):
@@ -323,13 +324,21 @@ def solve_least(system):
 
 
 def _action_system(w, action, lands_on):
-    """The silent adjacency over all states, with the action right-hand side."""
+    """The silent adjacency over all states, with the action right-hand
+    side b[x] summed naively over the action successors y of x: weight
+    times ``lands_on[y]`` (a mapping state -> weight, absent states zero)."""
     if action not in w.actions:
         raise ValueError("unknown action %r" % (action,))
-    b = _action_rhs(w.semiring, w.predecessor_column(action), lands_on)
-    n, zero = w.state_count, w.semiring.zero
+    sr = w.semiring
+    n, zero = w.state_count, sr.zero
+    b = []
+    for x in range(n):
+        acc = zero
+        for y, wt in w.successors(x, action).items():
+            acc = sr.add(acc, sr.mul(wt, lands_on.get(y, zero)))
+        b.append(acc)
     rows = [dict(w.successors(x, w.tau)) for x in range(n)]
-    return LinearSystem(w.semiring, rows, [b.get(x, zero) for x in range(n)])
+    return LinearSystem(sr, rows, b)
 
 
 def build_tau_system(w, C):

@@ -41,3 +41,9 @@ def test_saturation_tables_are_plain_supports():
         table = wb.Saturator(w, mode).table([1])
         assert type(table) is dict
         assert list(table) == list(w.labels)
+
+
+def test_split_block_sorted_lives_in_bisim_only():
+    assert "split_block_sorted" not in wb.__all__
+    assert not hasattr(wb, "split_block_sorted")
+    assert callable(wb.bisim.split_block_sorted)

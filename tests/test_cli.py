@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -899,6 +903,24 @@ class TestAxioms:
     def test_missing_semiring_exits_2(self, capsys):
         code, _, _ = run(capsys, ["axioms"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["axioms", "--semiring", "boolean"], 0),
+            (["axioms", "--semiring", "real", "--param", "name=x"], 2),
+        ],
+        ids=["boolean", "param-name"],
+    )
+    def test_python_dash_m_exit_codes(self, argv, expected):
+        # ``python -m wbisim`` runs ``__main__``, which exits with main's code.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "wbisim", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == expected, done.stderr
 
 
 class TestStructuredOutput:

@@ -939,6 +939,89 @@ class TestSearchSaturation:
         assert bool(seen["below"]) == bool(seen["silent"]) == (sr.name != "boolean")
         assert bool(seen["clamped"]) == (sr.name == "truncation")
 
+    BEST_FIRST = [(sr, gen) for sr, gen in helpers.SEMIRING_WEIGHTS if sr.best_first_key is not None]
+
+    @pytest.mark.parametrize("sr,gen", BEST_FIRST, ids=[sr.name for sr, _ in BEST_FIRST])
+    def test_searches_never_add(self, sr, gen, monkeypatch):
+        # Each state settles at the first level that reaches it, so no
+        # weight is ever summed.  The tropical witness offers x the weight 1
+        # (straight to c) and then 2 (through v): a merge would add them.
+        cases = []
+        if sr.name == "tropical":
+            w = helpers.make_wlts(
+                sr,
+                ["c", "v", "x"],
+                [
+                    ("x", "tau", "c", Fraction(1)),
+                    ("x", "tau", "v", Fraction(2)),
+                    ("v", "tau", "c", Fraction(0)),
+                    ("x", "a", "c", Fraction(3)),
+                ],
+            )
+            cases.append((w, [0]))
+        rng = random.Random("searches never add %s" % sr.name)
+        for _ in range(20):
+            n = rng.randint(2, 30)
+            w = helpers.random_wlts(rng, sr, n, 2, rng.uniform(0.05, 0.3), gen)
+            cases.append((w, rng.sample(range(n), rng.randint(1, 3))))
+        runs = []  # (system, class, mode, reference vector per label)
+        for w, C in cases:
+            w_tau = solve_least(build_tau_system(w, C))
+            for mode in ("weak", "delay"):
+                vectors = {w.tau: w_tau}
+                for a in w.actions:
+                    system = build_action_system(w, C, a, w_tau) if mode == "weak" else build_delay_system(w, C, a)
+                    vectors[a] = solve_least(system)
+                runs.append((w, C, mode, vectors))
+
+        def forbidden(self, a, b):
+            raise AssertionError("a best-first search adds no weights")
+
+        monkeypatch.setattr(type(sr), "add", forbidden)
+        tables = [Saturator(w, mode).table(C) for w, C, mode, _ in runs]
+        for table, (w, C, mode, vectors) in zip(tables, runs):
+            assert {label: helpers.vector(w, table, label) for label in w.labels} == vectors, (mode, C, w)
+        if sr.name == "tropical":
+            assert tables[0] == {"tau": {0: 0, 1: 0, 2: 1}, "a": {2: 3}}
+
+    def test_a_state_settles_at_its_best_offer(self):
+        # Tropical, class {c}: the silent search offers x the weight 5
+        # (straight to c), then 2 through u, then 2 again through v.  x
+        # settles at 2 from the bucket of key 2, once, and z behind it at
+        # 3; the stale offer 5 is passed over when its bucket pops.
+        sr = by_name("tropical")
+        w = helpers.make_wlts(
+            sr,
+            ["c", "u", "v", "x", "z"],
+            [
+                ("u", "tau", "c", Fraction(0)),
+                ("v", "tau", "c", Fraction(0)),
+                ("x", "tau", "c", Fraction(5)),
+                ("x", "tau", "u", Fraction(2)),
+                ("x", "tau", "v", Fraction(2)),
+                ("z", "tau", "x", Fraction(1)),
+                ("x", "a", "c", Fraction(3)),
+                ("z", "a", "u", Fraction(1)),
+            ],
+        )
+        c, u, v, x, z = range(5)
+        w_tau = solve_least(build_tau_system(w, [c]))
+        expected = {
+            "weak": {"tau": {c: 0, u: 0, v: 0, x: 2, z: 3}, "a": {z: 1, x: 3}},
+            "delay": {"tau": {c: 0, u: 0, v: 0, x: 2, z: 3}, "a": {x: 3, z: 4}},
+        }
+        for mode, system in (
+            ("weak", build_action_system(w, [c], "a", w_tau)),
+            ("delay", build_delay_system(w, [c], "a")),
+        ):
+            table = Saturator(w, mode).table([c])
+            assert table == expected[mode]
+            assert [list(support) for support in table.values()] == [
+                list(support) for support in expected[mode].values()
+            ]
+            assert helpers.vector(w, table, w.tau) == w_tau
+            assert helpers.vector(w, table, "a") == solve_least(system)
+
     def test_boolean_tables_build_no_heap(self, monkeypatch):
         # Over the booleans every weight is ``one``, so a search is one
         # breadth-first pass: no heap is built and no key is computed.
