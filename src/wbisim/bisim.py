@@ -101,7 +101,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .solver import Saturator, _EngineSaturator
-from .wlts import _EMPTY, WLTS, Partition, _class_set, _escaped, _sort_sources, block_names
+from .wlts import WLTS, Partition, _class_set, _columns, _escaped, block_names
 
 
 def split_block_sorted(sr, members, weights):
@@ -409,28 +409,15 @@ def emit_quotient(w, partition):
 def _representative_quotient(w, partition, names):
     """Quotient of a strong partition whose members are known to agree, as
     the one ``refine_partition`` has just computed or one ``emit_quotient``
-    has checked: each block's steps are those of its first member summed
-    by target block, and nothing is checked.  Its columns are read off the
-    system's entries whose source is a first member and filled as
-    ``load`` fills a system's: ``_EMPTY`` cells, repeated sources summed,
-    then every cell sorted by ``_sort_sources``.  A sum is kept even if it
-    is zero, as ``load`` keeps one; no shipped semiring sums nonzero
-    weights to zero.  Its states are ``names``, one per block in order."""
-    sr = w.semiring
-    add, block_of = sr.add, partition._block_of
+    has checked: its steps are the first members', both ends replaced by
+    their blocks, and nothing is checked.  Its states are ``names``."""
+    block_of = partition._block_of
     head = {block[0]: bi for bi, block in enumerate(partition.blocks)}
-    columns = {}
-    for label in w.labels:
-        column = columns[label] = [_EMPTY] * len(partition)
-        for y, into in enumerate(w.predecessor_column(label)):
-            for x, wt in into.items():
-                bi = head.get(x)
-                if bi is not None:
-                    sums = column[block_of[y]]
-                    if sums is _EMPTY:
-                        column[block_of[y]] = {bi: wt}
-                    else:
-                        sums[bi] = add(sums[bi], wt) if bi in sums else wt
-    _sort_sources(columns)
+    steps = (
+        (head[x], label, block_of[y], wt)
+        for label in w.labels for y, into in enumerate(w.predecessor_column(label))
+        for x, wt in into.items() if x in head
+    )
+    columns = _columns(w.semiring, w.labels, len(names), steps)
     index = {name: i for i, name in enumerate(names)}
-    return WLTS._of_columns(sr, tuple(names), w.actions, w.tau, index, columns)
+    return WLTS._of_columns(w.semiring, tuple(names), w.actions, w.tau, index, columns)

@@ -28,6 +28,7 @@ from .wlts import (
     ParseError,
     SemanticError,
     _escaped,
+    _semiring_named,
     block_names,
     check_fully_probabilistic,
     check_reactive,
@@ -48,7 +49,7 @@ EXIT_NO_CONVERGENCE = 4
 
 def _semiring_from_args(args):
     """The ``--semiring`` instance, each ``--param`` value converted to the
-    type its class declares; ``by_name`` rejects an unknown name or key."""
+    type its class declares; an unknown name or key raises SemanticError."""
     if not args.semiring:
         if args.param:
             raise SemanticError("--param needs --semiring")
@@ -70,10 +71,7 @@ def _semiring_from_args(args):
                 "%s parameter %s: %r is not a valid %s"
                 % (args.semiring, key, value, kind.__name__)
             ) from None
-    try:
-        return _semiring.by_name(args.semiring, **params)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    return _semiring_named(args.semiring, **params)
 
 
 def _read_document(path):

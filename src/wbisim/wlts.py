@@ -23,6 +23,8 @@ in float mode, true/false for boolean).
 A system is stored as its predecessor columns, the form refinement reads;
 its successor rows are derived on first use.  Both list ids ascending, so
 the edge order fixes only duplicate sums and the order of inferred actions.
+``load`` fills the columns in its one pass; every other system lists its
+steps for ``_columns`` to write.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def _sort_sources(columns):
     """Put the sources of every mapping of ``columns`` in ascending order."""
     for column in columns.values():
         column[:] = [dict(sorted(into.items())) if len(into) > 1 else into for into in column]
+
+
+def _columns(sr, labels, n, steps):
+    """Predecessor columns of ``n`` states under ``labels``, in order, from
+    checked steps (source, label, target, nonzero weight), a repeated step
+    summed by ``sr.add`` in the order given (even to zero), sources sorted."""
+    add = sr.add
+    columns = {label: [_EMPTY] * n for label in labels}
+    for x, label, y, w in steps:
+        into = columns[label][y]
+        if into is _EMPTY:
+            columns[label][y] = {x: w}
+        else:
+            into[x] = add(into[x], w) if x in into else w
+    _sort_sources(columns)
+    return columns
 
 
 def _forward(column):
@@ -92,14 +110,14 @@ class WLTS:
             raise SemanticError("duplicate action names")
         if tau in acts:
             raise SemanticError("silent label %r also declared as an action" % tau)
-        columns = {label: [_EMPTY] * len(names) for label in (tau,) + acts}
-        dropped = 0
+        labels = dict.fromkeys((tau,) + acts)
+        steps, dropped = [], 0
         for x, label, y, w in transitions:
             if not (isinstance(x, int) and 0 <= x < len(names)):
                 raise SemanticError("bad source state id %r" % (x,))
             if not (isinstance(y, int) and 0 <= y < len(names)):
                 raise SemanticError("bad target state id %r" % (y,))
-            if label not in columns:
+            if label not in labels:
                 raise SemanticError("undeclared label %r" % (label,))
             try:
                 w = sr.coerce(w)
@@ -107,23 +125,17 @@ class WLTS:
                 raise SemanticError(str(exc)) from None
             if sr.is_zero(w):
                 dropped += 1
-                continue
-            into = columns[label][y]
-            if into is _EMPTY:
-                columns[label][y] = {x: w}
             else:
-                into[x] = sr.add(into[x], w) if x in into else w
-        _sort_sources(columns)
-        self._adopt(sr, names, acts, tau, index, columns, dropped)
+                steps.append((x, label, y, w))
+        self._adopt(sr, names, acts, tau, index, _columns(sr, labels, len(names), steps), dropped)
 
     @classmethod
     def _of_columns(cls, sr, names, actions, tau, index, columns, dropped=0):
-        """A system over finished predecessor columns, for ``load`` and the
-        quotient builder, which build them from checked ids, declared
-        labels and coerced nonzero weights, sources ascending: nothing is
-        checked again.  ``names`` and ``actions`` are tuples, ``index`` maps
-        each name to its id and ``columns`` each label, in ``labels`` order,
-        to its column (``predecessor_column``)."""
+        """A system over finished predecessor columns, filled by ``load`` or
+        written by ``_columns``, from checked ids, declared labels and coerced
+        nonzero weights, sources ascending: nothing is checked again.
+        ``names`` and ``actions`` are tuples; ``index`` maps names to ids and
+        ``columns`` labels, in ``labels`` order, to columns."""
         w = cls.__new__(cls)
         w._adopt(sr, names, actions, tau, index, columns, dropped)
         return w
@@ -203,22 +215,24 @@ class WLTS:
 # -- documents -------------------------------------------------------------
 
 
+def _semiring_named(name, /, **params):
+    """``semiring.by_name``, its ValueError raised as a SemanticError: the one
+    reader of a document's ``semiring`` field and of ``--semiring``."""
+    try:
+        return _semiring.by_name(name, **params)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+
 def _semiring_from_field(value):
     if isinstance(value, str):
-        try:
-            return _semiring.by_name(value)
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from None
+        return _semiring_named(value)
     if isinstance(value, dict):
         if "name" not in value:
             raise ParseError("semiring object needs a 'name' field")
         if not isinstance(value["name"], str):
             raise ParseError("semiring name must be a string")
-        params = {k: v for k, v in value.items() if k != "name"}
-        try:
-            return _semiring.by_name(value["name"], **params)
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from None
+        return _semiring_named(value["name"], **{k: v for k, v in value.items() if k != "name"})
     raise ParseError("semiring field must be a name or an object")
 
 

@@ -47,3 +47,28 @@ def test_split_block_sorted_lives_in_bisim_only():
     assert "split_block_sorted" not in wb.__all__
     assert not hasattr(wb, "split_block_sorted")
     assert callable(wb.bisim.split_block_sorted)
+
+
+def test_bisim_lists_steps_and_writes_no_columns():
+    # the quotient's columns are written by ``wlts._columns``, like every
+    # system's outside ``load``
+    assert not hasattr(wb.bisim, "_EMPTY")
+    assert not hasattr(wb.bisim, "_sort_sources")
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        (
+            wb.WLTS(wb.by_name("real"), ["p", "q"], ["a"], "tau", [(0, "a", 1, 1)]),
+            "WLTS(real, 2 states, 1 transitions)",
+        ),
+        (wb.Partition(0, []), "Partition([])"),
+        (wb.FinitePath((0, 1), ("a",)), "Path(0-a->1)"),
+        (wb.TraceSelector.tau_star(), "TraceSelector(tau-star)"),
+        (wb.TraceSelector.weak("a"), "TraceSelector(weak, 'a')"),
+    ],
+    ids=["wlts", "partition", "path", "tau-star-selector", "action-selector"],
+)
+def test_repr(value, expected):
+    assert repr(value) == expected

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import wbisim as wb
-from wbisim import emit_quotient, load, serialize, to_dot
+from wbisim import emit_quotient, load, refine_partition, serialize, to_dot
 from wbisim.cli import main
 
 import helpers
@@ -46,6 +46,17 @@ def replicated_real_doc(rng, n, copies):
             w.tau,
             [(x + c * n, label, y + c * n, v) for c in range(copies) for x, label, y, v in edges],
         )
+    )
+
+
+def python_m(argv, **env):
+    """``python -m wbisim argv`` in a new process that imports this
+    checkout's package, with ``env`` added to its environment."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "wbisim", *argv], env=env, capture_output=True, text=True
     )
 
 
@@ -357,6 +368,26 @@ class TestErrorCodes:
             assert not out
             assert err == "error: unexpected parameters ['name'] for %s\n" % name, err
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("reel", {}), ("truncation", {"k": 0}), ("real-float", {"epsilon": -1})],
+        ids=["unknown-name", "zero-k", "negative-epsilon"],
+    )
+    def test_bad_semiring_spec_reads_the_same_on_every_route(self, name, params, tmp_path, capsys):
+        # a document's semiring object, its string form (which has no
+        # parameters) and --semiring with --param report the same error
+        empty = {"states": [], "transitions": []}
+        routes = [["validate", write_doc(tmp_path, dict(empty, semiring=dict(params, name=name)))]]
+        if not params:
+            routes.append(["validate", write_doc(tmp_path, dict(empty, semiring=name), "name.json")])
+        flags = [f for key, value in params.items() for f in ("--param", "%s=%s" % (key, value))]
+        real = write_doc(tmp_path, dict(empty, semiring="real"), "real.json")
+        routes.append(["validate", real, "--semiring", name, *flags])
+        results = [run(capsys, argv) for argv in routes]
+        code, out, err = results[0]
+        assert (code, out) == (2, "") and err.startswith("error: "), err
+        assert results == [results[0]] * len(routes)
+
     def test_oracle_on_weighted_silent_cycle_exits_2(self, tmp_path, capsys):
         # The brute-force weights of a silent cycle over the reals never
         # complete, so the oracle cannot certify the partition.
@@ -477,6 +508,14 @@ class TestMinimize:
         assert code == 0
         assert payload["oracle_agrees"] is True
         assert payload["oracle_blocks"] == payload["blocks"]
+
+    @pytest.mark.parametrize("sr", [sr for sr, _ in helpers.SEMIRING_WEIGHTS], ids=helpers.semiring_ids())
+    def test_oracle_agrees_on_a_system_without_states(self, sr, tmp_path, capsys):
+        path = write_doc(tmp_path, {"semiring": sr.describe(), "states": [], "transitions": []})
+        for mode in ("strong", "weak", "delay"):
+            code, payload, err = run_json(capsys, ["minimize", path, "--equivalence", mode, "--oracle"])
+            assert code == 0, (mode, err)
+            assert payload["blocks"] == [] and payload["oracle_agrees"] is True, mode
 
     def test_oracle_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
         path, w = chains_doc(tmp_path), helpers.chains_system()
@@ -914,13 +953,30 @@ class TestAxioms:
     )
     def test_python_dash_m_exit_codes(self, argv, expected):
         # ``python -m wbisim`` runs ``__main__``, which exits with main's code.
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "wbisim", *argv], env=env, capture_output=True, text=True
-        )
+        done = python_m(argv)
         assert done.returncode == expected, done.stderr
+
+
+class TestHashSeed:
+    # String hashes, and with them the order of sets of names, differ
+    # between processes, which no in-process test can see.
+    @pytest.mark.parametrize("semiring", ["real", "boolean"])
+    def test_every_mode_prints_the_same_under_two_hash_seeds(self, semiring, tmp_path):
+        rng = random.Random("hash seed %s" % semiring)
+        if semiring == "real":
+            doc = replicated_real_doc(rng, 5, 3)
+            # coarse, so that weak and delay mode refine the strong quotient
+            assert len(refine_partition(load(doc), "strong")[0]) < len(doc["states"])
+        else:
+            sr = wb.by_name("boolean")
+            doc = serialize(helpers.random_wlts(rng, sr, 12, 2, 0.15, lambda r: True))
+        rng.shuffle(doc["transitions"])
+        path = write_doc(tmp_path, doc)
+        for mode in ("strong", "weak", "delay"):
+            argv = ["minimize", path, "--equivalence", mode, "--trace", "--emit-quotient"]
+            first, second = (python_m(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+            assert first.returncode == 0, (mode, first.stderr)
+            assert (second.returncode, second.stdout) == (0, first.stdout), mode
 
 
 class TestStructuredOutput:
